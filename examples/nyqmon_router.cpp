@@ -12,6 +12,10 @@
 // ERR-with-detail (which nodes failed and why) instead of a silent partial
 // answer.
 //
+// The router runs one front reactor per online core, so it handles that
+// many requests at once; the startup line prints the count, and
+// `nyqmon_ctl stats` reports it as router.reactors.
+//
 // The second form is a self-contained demo: it spawns <n_backends> empty
 // in-process nyqmond servers on ephemeral ports, fronts them, prints the
 // ring description, and serves for [serve_seconds] (default 60). Try:
@@ -104,8 +108,9 @@ int main(int argc, char** argv) {
   try {
     clu::NyqmonRouter router(cfg);
     router.start();
-    std::printf("nyqmon_router: listening on 127.0.0.1:%u, %zu backend(s)\n",
-                router.port(), router.ring().size());
+    std::printf("nyqmon_router: listening on 127.0.0.1:%u, %zu backend(s), "
+                "%zu reactor(s)\n",
+                router.port(), router.ring().size(), router.reactors());
     std::printf("%s", router.ring().describe().c_str());
     for (std::size_t i = 0; i < router.ring().size(); ++i)
       std::printf("  node %zu owns %.1f%% of the keyspace\n", i,

@@ -19,14 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Per-backend gather latency, named at runtime (one series per backend
-/// index; documented as nyqmon_cluster_backend<i>_gather_ns).
-void record_backend_latency(std::size_t i, std::uint64_t ns) {
-  obs::Registry::instance()
-      .histogram("nyqmon_cluster_backend" + std::to_string(i) + "_gather_ns")
-      .record(ns);
-}
-
 std::uint64_t elapsed_ns(Clock::time_point t0) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
@@ -46,11 +38,18 @@ ClusterClient::ClusterClient(ClusterConfig config)
         .gauge("nyqmon_cluster_backend" + std::to_string(i) +
                "_share_permille")
         .set(static_cast<std::int64_t>(ring_.keyspace_share(i) * 1000.0));
-  // Fan-out span names are recorded by pointer; intern once up front so
-  // scatter() never allocates a name on the hot path.
+  // Fan-out span names are recorded by pointer, and the per-backend gather
+  // histograms (documented as nyqmon_cluster_backend<i>_gather_ns) are
+  // resolved by handle: look both up once so scatter() neither allocates a
+  // name nor takes the registry lock on the hot path.
   fanout_names_.reserve(config_.nodes.size());
-  for (const NodeDesc& node : config_.nodes)
-    fanout_names_.push_back(obs::intern_node_name("fanout/" + node.id));
+  gather_histograms_.reserve(config_.nodes.size());
+  for (std::size_t i = 0; i < config_.nodes.size(); ++i) {
+    fanout_names_.push_back(
+        obs::intern_node_name("fanout/" + config_.nodes[i].id));
+    gather_histograms_.push_back(&obs::Registry::instance().histogram(
+        "nyqmon_cluster_backend" + std::to_string(i) + "_gather_ns"));
+  }
 }
 
 ClusterClient::~ClusterClient() = default;
@@ -259,7 +258,7 @@ ScatterOutcome ClusterClient::scatter(srv::Verb verb,
         settled[i] = true;
       }
       const std::uint64_t gather = elapsed_ns(t_send);
-      record_backend_latency(i, gather);
+      gather_histograms_[i]->record(gather);
       out.gather_ns[i] = gather;
       record_fanout(i);
     }
@@ -308,22 +307,15 @@ FleetQuery ClusterClient::query(const qry::QuerySpec& spec) {
 }
 
 std::vector<NodeText> ClusterClient::fleet_stats() {
-  ScatterOutcome scattered = scatter(srv::Verb::kStats, {});
-  std::vector<NodeText> out(config_.nodes.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].node = config_.nodes[i].id;
-    if (scattered.payloads[i].has_value())
-      out[i].text.assign(scattered.payloads[i]->begin(),
-                         scattered.payloads[i]->end());
-  }
-  for (const srv::ErrorDetail& f : scattered.failures)
-    for (NodeText& node : out)
-      if (node.node == f.node && node.text.empty()) node.error = f.error;
-  return out;
+  return fleet_text(srv::Verb::kStats);
 }
 
 std::vector<NodeText> ClusterClient::fleet_metrics() {
-  ScatterOutcome scattered = scatter(srv::Verb::kMetrics, {});
+  return fleet_text(srv::Verb::kMetrics);
+}
+
+std::vector<NodeText> ClusterClient::fleet_text(srv::Verb verb) {
+  ScatterOutcome scattered = scatter(verb, {});
   std::vector<NodeText> out(config_.nodes.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i].node = config_.nodes[i].id;

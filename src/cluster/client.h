@@ -15,6 +15,10 @@
 // never consult it, which is what keeps queries correct while a handoff
 // has moved streams off their ring owner.
 //
+// Threading: one ClusterClient serves one thread at a time, since each
+// backend connection carries one exchange at a time. The router keeps a
+// pool and leases one client to each request it handles.
+//
 // Failure model: scatter never throws for a backend failure — each failed
 // node becomes an ErrorDetail (node id + reason) in the result, and its
 // connection is reset so the next request reconnects. Callers (the router)
@@ -43,6 +47,10 @@
 #include "cluster/hash.h"
 #include "query/merge.h"
 #include "server/client.h"
+
+namespace nyqmon::obs {
+class Histogram;
+}  // namespace nyqmon::obs
 
 namespace nyqmon::clu {
 
@@ -150,6 +158,9 @@ class ClusterClient {
   /// Drop node i's connection so the next use reconnects (a timed-out or
   /// failed exchange leaves the byte stream unsynchronized).
   void reset(std::size_t i);
+  /// Scatter a payload-less text verb (STATS, METRICS): every node's reply
+  /// text or its error, index-aligned with nodes().
+  std::vector<NodeText> fleet_text(srv::Verb verb);
 
   ClusterConfig config_;
   HashRing ring_;
@@ -157,6 +168,8 @@ class ClusterClient {
   /// Interned "fanout/<node id>" span names, index-aligned with nodes
   /// (trace event names must outlive the recorder — see obs/trace.h).
   std::vector<const char*> fanout_names_;
+  /// nyqmon_cluster_backend<i>_gather_ns, index-aligned with nodes.
+  std::vector<obs::Histogram*> gather_histograms_;
 };
 
 }  // namespace nyqmon::clu

@@ -1,8 +1,10 @@
 #include "cluster/router.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -38,12 +40,39 @@ std::vector<std::uint8_t> text_frame(const std::string& text,
 }  // namespace
 
 NyqmonRouter::NyqmonRouter(RouterConfig config)
-    : config_(std::move(config)), cluster_(config_.cluster) {}
+    : config_(std::move(config)),
+      ring_(config_.cluster.nodes, config_.cluster.vnodes) {
+  // Seed the pool so the per-backend keyspace gauges are published before
+  // the first request.
+  idle_.push_back(std::make_unique<ClusterClient>(config_.cluster));
+  clients_ = 1;
+}
 
 NyqmonRouter::~NyqmonRouter() { stop(); }
 
+void NyqmonRouter::ReturnToPool::operator()(ClusterClient* client) const {
+  const std::lock_guard<std::mutex> lock(router->pool_mu_);
+  router->idle_.emplace_back(client);  // never reallocates: see lease()
+}
+
+NyqmonRouter::Lease NyqmonRouter::lease() {
+  const std::lock_guard<std::mutex> lock(pool_mu_);
+  if (idle_.empty()) {
+    // Room for every client in existence, so returning one never allocates.
+    idle_.reserve(++clients_);
+    idle_.push_back(std::make_unique<ClusterClient>(config_.cluster));
+  }
+  Lease leased(idle_.back().release(), ReturnToPool{this});
+  idle_.pop_back();
+  return leased;
+}
+
 void NyqmonRouter::start() {
   srv::ServerConfig front;
+  // One reactor per online core: each runs one scatter-gather at a time on
+  // its own leased backend connections.
+  front.reactors =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
   front.bind_address = config_.bind_address;
   front.port = config_.port;
   front.max_frame_bytes = config_.max_frame_bytes;
@@ -57,7 +86,7 @@ void NyqmonRouter::start() {
   front_ = std::make_unique<srv::NyqmondServer>(empty_store_, nullptr,
                                                 std::move(front));
   front_->start();
-  NYQMON_OBS_GAUGE_SET("nyqmon_router_ring_nodes_depth", cluster_.nodes());
+  NYQMON_OBS_GAUGE_SET("nyqmon_router_ring_nodes_depth", ring_.size());
 }
 
 void NyqmonRouter::stop() {
@@ -124,21 +153,21 @@ std::vector<std::uint8_t> NyqmonRouter::route_ingest(sto::ByteReader& reader) {
   ingests_routed_.fetch_add(1);
   try {
     const std::uint64_t total =
-        cluster_.ingest(req->stream, req->rate_hz, req->t0, req->values);
+        lease()->ingest(req->stream, req->rate_hz, req->t0, req->values);
     std::vector<std::uint8_t> payload;
     sto::put_u64(payload, total);
     return srv::ok_frame(payload);
   } catch (const srv::ServerError& e) {
-    count_failures({{cluster_.ring().owner_node(req->stream).id, e.what()}});
+    count_failures({{ring_.owner_node(req->stream).id, e.what()}});
     return srv::error_frame_with_detail(
         e.what(),
         e.details().empty()
             ? std::vector<srv::ErrorDetail>{
-                  {cluster_.ring().owner_node(req->stream).id, e.what()}}
+                  {ring_.owner_node(req->stream).id, e.what()}}
             : e.details());
   } catch (const std::exception& e) {
     const std::vector<srv::ErrorDetail> detail{
-        {cluster_.ring().owner_node(req->stream).id, e.what()}};
+        {ring_.owner_node(req->stream).id, e.what()}};
     count_failures(detail);
     return srv::error_frame_with_detail("ingest owner unreachable", detail);
   }
@@ -153,11 +182,11 @@ std::vector<std::uint8_t> NyqmonRouter::scatter_query(
   NYQMON_OBS_TIMER("nyqmon_router_fanout_latency_ns");
 
   const auto t0 = std::chrono::steady_clock::now();
-  FleetQuery fleet = cluster_.query(*spec);  // validate() throws -> ERR
+  FleetQuery fleet = lease()->query(*spec);  // validate() throws -> ERR
   if (!fleet.failures.empty()) {
     count_failures(fleet.failures);
     return srv::error_frame_with_detail(
-        partial_failure_message(fleet.failures.size(), cluster_.nodes()),
+        partial_failure_message(fleet.failures.size(), ring_.size()),
         fleet.failures);
   }
   qry::QueryResult result;
@@ -189,14 +218,15 @@ std::vector<std::uint8_t> NyqmonRouter::scatter_query(
 }
 
 std::vector<std::uint8_t> NyqmonRouter::fleet_stats_json() {
-  const std::vector<NodeText> backends = cluster_.fleet_stats();
-  char head[256];
+  const std::vector<NodeText> backends = lease()->fleet_stats();
+  char head[320];
   std::snprintf(
       head, sizeof(head),
-      "{\"router\":{\"nodes\":%zu,\"frames\":%llu,\"ingests_routed\":%llu,"
-      "\"queries_scattered\":%llu,\"partial_failures\":%llu,"
-      "\"backend_errors\":%llu},\"backends\":[",
-      cluster_.nodes(), static_cast<unsigned long long>(frames_.load()),
+      "{\"router\":{\"nodes\":%zu,\"reactors\":%zu,\"frames\":%llu,"
+      "\"ingests_routed\":%llu,\"queries_scattered\":%llu,"
+      "\"partial_failures\":%llu,\"backend_errors\":%llu},\"backends\":[",
+      ring_.size(), reactors(),
+      static_cast<unsigned long long>(frames_.load()),
       static_cast<unsigned long long>(ingests_routed_.load()),
       static_cast<unsigned long long>(queries_scattered_.load()),
       static_cast<unsigned long long>(partial_failures_.load()),
@@ -223,11 +253,11 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_stats_json() {
 
 std::vector<std::uint8_t> NyqmonRouter::scatter_checkpoint() {
   std::vector<srv::ErrorDetail> failures;
-  const auto replies = cluster_.checkpoint_all(failures);
+  const auto replies = lease()->checkpoint_all(failures);
   if (!failures.empty()) {
     count_failures(failures);
     return srv::error_frame_with_detail(
-        partial_failure_message(failures.size(), cluster_.nodes()), failures);
+        partial_failure_message(failures.size(), ring_.size()), failures);
   }
   srv::CheckpointReply merged;
   merged.persisted = true;
@@ -245,7 +275,7 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_trace_json() {
   // before the router drains its own rings, so they make the stitch too.
   // Stitching is best-effort — an unreachable backend just contributes no
   // spans (its failure is still counted) rather than failing the drain.
-  ScatterOutcome scattered = cluster_.scatter(srv::Verb::kTrace, {});
+  ScatterOutcome scattered = lease()->scatter(srv::Verb::kTrace, {});
   count_failures(scattered.failures);
   std::vector<std::string> parts;
   parts.reserve(scattered.payloads.size() + 1);
@@ -258,7 +288,7 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_trace_json() {
 }
 
 std::vector<std::uint8_t> NyqmonRouter::fleet_metrics_text() {
-  const std::vector<NodeText> backends = cluster_.fleet_metrics();
+  const std::vector<NodeText> backends = lease()->fleet_metrics();
   std::string text = "# == node " + config_.node_name + " ==\n" +
                      obs::Registry::instance().render_prometheus();
   for (const NodeText& backend : backends) {

@@ -2,7 +2,7 @@
 //
 // Speaks the ordinary nyqmond wire protocol to clients (a router is
 // indistinguishable from a big nyqmond) and fans out to N backends through
-// a ClusterClient:
+// ClusterClients:
 //
 //   INGEST      → routed to the stream's consistent-hash ring owner
 //   QUERY       → scattered to every backend (aggregation stripped),
@@ -35,11 +35,21 @@
 // Implementation: a NyqmondServer over an empty store with the intercept
 // hook — the router inherits the event loop, framing robustness, and
 // bounded reply queues, and replaces the data path.
+//
+// Concurrency: the front runs one reactor per online core, so up to that
+// many requests are handled at once, each on its connection's reactor.
+// Every intercepted request leases a ClusterClient (one socket per backend)
+// from a pool for its duration, so concurrent scatters never share a
+// backend connection. A reactor handles one request at a time, so the pool
+// never holds more clients than there are reactors, and backend sockets
+// stay bounded by reactors x backends. Requests on one front connection
+// are still handled in order by that connection's reactor.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -83,21 +93,36 @@ class NyqmonRouter {
   NyqmonRouter(const NyqmonRouter&) = delete;
   NyqmonRouter& operator=(const NyqmonRouter&) = delete;
 
-  /// Bind, listen, and spawn the front event loop. Backend connections
-  /// open lazily on first use.
+  /// Bind, listen, and spawn the front reactors (one per online core).
+  /// Backend connections open lazily on first use.
   void start();
   void stop();
   bool running() const { return front_ != nullptr && front_->running(); }
 
   /// The bound front port (valid after start()).
   std::uint16_t port() const { return front_->port(); }
+  /// Front reactors: how many requests the router handles at once (valid
+  /// after start()).
+  std::size_t reactors() const { return front_->config().reactors; }
 
-  const HashRing& ring() const { return cluster_.ring(); }
-  ClusterClient& cluster() { return cluster_; }
+  const HashRing& ring() const { return ring_; }
 
   RouterStats stats() const;
 
  private:
+  /// Returns a leased ClusterClient to the pool.
+  struct ReturnToPool {
+    NyqmonRouter* router;
+    void operator()(ClusterClient* client) const;
+  };
+  /// A ClusterClient held by one request; back in the pool on scope exit,
+  /// exceptions included. A failed exchange has already reset the sockets
+  /// it broke, so a returned client is always safe to reuse.
+  using Lease = std::unique_ptr<ClusterClient, ReturnToPool>;
+  /// An idle pooled client, or a new one when every client is leased.
+  /// Each reactor holds at most one lease at a time.
+  Lease lease();
+
   std::optional<std::vector<std::uint8_t>> intercept(srv::Verb verb,
                                                      sto::ByteReader& reader);
   std::vector<std::uint8_t> route_ingest(sto::ByteReader& reader);
@@ -112,7 +137,11 @@ class NyqmonRouter {
   void count_failures(const std::vector<srv::ErrorDetail>& failures);
 
   RouterConfig config_;
-  ClusterClient cluster_;
+  HashRing ring_;
+  std::mutex pool_mu_;
+  std::vector<std::unique_ptr<ClusterClient>> idle_;
+  /// Clients created so far, leased or idle (at most one per reactor).
+  std::size_t clients_ = 0;
   /// Empty store backing the front NyqmondServer; the intercept hook keeps
   /// every data verb away from it.
   mon::StripedRetentionStore empty_store_;

@@ -2,7 +2,8 @@
 // cross-shard merge semantics, and fleet-level end-to-end checks — the same
 // data behind a 1-node and a 4-node router answers every selector
 // bit-identically (including after a segment handoff duplicated streams
-// across nodes), and a killed backend turns into a prompt ERR-with-detail
+// across nodes, and with several connections querying at once beside an
+// ingesting one), and a killed backend turns into a prompt ERR-with-detail
 // partial-failure report instead of a hang.
 #include <gtest/gtest.h>
 
@@ -12,14 +13,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/client.h"
@@ -28,6 +34,7 @@
 #include "monitor/striped_store.h"
 #include "obs/trace.h"
 #include "query/merge.h"
+#include "query/selector.h"
 #include "server/client.h"
 #include "server/server.h"
 
@@ -291,26 +298,51 @@ std::vector<qry::QuerySpec> selector_suite() {
   return suite;
 }
 
+void expect_same_reply(const srv::QueryReply& a, const srv::QueryReply& b) {
+  EXPECT_EQ(a.matched, b.matched);
+  EXPECT_EQ(a.reconstructed, b.reconstructed);
+  EXPECT_EQ(a.matched_labels, b.matched_labels);
+  ASSERT_EQ(a.series.size(), b.series.size());
+  for (std::size_t i = 0; i < a.series.size(); ++i) {
+    EXPECT_EQ(a.series[i].label, b.series[i].label);
+    EXPECT_EQ(a.series[i].series.t0(), b.series[i].series.t0());
+    EXPECT_EQ(a.series[i].series.dt(), b.series[i].series.dt());
+    EXPECT_TRUE(same_values(a.series[i].series.span(),
+                            b.series[i].series.span()))
+        << a.series[i].label;
+  }
+}
+
+std::string describe(const qry::QuerySpec& spec) {
+  return spec.selector + " agg=" +
+         std::to_string(static_cast<int>(spec.aggregate));
+}
+
 void expect_identical_answers(srv::NyqmonClient& one, srv::NyqmonClient& many,
                               const char* when) {
   for (const qry::QuerySpec& spec : selector_suite()) {
     const srv::QueryReply a = one.query(spec, true);
     const srv::QueryReply b = many.query(spec, true);
-    SCOPED_TRACE(std::string(when) + ": " + spec.selector + " agg=" +
-                 std::to_string(static_cast<int>(spec.aggregate)));
-    EXPECT_EQ(a.matched, b.matched);
-    EXPECT_EQ(a.reconstructed, b.reconstructed);
-    EXPECT_EQ(a.matched_labels, b.matched_labels);
-    ASSERT_EQ(a.series.size(), b.series.size());
-    for (std::size_t i = 0; i < a.series.size(); ++i) {
-      EXPECT_EQ(a.series[i].label, b.series[i].label);
-      EXPECT_EQ(a.series[i].series.t0(), b.series[i].series.t0());
-      EXPECT_EQ(a.series[i].series.dt(), b.series[i].series.dt());
-      EXPECT_TRUE(same_values(a.series[i].series.span(),
-                              b.series[i].series.span()))
-          << a.series[i].label;
-    }
+    SCOPED_TRACE(std::string(when) + ": " + describe(spec));
+    expect_same_reply(a, b);
   }
+}
+
+/// Run body(0) .. body(n-1) on n threads at once and join them all. An
+/// exception a body throws fails the test instead of ending the process.
+void run_concurrently(std::size_t n,
+                      const std::function<void(std::size_t)>& body) {
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    threads.emplace_back([&body, i] {
+      try {
+        body(i);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "thread " << i << ": " << e.what();
+      }
+    });
+  for (std::thread& t : threads) t.join();
 }
 
 // ------------------------------------------------------ fleet determinism --
@@ -345,7 +377,7 @@ TEST(Fleet, HandoffKeepsAnswersBitIdentical) {
 
   // Move podA/cpu off its ring owner onto another node, driving the
   // handoff through a standalone ClusterClient (the router's own cluster
-  // handle belongs to its event-loop thread). The source keeps its copy
+  // clients are leased to its reactor threads). The source keeps its copy
   // (mid-handoff state): queries must dedupe, not double-count.
   clu::ClusterConfig side;
   side.nodes = four.router->ring().nodes();
@@ -371,20 +403,85 @@ TEST(Fleet, HandoffKeepsAnswersBitIdentical) {
   }
 }
 
+TEST(Fleet, ConcurrentQueriesAnswerLikeOneNodeBesideIngest) {
+  MiniFleet one(1);
+  MiniFleet four(4);
+  srv::NyqmonClient c1("127.0.0.1", one.router->port());
+  srv::NyqmonClient c4("127.0.0.1", four.router->port());
+  ingest_fixture(c1);
+  ingest_fixture(c4);
+
+  // The side stream is ingested while the queries run, so no query may
+  // select it: the suite's "*" specs are left out.
+  const std::string side = "side/ingest";
+  std::vector<qry::QuerySpec> specs;
+  std::vector<srv::QueryReply> expected;
+  for (const qry::QuerySpec& spec : selector_suite()) {
+    if (qry::match_glob(spec.selector, side)) continue;
+    specs.push_back(spec);
+    expected.push_back(c1.query(spec, true));
+  }
+  ASSERT_FALSE(specs.empty());
+
+  // One front reactor per online core, reported in the router's STATS.
+  const std::size_t reactors =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(four.router->reactors(), reactors);
+  const std::string reactors_field =
+      "\"reactors\":" + std::to_string(reactors) + ",";
+
+  // Connections 0..3 query the 4-node fleet, each from its own offset in
+  // the suite; connection 4 ingests the side stream and reads fleet STATS
+  // and fleet METRICS between batches.
+  constexpr std::size_t kQueriers = 4;
+  constexpr std::size_t kRounds = 2;
+  constexpr std::size_t kBatches = 24;
+  constexpr std::size_t kBatch = 32;
+  std::atomic<std::size_t> answered{0};
+  run_concurrently(kQueriers + 1, [&](std::size_t c) {
+    srv::NyqmonClient conn("127.0.0.1", four.router->port());
+    if (c == kQueriers) {
+      for (std::size_t b = 0; b < kBatches; ++b) {
+        const auto values = wave(kBatch, 0.3 * static_cast<double>(b));
+        EXPECT_EQ(conn.ingest(side, 1.0, 0.0, values), (b + 1) * kBatch);
+        const std::string stats = conn.stats_json();
+        EXPECT_NE(stats.find(reactors_field), std::string::npos) << stats;
+        EXPECT_NE(conn.metrics_text(/*fleet=*/true).find(
+                      "# == node node3 ==\n"),
+                  std::string::npos);
+      }
+      return;
+    }
+    for (std::size_t k = 0; k < kRounds * specs.size(); ++k) {
+      const std::size_t which =
+          (c * specs.size() / kQueriers + k) % specs.size();
+      const srv::QueryReply reply = conn.query(specs[which], true);
+      SCOPED_TRACE("connection " + std::to_string(c) + ": " +
+                   describe(specs[which]));
+      expect_same_reply(expected[which], reply);
+      answered.fetch_add(1);
+    }
+  });
+
+  // Every query answered (a thrown ERR or transport error fails the test
+  // inside run_concurrently), and none of them by a partial fleet.
+  EXPECT_EQ(answered.load(), kQueriers * kRounds * specs.size());
+  const clu::RouterStats stats = four.router->stats();
+  EXPECT_EQ(stats.partial_failures, 0u);
+  EXPECT_EQ(stats.backend_errors, 0u);
+  EXPECT_EQ(stats.queries_scattered, answered.load());
+  // The side stream landed whole on its ring owner, and only there.
+  const std::size_t owner = four.router->ring().owner(side);
+  ASSERT_TRUE(four.stores[owner]->find_meta(side).has_value());
+  EXPECT_EQ(four.stores[owner]->meta(side).ingested_samples,
+            kBatches * kBatch);
+}
+
 // ------------------------------------------------------- partial failures --
 
-TEST(Fleet, KilledBackendAnswersErrWithDetailPromptly) {
-  MiniFleet fleet(3, /*io_timeout_ms=*/500);
-  srv::NyqmonClient client("127.0.0.1", fleet.router->port());
-  ingest_fixture(client);
-
-  fleet.backends[1]->stop();  // kill node1
-
-  qry::QuerySpec spec;
-  spec.selector = "*";
-  spec.t_begin = 0.0;
-  spec.t_end = 128.0;
-  spec.step_s = 2.0;
+/// Query `spec` and expect a prompt ERR-with-detail naming only node1.
+void expect_node1_failure(srv::NyqmonClient& client,
+                          const qry::QuerySpec& spec) {
   const auto t0 = std::chrono::steady_clock::now();
   try {
     (void)client.query(spec);
@@ -402,8 +499,43 @@ TEST(Fleet, KilledBackendAnswersErrWithDetailPromptly) {
     ASSERT_EQ(e.details().size(), 1u);
     EXPECT_EQ(e.details()[0].node, "node1");
   }
-  EXPECT_GE(fleet.router->stats().partial_failures, 1u);
-  EXPECT_GE(fleet.router->stats().backend_errors, 1u);
+}
+
+TEST(Fleet, KilledBackendAnswersErrWithDetailPromptly) {
+  MiniFleet fleet(3, /*io_timeout_ms=*/500);
+  srv::NyqmonClient client("127.0.0.1", fleet.router->port());
+  ingest_fixture(client);
+
+  qry::QuerySpec spec;
+  spec.selector = "*";
+  spec.t_begin = 0.0;
+  spec.t_end = 128.0;
+  spec.step_s = 2.0;
+
+  // Several connections query at once first, so the router's pool holds
+  // warm backend connection sets, each with a socket to node1, when it dies.
+  constexpr std::size_t kConnections = 4;
+  std::vector<std::unique_ptr<srv::NyqmonClient>> conns;
+  for (std::size_t c = 0; c < kConnections; ++c)
+    conns.push_back(std::make_unique<srv::NyqmonClient>(
+        "127.0.0.1", fleet.router->port()));
+  run_concurrently(kConnections, [&](std::size_t c) {
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(conns[c]->query(spec).matched, 10u);
+  });
+
+  fleet.backends[1]->stop();  // kill node1
+
+  expect_node1_failure(client, spec);
+  // Concurrently, twice per connection: a pooled client first finds its
+  // socket to node1 closed, then its reconnect refused. Neither may hang
+  // or answer a partial OK.
+  run_concurrently(kConnections, [&](std::size_t c) {
+    for (int round = 0; round < 2; ++round)
+      expect_node1_failure(*conns[c], spec);
+  });
+  const clu::RouterStats stats = fleet.router->stats();
+  EXPECT_EQ(stats.partial_failures, 1u + 2u * kConnections);
+  EXPECT_EQ(stats.backend_errors, stats.partial_failures);
 
   // Streams owned by surviving nodes still ingest through the router.
   for (const char* name : kStreams) {
