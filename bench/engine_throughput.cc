@@ -1,15 +1,14 @@
-// Engine throughput: pairs/sec of the sharded FleetMonitorEngine as the
-// worker count grows, over a paper-scale (>= 500 pairs) fleet.
+// Engine throughput: pairs/sec of a virtual-clock rt::StreamingRuntime run
+// to completion as the worker count grows, over a paper-scale (>= 500
+// pairs) fleet.
 //
-// Workers are pinned (EngineConfig::pin_workers) so per-worker scratch
-// arenas stay cache-local, and each worker-count run reports its own
-// *delta* of the four per-pair stage histograms (sample / fft /
-// reconstruct / audit) — the table shows where the scaling went, not just
-// the ratio.
+// Each worker-count run reports its own *delta* of the four per-pair stage
+// histograms (sample / fft / reconstruct / audit) — the table shows where
+// the scaling went, not just the ratio.
 //
-// Also cross-checks the engine's determinism contract: the per-pair
-// aggregates must be bit-identical whatever the worker count, so the
-// scaling numbers describe the *same* computation.
+// Also cross-checks the determinism contract: the per-pair aggregates must
+// be bit-identical whatever the worker count, so the scaling numbers
+// describe the *same* computation.
 //
 // Scaling efficiency is reported core-aware: a speedup is normalized by
 // the parallelism the host can actually grant, min(workers, online cores).
@@ -25,9 +24,10 @@
 #include <vector>
 
 #include "common.h"
-#include "engine/engine.h"
 #include "engine/report.h"
 #include "obs/metrics.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "util/ascii.h"
 #include "util/csv.h"
 
@@ -91,11 +91,10 @@ int main() {
   std::printf("fleet: %zu metric-device pairs, %zu online core(s)\n\n",
               fleet.size(), cores);
 
-  AsciiTable table({"workers", "shards", "pinned", "wall_s", "pairs_per_sec",
-                    "speedup", "cpu_util", "digest"});
+  AsciiTable table({"workers", "wall_s", "pairs_per_sec", "speedup",
+                    "cpu_util", "digest"});
   CsvWriter csv(bench::csv_path("engine_throughput"),
-                {"workers", "shards", "pinned", "wall_s", "pairs_per_sec",
-                 "speedup", "cpu_util"});
+                {"workers", "wall_s", "pairs_per_sec", "speedup", "cpu_util"});
 
   // Per-worker-count stage breakdown: each run's own histogram delta, so
   // the rows are comparable (the registry is cumulative across runs).
@@ -108,18 +107,15 @@ int main() {
   std::string json_workers, json_pps, json_cpu;
   std::vector<double> pps_by_workers;
   std::size_t max_workers = 1;
-  eng::WorkArenaStats arena_total;
-  std::size_t threads_pinned_total = 0;
-  std::size_t worker_runs = 0;
   for (const std::size_t workers : {1, 2, 4, 8}) {
-    eng::EngineConfig cfg;
-    cfg.workers = workers;
-    cfg.pin_workers = true;  // keep per-worker arenas cache-local
-    eng::FleetMonitorEngine engine(fleet, cfg);
+    rt::RuntimeConfig cfg;
+    cfg.engine.workers = workers;
+    rt::VirtualClock clock;
+    rt::StreamingRuntime runtime(fleet, clock, cfg);
 
     const StageSnapshot before = StageSnapshot::take();
     const double cpu_before = process_cpu_seconds();
-    const eng::FleetRunResult result = engine.run();
+    const eng::FleetRunResult result = runtime.run_to_completion();
     const double cpu_used = process_cpu_seconds() - cpu_before;
     const StageSnapshot after = StageSnapshot::take();
 
@@ -136,18 +132,12 @@ int main() {
     char dig[24];
     std::snprintf(dig, sizeof(dig), "%016llx",
                   static_cast<unsigned long long>(d));
-    char pinned[24];
-    std::snprintf(pinned, sizeof(pinned), "%zu/%zu", result.threads_pinned,
-                  result.workers_used);
-    table.row({std::to_string(workers), std::to_string(result.shards_used),
-               pinned, AsciiTable::format_double(result.wall_seconds),
+    table.row({std::to_string(workers),
+               AsciiTable::format_double(result.wall_seconds),
                AsciiTable::format_double(pps),
                AsciiTable::format_double(base_wall / result.wall_seconds),
                AsciiTable::format_double(cpu_util), dig});
-    csv.row_numeric({static_cast<double>(workers),
-                     static_cast<double>(result.shards_used),
-                     static_cast<double>(result.threads_pinned),
-                     result.wall_seconds, pps,
+    csv.row_numeric({static_cast<double>(workers), result.wall_seconds, pps,
                      base_wall / result.wall_seconds, cpu_util});
 
     for (std::size_t i = 0; i < kStages; ++i) {
@@ -163,9 +153,6 @@ int main() {
                       static_cast<double>(ds.max) / 1e3)});
     }
 
-    arena_total += result.arena;
-    threads_pinned_total += result.threads_pinned;
-    ++worker_runs;
     bench::json_append(json_workers, "%zu", workers);
     bench::json_append(json_pps, "%.1f", pps);
     bench::json_append(json_cpu, "%.2f", cpu_util);
@@ -193,17 +180,6 @@ int main() {
   std::printf("aggregates bit-identical across worker counts: %s\n",
               deterministic ? "yes" : "NO (BUG)");
   std::printf(
-      "arena (summed over runs): pairs=%llu heap_allocs=%llu "
-      "plan_builds=%llu warm_alloc_pairs=%llu cache_flushes=%llu\n",
-      static_cast<unsigned long long>(arena_total.pairs_processed),
-      static_cast<unsigned long long>(arena_total.heap_allocations),
-      static_cast<unsigned long long>(arena_total.plan_builds),
-      static_cast<unsigned long long>(
-          arena_total.warm_pairs_with_allocations),
-      static_cast<unsigned long long>(arena_total.cache_flushes));
-  std::printf("threads pinned: %zu across %zu runs\n", threads_pinned_total,
-              worker_runs);
-  std::printf(
       "scaling efficiency (%zu workers): raw speedup/workers = %.3f; "
       "core-aware min(1, speedup/min(workers, %zu cores)) = %.3f\n",
       max_workers, scaling_efficiency_raw, cores, scaling_efficiency);
@@ -219,10 +195,6 @@ int main() {
           "],\"pairs_per_sec\":[" + json_pps + "],\"cpu_utilization\":[" +
           json_cpu + "],\"scaling_efficiency\":" + eff +
           ",\"scaling_efficiency_raw\":" + eff_raw +
-          ",\"arena_heap_allocs\":" +
-          std::to_string(arena_total.heap_allocations) +
-          ",\"arena_warm_alloc_pairs\":" +
-          std::to_string(arena_total.warm_pairs_with_allocations) +
           ",\"deterministic\":" + (deterministic ? "true" : "false") + "}");
   return deterministic ? 0 : 1;
 }

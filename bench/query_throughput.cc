@@ -6,10 +6,10 @@
 //        (defaults: 500 pairs, 400 queries per client thread; CI smokes it
 //        with a tiny workload, see .github/workflows/ci.yml)
 //
-// Setup: each client-thread count gets its own fleet engine run (the run
-// is deterministic, so every row serves identical store contents — a
-// shared store would let the writer's appends accumulate across rows and
-// skew the comparison) and a fresh cold-cache QueryEngine. Clients claim
+// Setup: each client-thread count gets its own virtual-clock fleet run
+// (the run is deterministic, so every row serves identical store contents
+// — a shared store would let the writer's appends accumulate across rows
+// and skew the comparison) and its runtime's fresh cold-cache QueryEngine. Clients claim
 // queries from a shared deterministic workload — exact streams, per-metric
 // globs, device-prefix globs and fleet-wide selectors, across several
 // windows/transforms/aggregations — while a writer thread keeps appending
@@ -28,9 +28,10 @@
 #include <vector>
 
 #include "common.h"
-#include "engine/engine.h"
 #include "query/builder.h"
 #include "query/engine.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "util/ascii.h"
 #include "util/csv.h"
 
@@ -103,20 +104,22 @@ int main(int argc, char** argv) {
   fleet_cfg.seed = bench::kFleetSeed;
   const tel::Fleet fleet(fleet_cfg);
 
-  eng::EngineConfig cfg;
-  cfg.samples_per_window = 48;
-  cfg.windows_per_pair = 4;
+  rt::RuntimeConfig cfg;
+  cfg.engine.samples_per_window = 48;
+  cfg.engine.windows_per_pair = 4;
+  cfg.query.workers = 1;  // per-query fan-out off: measure client concurrency
 
   // Workload selectors come from the (deterministic) stream population;
-  // derive them from a throwaway engine so every row sees the same specs.
+  // derive them from a throwaway run so every row sees the same specs.
   std::vector<qry::QuerySpec> workload;
   {
-    eng::FleetMonitorEngine seed_engine(fleet, cfg);
-    const auto run = seed_engine.run();
+    rt::VirtualClock clock;
+    rt::StreamingRuntime seed_run(fleet, clock, cfg);
+    const auto run = seed_run.run_to_completion();
     std::printf(
         "fleet: %zu pairs ingested in %.2fs; store holds %zu streams\n",
-        fleet.size(), run.wall_seconds, seed_engine.store().streams());
-    workload = build_workload(seed_engine.store().stream_names());
+        fleet.size(), run.wall_seconds, seed_run.store().streams());
+    workload = build_workload(seed_run.store().stream_names());
   }
   std::printf("workload: %zu distinct specs\n\n", workload.size());
 
@@ -127,15 +130,13 @@ int main(int argc, char** argv) {
   std::string json_threads, json_qps, json_hits;
 
   for (const std::size_t threads : {1, 2, 4, 8}) {
-    // Fresh engine + store per row: identical contents for every thread
+    // Fresh runtime + store per row: identical contents for every thread
     // count, no writer-data carry-over from earlier rows.
-    eng::FleetMonitorEngine engine(fleet, cfg);
-    (void)engine.run();
-    engine.mutable_store().create_stream(kWriterStream, 1.0);
-
-    qry::QueryEngineConfig qcfg;
-    qcfg.workers = 1;  // per-query fan-out off: measure client concurrency
-    qry::QueryEngine qe = engine.serve(qcfg);
+    rt::VirtualClock clock;
+    rt::StreamingRuntime runtime(fleet, clock, cfg);
+    (void)runtime.run_to_completion();
+    runtime.mutable_store().create_stream(kWriterStream, 1.0);
+    qry::QueryEngine& qe = runtime.query_engine();
 
     const std::size_t total = threads * queries_per_thread;
     std::atomic<std::size_t> next{0};
@@ -145,7 +146,7 @@ int main(int argc, char** argv) {
       double t = 0.0;
       while (!stop.load(std::memory_order_relaxed)) {
         for (double& x : batch) x = std::sin(0.05 * (t += 1.0));
-        engine.mutable_store().append_series(kWriterStream, batch);
+        runtime.mutable_store().append_series(kWriterStream, batch);
         std::this_thread::yield();
       }
     });

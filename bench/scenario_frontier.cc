@@ -6,8 +6,8 @@
 //
 // Sweeps the scenario fleet across the estimator energy-cutoff (target
 // fidelity) x max-slowdown (rate bound) grid, prints the frontier table,
-// writes the plot-ready CSV, cross-checks the engine's determinism
-// contract on one grid cell (1 vs 4 workers must digest identically), and
+// writes the plot-ready CSV, cross-checks the determinism contract on one
+// grid cell (1 vs 4 workers must digest identically), and
 // emits the BENCH_scenario_frontier.json line the perf gate tracks
 // (sweep_pairs_per_sec). `smoke` shrinks the grid and per-pair trace for
 // the CI budget; the frontier shape is the same, just coarser.
@@ -16,6 +16,8 @@
 
 #include "common.h"
 #include "engine/report.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "scenario/frontier.h"
 #include "scenario/spec.h"
 
@@ -55,12 +57,14 @@ int main(int argc, char** argv) {
   // Determinism cross-check on one grid cell: the sweep's numbers must
   // describe the same computation whatever the worker count.
   auto digest_with = [&](std::size_t workers) {
-    eng::EngineConfig ecfg = cfg.engine;
-    ecfg.workers = workers;
-    ecfg.sampler.estimator.energy_cutoff = cfg.energy_cutoffs.front();
-    ecfg.max_slowdown = cfg.max_slowdowns.front();
-    eng::FleetMonitorEngine engine(built.fleet, ecfg);
-    return eng::run_digest(engine.run());
+    rt::RuntimeConfig rcfg;
+    rcfg.engine = cfg.engine;
+    rcfg.engine.workers = workers;
+    rcfg.engine.sampler.estimator.energy_cutoff = cfg.energy_cutoffs.front();
+    rcfg.engine.max_slowdown = cfg.max_slowdowns.front();
+    rt::VirtualClock clock;
+    rt::StreamingRuntime runtime(built.fleet, clock, rcfg);
+    return eng::run_digest(runtime.run_to_completion());
   };
   const bool deterministic = digest_with(1) == digest_with(4);
   std::printf("grid cell bit-identical at 1 vs 4 workers: %s\n",

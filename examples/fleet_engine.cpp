@@ -7,10 +7,11 @@
 // count (the built-in default-mix scenario — all seven signal families,
 // with correlation/dropout/clock-skew modifiers on a subset of groups) or
 // a path to a scenario spec file (see scenarios/frontier.scn and
-// src/scenario/spec.h for the format). Builds the fleet, runs the sharded
-// FleetMonitorEngine (adaptive sampling + reconstruction + aliasing audit
-// per pair, fan-in to the striped retention store), prints the fleet
-// report, and queries one retained stream back out of the store. The argv
+// src/scenario/spec.h for the format). Builds the fleet, runs it to
+// completion through a virtual-clock StreamingRuntime (adaptive sampling +
+// reconstruction + aliasing audit per pair, fan-in to the striped
+// retention store), prints the fleet report, and queries one retained
+// stream back out of the store. The argv
 // overrides make it double as a quick scaling probe: try
 // `fleet_engine 1613 1` vs `fleet_engine 1613 8`.
 //
@@ -27,8 +28,9 @@
 #include <optional>
 #include <string>
 
-#include "engine/engine.h"
 #include "engine/report.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "scenario/scenario.h"
 
 int main(int argc, char** argv) {
@@ -69,11 +71,12 @@ int main(int argc, char** argv) {
     std::printf("  %-18s %-17s %4zu streams\n", g.name.c_str(),
                 scn::family_name(g.family).c_str(), g.pairs);
 
-  eng::EngineConfig cfg;
-  cfg.workers = workers;
-  cfg.storage.dir = persist_dir;  // empty = in-memory only
-  eng::FleetMonitorEngine engine(fleet, cfg);
-  const eng::FleetRunResult result = engine.run();
+  rt::RuntimeConfig cfg;
+  cfg.engine.workers = workers;
+  cfg.engine.storage.dir = persist_dir;  // empty = in-memory only
+  rt::VirtualClock clock;
+  rt::StreamingRuntime runtime(fleet, clock, cfg);
+  const eng::FleetRunResult result = runtime.run_to_completion();
 
   const eng::EngineReport report = eng::build_report(result);
   std::printf("\n%s", eng::render(report).c_str());
@@ -84,7 +87,7 @@ int main(int argc, char** argv) {
   const auto& pair = fleet.pairs().front();
   const std::string id = tel::stream_id(pair);
   const auto series =
-      engine.store().query(id, 0.0, 32.0 * pair.metric.poll_interval_s);
+      runtime.store().query(id, 0.0, 32.0 * pair.metric.poll_interval_s);
   std::printf("\nquery %s -> %zu samples on the production grid "
               "(first %.3g, last %.3g)\n",
               id.c_str(), series.size(), series.values().front(),

@@ -3,16 +3,16 @@
 //
 // Usage: fleet_query [persist_dir]
 //
-// Without arguments: a 400-pair engine run fans into the striped retention
-// store; a QueryEngine session then answers fleet-style questions against
-// it: average temperature across one rack's devices, p95 CPU across the
+// Without arguments: a 400-pair fleet run fans into the striped retention
+// store; the runtime's QueryEngine session then answers fleet-style
+// questions against it: average temperature across one rack's devices, p95 CPU across the
 // fleet, the rate of change of one counter — each reconstructed on demand
 // onto a common grid. The same query issued twice shows the sharded
 // result cache at work, and appending fresh data shows generation-counter
 // invalidation.
 //
 // With [persist_dir] (a directory written by `fleet_engine ... <dir>`):
-// the cold-start demo. No engine runs — the durable tier is reopened,
+// the cold-start demo. No fleet runs — the durable tier is reopened,
 // segments + WAL are recovered into a fresh store, and the same QueryEngine
 // serves over it. Reconstructions are bit-identical to what the live run
 // would have answered.
@@ -23,6 +23,8 @@
 #include "engine/engine.h"
 #include "query/builder.h"
 #include "query/engine.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "storage/manager.h"
 #include "telemetry/fleet.h"
 
@@ -47,7 +49,7 @@ void show(const std::string& note, const qry::QueryResponse& r) {
 }
 
 // Cold start: reopen a persisted directory and serve queries from it with
-// no engine run in the process. Selectors are derived from the recovered
+// no fleet run in the process. Selectors are derived from the recovered
 // stream metadata alone ("pod/device/metric" IDs).
 int serve_cold(const std::string& dir) {
   sto::StorageConfig scfg;
@@ -128,14 +130,15 @@ int main(int argc, char** argv) {
   fleet_cfg.seed = 1234;
   const tel::Fleet fleet(fleet_cfg);
 
-  eng::EngineConfig cfg;
-  cfg.workers = 4;
-  eng::FleetMonitorEngine engine(fleet, cfg);
-  (void)engine.run();
-  std::printf("engine run complete: %zu streams retained\n\n",
-              engine.store().streams());
+  rt::RuntimeConfig cfg;
+  cfg.engine.workers = 4;
+  rt::VirtualClock clock;
+  rt::StreamingRuntime runtime(fleet, clock, cfg);
+  (void)runtime.run_to_completion();
+  std::printf("fleet run complete: %zu streams retained\n\n",
+              runtime.store().streams());
 
-  qry::QueryEngine qe = engine.serve();
+  qry::QueryEngine& qe = runtime.query_engine();
 
   // Pod-level aggregate: every temperature stream in one pod ("podX"
   // prefix of the first pod-resident pair), averaged on a 60 s grid.
@@ -180,7 +183,7 @@ int main(int argc, char** argv) {
   show("\nsame rack query again:", qe.run(rack));
   const auto warm = qe.run(rack);
   if (!warm.result->reconstructed.empty()) {
-    engine.mutable_store().append(warm.result->reconstructed.front(), 42.0);
+    runtime.mutable_store().append(warm.result->reconstructed.front(), 42.0);
     show("\nafter appending to one matched stream:", qe.run(rack));
   }
 

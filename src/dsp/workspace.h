@@ -1,6 +1,6 @@
 // Per-thread DSP workspace: plan caches + a frame-based scratch stack.
 //
-// The fleet engine processes hundreds of thousands of windows per run, and
+// A fleet run processes hundreds of thousands of windows, and
 // before this existed every FFT call recomputed its twiddle factors (67% of
 // fleet CPU went to fft_radix2_inplace alone), every Bluestein transform
 // rebuilt its chirp and re-transformed the b sequence, and every
@@ -25,14 +25,14 @@
 //
 // Steady-state window processing allocates nothing: blocks are retained
 // across frames, so after warmup heap_allocations() stops moving — that
-// counter is what the arena accounting test and the throughput bench
-// watch. Debug builds poison-fill popped frames (0xA5) and place a canary
-// after every allocation, so cross-pair reuse of stale samples or a buffer
+// counter is what the zero-allocation test (tests/arena_test.cc) watches.
+// Debug builds poison-fill popped frames (0xA5) and place a canary after
+// every allocation, so cross-pair reuse of stale samples or a buffer
 // overrun aborts loudly instead of corrupting a digest.
 //
 // A Workspace is single-threaded by design; this_thread_workspace() hands
-// each engine worker its own instance (eng::WorkArena scopes and accounts
-// for it).
+// each thread that runs DSP code (a runtime poll worker, a query worker)
+// its own instance.
 #pragma once
 
 #include <complex>
@@ -110,8 +110,7 @@ class Workspace {
   Frame frame() { return Frame(*this); }
 
   /// Drop every plan cache and scratch block (counters are cumulative and
-  /// survive). Must not be called with a frame open. Arena-off mode wipes
-  /// the workspace between pairs with this; it is also the test hook for
+  /// survive). Must not be called with a frame open. The test hook for
   /// forcing re-warmup.
   void reset();
 
@@ -119,7 +118,7 @@ class Workspace {
 
   // Heap allocations attributable to this workspace: scratch block growth
   // plus plan/window cache builds. Flat after warmup — the zero-allocation
-  // guarantee the arena test asserts.
+  // guarantee tests/arena_test.cc asserts.
   std::uint64_t heap_allocations() const {
     return scratch_block_allocs_ + plan_builds_;
   }
@@ -166,8 +165,8 @@ class Workspace {
   std::uint64_t cache_flushes_ = 0;
 };
 
-/// The calling thread's workspace (created on first use). Engine workers
-/// pin their per-worker arenas to this.
+/// The calling thread's workspace (created on first use); the DSP kernels
+/// draw their plans and scratch from it.
 Workspace& this_thread_workspace();
 
 }  // namespace nyqmon::dsp

@@ -1,14 +1,14 @@
-// Fleet-scale concurrent monitoring engine.
+// Fleet run configuration and results.
 //
 // The paper's evaluation is fleet-wide — 1613 metric-device pairs, 14
 // metrics — but the adaptive pipeline (monitor/pipeline.h) drives one signal
-// at a time. FleetMonitorEngine scales it out: a fleet's pairs are dealt
-// into shards (engine/shard.h), a fixed pool of worker threads claims shards
-// from a shared queue, and every pair is driven through adaptive sampling,
-// reconstruction and an aliasing audit concurrently. Reconstructions flow
-// into a shared mutex-striped RetentionStore keyed by "device/metric"
-// stream IDs, so retained data can be queried after the run; per-pair
-// outcomes feed the fleet report (engine/report.h).
+// at a time. rt::StreamingRuntime (runtime/runtime.h) scales it out: every
+// pair of a fleet is driven through adaptive sampling, reconstruction and an
+// aliasing audit concurrently, reconstructions flow into a shared
+// mutex-striped RetentionStore keyed by "device/metric" stream IDs, and
+// per-pair outcomes feed the fleet report (engine/report.h). This header
+// holds the types that describe such a run: its config (EngineConfig), one
+// pair's outcome (PairOutcome) and the aggregate (FleetRunResult).
 //
 // Cost semantics: adaptive sampling only saves on pairs whose production
 // rate exceeds their Nyquist rate. Pairs the dual-rate detector finds
@@ -16,35 +16,18 @@
 // fleet dominated by wideband event counters can legitimately cost more
 // than the fixed-rate baseline — the report splits both populations out.
 //
-// Ownership: the engine borrows the fleet (which must outlive it) and owns
-// its store, schedules and optional durable tier; serve() returns a
-// QueryEngine that borrows the engine.
-//
-// Threading: construction and run() belong to one caller thread; run()
-// itself fans out over an internal worker pool and joins it before
-// returning. After run(), store()/serve() are safe from any thread
-// (mutable_store() hands out the striped store's own thread-safe ingest
-// surface for post-run writers).
-//
-// Determinism: results are bit-identical for any worker/shard count. Every
-// pair's noise seed is forked from the engine seed sequentially before the
-// fan-out, each pair's work is a pure function of (pair, seed, config),
-// outcome slots are pre-allocated per pair, and aggregation iterates in
-// pair order. eng::run_digest() (engine/report.h) is the compact test
-// hook for this contract.
+// Determinism: a run's results are bit-identical for any worker count (see
+// runtime/runtime.h for how the runtime keeps them so). eng::run_digest()
+// (engine/report.h) is the compact test hook for this contract.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "engine/arena.h"
 #include "monitor/cost_model.h"
-#include "monitor/pipeline.h"
-#include "monitor/striped_store.h"
+#include "monitor/store.h"
 #include "nyquist/adaptive_sampler.h"
-#include "query/engine.h"
 #include "storage/manager.h"
 #include "telemetry/fleet.h"
 
@@ -53,16 +36,6 @@ namespace nyqmon::eng {
 struct EngineConfig {
   /// Worker threads (0 = hardware concurrency).
   std::size_t workers = 0;
-  /// Shard-queue entries (0 = 4 per worker, the usual steal granularity).
-  std::size_t shards = 0;
-  /// Pin worker w to CPU w (best-effort; ignored where unsupported). The
-  /// throughput bench turns this on so per-worker arenas stay cache-local.
-  bool pin_workers = false;
-  /// Keep per-worker scratch arenas (DSP plans + buffers) warm across the
-  /// pairs a worker processes. Off wipes the arena between pairs — results
-  /// are bit-identical either way (the determinism stress test runs both);
-  /// only allocation counts and speed differ.
-  bool arena_retain = true;
   /// Windowing of each pair's trace, in samples at its production rate —
   /// uniform per-pair cost no matter how slow the metric's poll interval is.
   std::size_t samples_per_window = 64;
@@ -88,11 +61,11 @@ struct EngineConfig {
   /// Durable tier (storage/manager.h). When `storage.dir` is non-empty the
   /// run persists: stream creations and every ingest batch are
   /// write-ahead-logged under that directory (a mid-run crash loses at most
-  /// the records after the last fsync), and run() checkpoints the store
+  /// the records after the last fsync), and the run checkpoints the store
   /// into compressed segments on completion. The directory's previous
-  /// nyqmon layout, if any, is truncated — each engine run is a fresh
-  /// storage generation. Reopen it afterwards with StorageManager +
-  /// recover() (see examples/fleet_query.cpp).
+  /// nyqmon layout, if any, is truncated — each run is a fresh storage
+  /// generation. Reopen it afterwards with StorageManager + recover() (see
+  /// examples/fleet_query.cpp).
   sto::StorageConfig storage;
 };
 
@@ -120,12 +93,6 @@ struct FleetRunResult {
   mon::Cost baseline_cost;
   mon::StoreRollup store;
   std::size_t workers_used = 0;
-  std::size_t shards_used = 0;
-  std::size_t threads_pinned = 0;
-  /// Per-worker scratch-arena accounting summed over all workers (heap
-  /// allocations, plan builds, warm pairs that still allocated). Not part
-  /// of the deterministic aggregates.
-  WorkArenaStats arena;
   double wall_seconds = 0.0;  ///< not part of the deterministic aggregates
   /// Durable-tier outcome; meaningful only when `persisted` (storage.dir
   /// was set): the end-of-run checkpoint plus the manager's counters.
@@ -134,65 +101,15 @@ struct FleetRunResult {
   sto::StorageStats storage;
 
   /// Fleet-wide sample-count savings: sum(baseline) / sum(adaptive).
-  double fleet_cost_savings() const;
-};
-
-/// Noise seeds forked sequentially from the engine seed, one per pair —
-/// shared by the batch engine and the streaming runtime (runtime/runtime.h)
-/// so both drive bit-identical pairs.
-std::vector<std::uint64_t> fork_noise_seeds(std::uint64_t seed, std::size_t n);
-
-/// The pipeline configuration one pair is driven with: the template sampler
-/// config specialized to the pair's production rate, rate bounds, window
-/// duration, noise scale and quantization step.
-mon::PipelineConfig pair_pipeline_config(const EngineConfig& config,
-                                         const tel::FleetPair& pair,
-                                         const tel::PairSchedule& sched);
-
-/// A PairOutcome from one pair's completed pipeline result, minus the
-/// store byte bill (the caller fills that after ingest).
-PairOutcome make_pair_outcome(std::size_t index, const tel::FleetPair& pair,
-                              const tel::PairSchedule& sched,
-                              const mon::PipelineResult& result);
-
-class FleetMonitorEngine {
- public:
-  /// The fleet must outlive the engine.
-  explicit FleetMonitorEngine(const tel::Fleet& fleet,
-                              EngineConfig config = {});
-
-  const EngineConfig& config() const { return config_; }
-
-  /// Drive every pair in the fleet once. Callable once per engine (the
-  /// retention streams it creates are per-run).
-  FleetRunResult run();
-
-  /// Retained data, queryable by tel::stream_id(pair) after run().
-  const mon::StripedRetentionStore& store() const { return store_; }
-
-  /// Mutable store access for a post-run serving session that keeps
-  /// ingesting (e.g. a live writer feeding streams while clients query).
-  /// Not for use during run() — the engine's own workers own the fan-in.
-  mon::StripedRetentionStore& mutable_store() { return store_; }
-
-  /// A serving session over the retained data: a selector-based
-  /// QueryEngine (see query/engine.h) bound to this engine's store.
-  /// Requires run() to have completed; the engine must outlive the
-  /// returned QueryEngine.
-  qry::QueryEngine serve(qry::QueryEngineConfig config = {}) const;
-
-  /// The durable tier, or nullptr when the engine runs in-memory only.
-  const sto::StorageManager* storage() const { return storage_.get(); }
-
- private:
-  PairOutcome drive_pair(std::size_t index, std::uint64_t noise_seed);
-
-  const tel::Fleet& fleet_;
-  EngineConfig config_;
-  mon::StripedRetentionStore store_;
-  std::unique_ptr<sto::StorageManager> storage_;
-  std::vector<tel::PairSchedule> schedules_;
-  bool ran_ = false;
+  double fleet_cost_savings() const {
+    std::size_t adaptive = 0;
+    std::size_t baseline = 0;
+    for (const auto& p : pairs) {
+      adaptive += p.adaptive_samples;
+      baseline += p.baseline_samples;
+    }
+    return mon::ratio_or_one(baseline, adaptive);
+  }
 };
 
 }  // namespace nyqmon::eng

@@ -46,7 +46,6 @@ EngineReport build_report(const FleetRunResult& result) {
   report.fleet_cost_savings = result.fleet_cost_savings();
   report.store = result.store;
   report.workers_used = result.workers_used;
-  report.shards_used = result.shards_used;
   report.wall_seconds = result.wall_seconds;
   report.persisted = result.persisted;
   report.flush = result.flush;
@@ -89,7 +88,7 @@ std::string render(const EngineReport& report) {
      << ana::render_quantile_table(nrmse) << '\n';
 
   os << "fleet: " << report.pairs << " pairs, " << report.workers_used
-     << " workers, " << report.shards_used << " shards\n";
+     << " workers\n";
   os << "fleet-wide cost savings: ";
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%.2fx (includes the probe transient)\n",

@@ -1,18 +1,18 @@
-// Fleet-level aggregation of an engine run.
+// Fleet-level aggregation of a run's per-pair outcomes.
 //
 // Rolls per-pair outcomes up into per-metric-kind distributions of cost
 // savings and reconstruction NRMSE (the fleet-scale analogue of the paper's
-// Figure 4 reduction CDFs), plus the engine-wide cost/retention summary.
+// Figure 4 reduction CDFs), plus the fleet-wide cost/retention summary.
 // Rendering reuses the analysis layer (Cdf quantiles, ASCII tables) and the
 // whole report exports to CSV for downstream plotting.
 //
 // Ownership: reports are self-contained value types copied out of a
-// FleetRunResult; they hold no references into the engine. Threading:
+// FleetRunResult; they hold no references into the runtime. Threading:
 // build/render/write are pure functions of their input — safe to call
 // concurrently on distinct results. Determinism: everything derived here
 // is a pure fold over per-pair outcomes in pair order, so reports (and
-// run_digest below) inherit the engine's bit-identical-across-workers
-// guarantee; only wall_seconds and shard/worker accounting vary.
+// run_digest below) inherit the run's bit-identical-across-workers
+// guarantee; only wall_seconds and worker accounting vary.
 #pragma once
 
 #include <map>
@@ -67,7 +67,6 @@ struct EngineReport {
   double fleet_cost_savings = 0.0;
   mon::StoreRollup store;
   std::size_t workers_used = 0;
-  std::size_t shards_used = 0;
   double wall_seconds = 0.0;
   /// Durable-tier outcome (meaningful when persisted: see FleetRunResult).
   bool persisted = false;
@@ -81,9 +80,10 @@ EngineReport build_report(const FleetRunResult& result);
 /// outcomes (cost/NRMSE/sample counts/audit, NaN-safe via bit patterns)
 /// plus the store fan-in aggregates. Two runs over the same fleet, seed
 /// and config must digest identically whatever the worker count — the
-/// compact form of the engine's determinism contract, shared by
-/// bench_engine_throughput, bench_scenario_frontier and the scenario
-/// tests. Excludes wall_seconds, shard accounting and durable-tier stats.
+/// compact form of the run's determinism contract, shared by
+/// bench_engine_throughput, bench_scenario_frontier and the engine and
+/// scenario tests. Excludes wall_seconds, worker accounting and
+/// durable-tier stats.
 std::uint64_t run_digest(const FleetRunResult& result);
 
 /// Render the per-metric quantile tables plus the fleet summary block.

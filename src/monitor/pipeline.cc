@@ -138,9 +138,9 @@ std::size_t StreamingPairPipeline::emit_ready(double horizon_s) {
 std::size_t StreamingPairPipeline::step_window() {
   NYQMON_CHECK_MSG(!done(), "step_window() past the end of the run");
   NYQMON_TRACE_SPAN("window", "engine");
-  // Stage timings for the per-pair hot loop. The batch engine delegates
-  // here too, so these histograms cover both execution modes; the FFT/PSD
-  // slice inside the sample stage has its own histogram in
+  // Stage timings for the per-pair hot loop. The one-shot pipeline
+  // delegates here too, so these histograms cover both execution modes;
+  // the FFT/PSD slice inside the sample stage has its own histogram in
   // nyquist/estimator.cc.
   const nyq::AdaptiveStep* step = nullptr;
   {

@@ -178,50 +178,6 @@ StoreRollup& StoreRollup::operator+=(const StoreRollup& other) {
   return *this;
 }
 
-namespace {
-
-/// Shared body of RetentionStore::snapshot_stream and
-/// ReadSnapshot::export_stream: skip counts are absolute sealed-chunk
-/// indexes, so an eviction-trimmed prefix only needs the skip to cover it
-/// (evicted chunks are already durable in earlier segments by the time
-/// the cap may evict them).
-StreamSnapshot export_snapshot(const std::string& name, double rate_hz,
-                               double t0, double hot_t0,
-                               std::uint64_t generation,
-                               std::size_t chunks_trimmed,
-                               std::span<const SealedChunkRef> chunks,
-                               std::span<const double> hot,
-                               const StreamStats& stats,
-                               std::size_t skip_chunks) {
-  NYQMON_CHECK_MSG(skip_chunks >= chunks_trimmed,
-                   "snapshot skip below evicted prefix: " + name);
-  NYQMON_CHECK(skip_chunks <= chunks_trimmed + chunks.size());
-  StreamSnapshot snap;
-  snap.name = name;
-  snap.collection_rate_hz = rate_hz;
-  snap.t0 = t0;
-  snap.hot_t0 = hot_t0;
-  snap.generation = generation;
-  snap.chunks_before = skip_chunks;
-  snap.chunks.reserve(chunks_trimmed + chunks.size() - skip_chunks);
-  for (std::size_t i = skip_chunks - chunks_trimmed; i < chunks.size(); ++i)
-    snap.chunks.push_back(
-        {chunks[i]->t0, chunks[i]->dt, chunks[i]->values});
-  snap.hot.assign(hot.begin(), hot.end());
-  snap.stats = stats;
-  return snap;
-}
-
-}  // namespace
-
-StreamSnapshot RetentionStore::snapshot_stream(const std::string& name,
-                                               std::size_t skip_chunks) const {
-  const Stream& s = stream(name);
-  return export_snapshot(name, s.collection_rate_hz, s.t0, s.hot_t0,
-                         s.generation, s.chunks_trimmed, s.chunks, s.hot,
-                         s.stats, skip_chunks);
-}
-
 void RetentionStore::restore_stream(StreamSnapshot snapshot) {
   NYQMON_CHECK(snapshot.collection_rate_hz > 0.0);
   NYQMON_CHECK_MSG(snapshot.chunks_before == 0,
@@ -360,9 +316,27 @@ StreamSnapshot ReadSnapshot::export_stream(const std::string& name,
                                            std::size_t skip_chunks) const {
   const StreamView* v = find(name);
   NYQMON_CHECK_MSG(v != nullptr, "unknown stream: " + name);
-  return export_snapshot(v->name, v->collection_rate_hz, v->t0, v->hot_t0,
-                         v->generation, v->chunks_trimmed, v->chunks, v->hot,
-                         v->stats, skip_chunks);
+  // Skip counts are absolute sealed-chunk indexes, so an eviction-trimmed
+  // prefix only needs the skip to cover it (evicted chunks are already
+  // durable in earlier segments by the time the cap may evict them).
+  NYQMON_CHECK_MSG(skip_chunks >= v->chunks_trimmed,
+                   "snapshot skip below evicted prefix: " + name);
+  NYQMON_CHECK(skip_chunks <= v->chunks_trimmed + v->chunks.size());
+  StreamSnapshot snap;
+  snap.name = v->name;
+  snap.collection_rate_hz = v->collection_rate_hz;
+  snap.t0 = v->t0;
+  snap.hot_t0 = v->hot_t0;
+  snap.generation = v->generation;
+  snap.chunks_before = skip_chunks;
+  snap.chunks.reserve(v->chunks_trimmed + v->chunks.size() - skip_chunks);
+  for (std::size_t i = skip_chunks - v->chunks_trimmed; i < v->chunks.size();
+       ++i)
+    snap.chunks.push_back(
+        {v->chunks[i]->t0, v->chunks[i]->dt, v->chunks[i]->values});
+  snap.hot = v->hot;
+  snap.stats = v->stats;
+  return snap;
 }
 
 void ReadSnapshot::release() {

@@ -161,7 +161,7 @@ struct StreamView {
   std::uint64_t generation = 0;
   std::size_t ingested = 0;
   /// Sealed chunks evicted from memory by the retention cap before this
-  /// capture (export accounting: snapshot_stream skip counts are absolute
+  /// capture (export accounting: export_stream skip counts are absolute
   /// chunk indexes, so `skip >= chunks_trimmed` is required).
   std::size_t chunks_trimmed = 0;
   std::vector<SealedChunkRef> chunks;
@@ -233,8 +233,10 @@ class ReadSnapshot {
                            double t_end) const;
 
   /// Externalize one captured stream (the storage tier's flush input),
-  /// omitting the first `skip_chunks` sealed chunks; same contract as
-  /// RetentionStore::snapshot_stream but without touching the live store.
+  /// omitting the first `skip_chunks` sealed chunks (the delta-flush hook:
+  /// chunks already durable in earlier segments are not copied again).
+  /// Throws std::invalid_argument for names outside the snapshot and for
+  /// a skip below the eviction-trimmed prefix.
   StreamSnapshot export_stream(const std::string& name,
                                std::size_t skip_chunks = 0) const;
 
@@ -318,12 +320,6 @@ class RetentionStore {
   /// create_stream/append goes through the sink *before* the store mutates.
   /// restore_stream never notifies — recovery must not re-log itself.
   void set_ingest_sink(IngestSink* sink) { sink_ = sink; }
-
-  /// Externalize one stream's state, omitting the first `skip_chunks`
-  /// sealed chunks (the storage tier's delta-flush hook: chunks already
-  /// durable in earlier segments are not copied again).
-  StreamSnapshot snapshot_stream(const std::string& name,
-                                 std::size_t skip_chunks = 0) const;
 
   /// Recreate a stream from a full snapshot (chunks_before must be 0 and
   /// the name unused). Queries against the restored stream are

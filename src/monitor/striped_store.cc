@@ -194,13 +194,6 @@ void StripedRetentionStore::set_ingest_sink(IngestSink* sink) {
   }
 }
 
-StreamSnapshot StripedRetentionStore::snapshot_stream(
-    const std::string& name, std::size_t skip_chunks) const {
-  const Stripe& s = stripe_of(name);
-  const auto lock = lock_stripe(s.mu);
-  return s.store.snapshot_stream(name, skip_chunks);
-}
-
 void StripedRetentionStore::restore_stream(StreamSnapshot snapshot) {
   Stripe& s = stripe_of(snapshot.name);
   const auto lock = lock_stripe(s.mu);

@@ -70,10 +70,8 @@ class StripedRetentionStore {
   /// ingests — it must be thread-safe.
   void set_ingest_sink(IngestSink* sink);
 
-  /// Thread-safe equivalents of the RetentionStore snapshot/restore API
-  /// (see monitor/store.h) — the storage tier's flush/recover hooks.
-  StreamSnapshot snapshot_stream(const std::string& name,
-                                 std::size_t skip_chunks = 0) const;
+  /// Thread-safe equivalent of RetentionStore::restore_stream (see
+  /// monitor/store.h) — the storage tier's recover hook.
   void restore_stream(StreamSnapshot snapshot);
 
   /// Acquire an immutable, epoch-stamped view over every stream (see

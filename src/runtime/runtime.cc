@@ -7,10 +7,73 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "telemetry/metric_model.h"
 #include "util/check.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace nyqmon::rt {
+
+namespace {
+
+/// Noise seeds forked sequentially from the engine seed, one per pair, so
+/// per-pair outcomes cannot depend on the order in which poll() workers
+/// pick pairs up.
+std::vector<std::uint64_t> fork_noise_seeds(std::uint64_t seed,
+                                            std::size_t n) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) seeds.push_back(rng.engine()());
+  return seeds;
+}
+
+/// The pipeline configuration one pair is driven with: the template sampler
+/// config specialized to the pair's production rate, rate bounds, window
+/// duration, noise scale and quantization step.
+mon::PipelineConfig pair_pipeline_config(const eng::EngineConfig& config,
+                                         const tel::FleetPair& pair,
+                                         const tel::PairSchedule& sched) {
+  const auto& spec = tel::metric_spec(pair.metric.kind);
+  mon::PipelineConfig pc;
+  pc.sampler = config.sampler;
+  pc.sampler.initial_rate_hz = sched.production_rate_hz;
+  pc.sampler.min_rate_hz = sched.production_rate_hz / config.max_slowdown;
+  pc.sampler.max_rate_hz = sched.production_rate_hz * config.max_speedup;
+  pc.sampler.window_duration_s = sched.window_duration_s;
+  pc.cost = config.cost;
+  pc.noise_stddev = config.relative_noise * spec.fluctuation_rms;
+  pc.quantization_step = pair.metric.quantization_step;
+  return pc;
+}
+
+/// A PairOutcome from one pair's completed pipeline result, minus the
+/// store byte bill (the caller fills that after ingest).
+eng::PairOutcome make_pair_outcome(std::size_t index,
+                                   const tel::FleetPair& pair,
+                                   const tel::PairSchedule& sched,
+                                   const mon::PipelineResult& result) {
+  eng::PairOutcome out;
+  out.pair_index = index;
+  out.stream_id = tel::stream_id(pair);
+  out.kind = pair.metric.kind;
+  out.production_rate_hz = sched.production_rate_hz;
+  out.cost_savings = result.cost_savings;
+  out.nrmse = result.nrmse;
+  out.max_abs_error = result.max_abs_error;
+  out.adaptive_samples = result.run.total_samples;
+  out.baseline_samples = result.run.baseline_samples(sched.production_rate_hz);
+  {
+    // Last of the four per-pair stage timings (sample and reconstruct in
+    // monitor/pipeline.cc, FFT in nyquist/estimator.cc).
+    NYQMON_OBS_TIMER("nyqmon_engine_stage_audit_ns");
+    out.audit = nyq::audit_run(result.run);
+  }
+  NYQMON_OBS_COUNT("nyqmon_engine_pairs_total", 1);
+  return out;
+}
+
+}  // namespace
 
 StreamingRuntime::StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
                                    RuntimeConfig config)
@@ -24,8 +87,10 @@ StreamingRuntime::StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
   NYQMON_CHECK(config_.engine.max_speedup >= 1.0);
   NYQMON_CHECK(config_.engine.max_slowdown >= 1.0);
 
-  // Durable tier before any stream exists (mirrors the batch engine): each
-  // run is a fresh storage generation and stream creations are WAL-logged.
+  // Durable tier before any stream exists: each run is a fresh storage
+  // generation and stream creations are WAL-logged. Geometry goes into the
+  // manifest before any ingest, so a mid-run crash recovers with verified
+  // seal boundaries even though no flush ever ran.
   if (!config_.engine.storage.dir.empty()) {
     config_.engine.storage.truncate_existing = true;
     storage_ = std::make_unique<sto::StorageManager>(config_.engine.storage);
@@ -33,10 +98,11 @@ StreamingRuntime::StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
     store_.set_ingest_sink(storage_.get());
   }
 
-  // Scheduling pass, in fleet order (identical to the batch engine): every
-  // pair's plan, retention stream, noise seed and incremental pipeline.
+  // Scheduling pass, in fleet order: every pair's plan, retention stream,
+  // noise seed and incremental pipeline (sequential, so stream creation
+  // needs no coordination during the fan-out).
   const std::vector<std::uint64_t> noise_seeds =
-      eng::fork_noise_seeds(config_.engine.seed, fleet_.size());
+      fork_noise_seeds(config_.engine.seed, fleet_.size());
   schedules_.reserve(fleet_.size());
   tasks_.resize(fleet_.size());
   for (std::size_t i = 0; i < fleet_.size(); ++i) {
@@ -49,7 +115,7 @@ StreamingRuntime::StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
     PairTask& task = tasks_[i];
     task.stream_id = tel::stream_id(pair);
     task.pipeline = std::make_unique<mon::StreamingPairPipeline>(
-        eng::pair_pipeline_config(config_.engine, pair, s),
+        pair_pipeline_config(config_.engine, pair, s),
         *pair.metric.signal, 0.0, s.duration_s, s.production_rate_hz,
         noise_seeds[i]);
     task.next_deadline_s = task.pipeline->next_deadline_s();
@@ -101,8 +167,8 @@ void StreamingRuntime::advance_pair(std::size_t index, double now_s) {
     values_ingested_ += full.size() - task.ingested;
     task.ingested = full.size();
   }
-  task.outcome = eng::make_pair_outcome(index, fleet_.pairs()[index],
-                                        schedules_[index], result);
+  task.outcome = make_pair_outcome(index, fleet_.pairs()[index],
+                                   schedules_[index], result);
   const mon::StreamStats retained = store_.stats(task.stream_id);
   task.outcome.store_bytes_raw = retained.bytes_raw;
   task.outcome.store_bytes_stored = retained.bytes_stored;
@@ -199,7 +265,6 @@ eng::FleetRunResult StreamingRuntime::run_to_completion() {
   result.pairs.reserve(tasks_.size());
   for (const PairTask& task : tasks_) result.pairs.push_back(task.outcome);
   result.workers_used = resolve_workers(config_.engine.workers, fleet_.size());
-  result.shards_used = 0;  // deadline-scheduled, not shard-partitioned
   for (const auto& p : result.pairs) {
     result.adaptive_cost +=
         mon::cost_of_samples(p.adaptive_samples, config_.engine.cost);

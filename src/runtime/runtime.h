@@ -1,24 +1,20 @@
 // StreamingRuntime — continuous a-posteriori monitoring (the live form of
-// paper Section 4).
+// paper Section 4), and the one way to run a fleet.
 //
-// FleetMonitorEngine::run() drives every pair to completion and only then
-// opens a query session; this runtime turns the same per-pair pipeline into
-// a long-lived service. Each pair's adaptive poller is driven one
-// adaptation window at a time by a deadline scheduler: a pair's deadline is
-// the moment its next window's data is complete on the signal timeline, and
-// it is re-planned every window as the dual-rate detector adjusts the
-// pair's operating rate. Finalized reconstruction slices flow into the
-// shared StripedRetentionStore immediately (chunks seal incrementally, the
+// Each pair's adaptive poller is driven one adaptation window at a time by
+// a deadline scheduler: a pair's deadline is the moment its next window's
+// data is complete on the signal timeline, and it is re-planned every
+// window as the dual-rate detector adjusts the pair's operating rate.
+// Finalized reconstruction slices flow into the shared
+// StripedRetentionStore immediately (chunks seal incrementally, the
 // StorageManager WAL records every batch), and a live QueryEngine serves
 // selector queries *during* ingest — per-stream write-generation counters
 // keep cached results correct as data keeps arriving.
 //
-// Time is pluggable (runtime/clock.h): under a VirtualClock the whole
-// timeline replays as fast as the hardware allows, and a completed
-// streaming run is bit-identical to the batch engine over the same fleet,
-// seed and config — same per-pair outcomes, same retained chunks, same
-// query results (write-generation counters differ: streaming ingests each
-// stream in many batches rather than one).
+// Time is pluggable (runtime/clock.h). Under a SteadyClock the runtime
+// paces the fleet in real time; under a VirtualClock the whole timeline
+// replays as fast as the hardware allows. To run a fleet end to end, build
+// a VirtualClock and a StreamingRuntime and call run_to_completion().
 //
 // Ownership: the runtime borrows the fleet and the clock (both must
 // outlive it) and owns its store, query engine, pair pipelines and
@@ -26,15 +22,19 @@
 //
 // Threading: poll()/step()/run_to_completion()/checkpoint() are the
 // scheduler's and must come from one thread at a time (they serialize on an
-// internal mutex); poll() itself fans due pairs out over worker threads.
-// store(), query_engine() and stats() may be used concurrently from any
-// thread, including while a poll is in flight — that is the point.
+// internal mutex); poll() itself fans due pairs out over worker threads
+// (parallel_claim; one worker runs inline on the calling thread). store(),
+// query_engine() and stats() may be used concurrently from any thread,
+// including while a poll is in flight — that is the point.
 //
-// Determinism: under a VirtualClock a completed run is bit-identical to
-// FleetMonitorEngine::run() over the same fleet/config/seed — per-pair
-// noise seeds come from the same sequential fork, and each pair's windows
-// are stepped in timeline order regardless of how poll() batches them.
-// Only write-generation counters (and wall-clock stats) differ.
+// Determinism: under a VirtualClock a completed run is bit-identical for
+// any worker count. Every pair's noise seed is forked sequentially from the
+// engine seed at construction, each pair's windows are stepped in timeline
+// order regardless of how poll() batches them (a pair's work is a pure
+// function of pair, seed and config), outcome slots are pre-allocated per
+// pair, and aggregation iterates in pair order. Only wall-clock stats, and
+// under a SteadyClock how windows batch into polls (hence write-generation
+// counters), depend on timing.
 #pragma once
 
 #include <atomic>
@@ -46,13 +46,16 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "monitor/pipeline.h"
+#include "monitor/striped_store.h"
+#include "query/engine.h"
 #include "runtime/clock.h"
+#include "storage/manager.h"
 
 namespace nyqmon::rt {
 
 struct RuntimeConfig {
-  /// Fleet/pipeline/store/storage knobs, shared with the batch engine so a
-  /// streaming run is comparable (and bit-identical) to a batch run.
+  /// Fleet/pipeline/store/storage knobs.
   eng::EngineConfig engine;
   /// Checkpoint the durable tier (WAL → sealed segments) every N processed
   /// pair-windows, fleet-wide; 0 = only on explicit checkpoint() and at
@@ -98,9 +101,8 @@ class StreamingRuntime {
   std::size_t step();
 
   /// Drive the remaining timeline to completion and return the aggregate
-  /// result; bit-identical to FleetMonitorEngine::run() over the same
-  /// fleet/config/seed (wall_seconds and shard accounting aside).
-  /// Single-shot, but poll()/step() beforehand are fine.
+  /// result (under a VirtualClock, in as little wall time as the hardware
+  /// allows). Single-shot, but poll()/step() beforehand are fine.
   eng::FleetRunResult run_to_completion();
 
   /// Retained data; safe for concurrent queries at any point.

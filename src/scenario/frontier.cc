@@ -5,6 +5,8 @@
 
 #include "analysis/cdf.h"
 #include "monitor/store.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "util/ascii.h"
 #include "util/check.h"
 #include "util/csv.h"
@@ -69,11 +71,13 @@ FrontierResult run_frontier(const BuiltScenario& built,
                        config.max_slowdowns.size();
   for (const double cutoff : config.energy_cutoffs) {
     for (const double slowdown : config.max_slowdowns) {
-      eng::EngineConfig cfg = config.engine;
-      cfg.sampler.estimator.energy_cutoff = cutoff;
-      cfg.max_slowdown = slowdown;
-      eng::FleetMonitorEngine engine(built.fleet, cfg);
-      const eng::FleetRunResult run = engine.run();
+      rt::RuntimeConfig cfg;
+      cfg.engine = config.engine;
+      cfg.engine.sampler.estimator.energy_cutoff = cutoff;
+      cfg.engine.max_slowdown = slowdown;
+      rt::VirtualClock clock;
+      rt::StreamingRuntime runtime(built.fleet, clock, cfg);
+      const eng::FleetRunResult run = runtime.run_to_completion();
       result.pair_runs += run.pairs.size();
       for (const GroupRange& group : built.groups)
         result.cells.push_back(make_cell(group, run, cutoff, slowdown));

@@ -3,8 +3,8 @@
 // The paper's central claim is a sweet spot: adaptive Nyquist-rate
 // collection should hold reconstruction error roughly flat while slashing
 // sample volume. run_frontier() maps where that frontier sits per signal
-// family: it drives the FleetMonitorEngine over the same scenario fleet
-// once per knob combination on a grid of
+// family: it runs the same scenario fleet through a virtual-clock
+// rt::StreamingRuntime once per knob combination on a grid of
 //   * estimator energy cutoff — the target-fidelity knob (how much of the
 //     window's spectral energy the Nyquist estimate must capture), and
 //   * max rate slowdown — the cost-bound knob (how far below the
@@ -15,8 +15,8 @@
 //
 // Ownership: the caller keeps the BuiltScenario alive across the sweep.
 // Threading: run_frontier() is a blocking single-caller driver; each grid
-// point runs one (internally multi-threaded) engine. Determinism: cells
-// inherit the engine's bit-identical-across-workers contract — a sweep's
+// point runs one (internally multi-threaded) runtime. Determinism: cells
+// inherit the runtime's bit-identical-across-workers contract — a sweep's
 // numeric content depends only on (spec, grid, engine config), never on
 // worker count or wall-clock (wall_seconds aside).
 #pragma once
@@ -67,9 +67,9 @@ struct FrontierResult {
   double wall_seconds = 0.0;  ///< not part of the deterministic content
 };
 
-/// Sweep the grid. Every grid point constructs a fresh engine over
-/// `built.fleet` (engines are single-shot) with the same seed, so cells
-/// are comparable: the only thing that varies across a row is the knobs.
+/// Sweep the grid. Every grid point runs a fresh runtime over
+/// `built.fleet` (runs are single-shot) with the same seed, so cells are
+/// comparable: the only thing that varies across a row is the knobs.
 FrontierResult run_frontier(const BuiltScenario& built,
                             const FrontierConfig& config);
 

@@ -1,11 +1,11 @@
 // Scenario → fleet construction.
 //
 // build_scenario() turns a declarative ScenarioSpec into a tel::Fleet the
-// FleetMonitorEngine / StreamingRuntime can drive unchanged: every group
-// stream becomes one metric-device pair carrying a composed ground-truth
-// signal (scenario/waveforms.h adaptors over the signal/source.h atoms),
-// and the returned GroupRange index map lets callers aggregate engine
-// outcomes back per scenario group (the frontier driver's unit of report).
+// StreamingRuntime can drive unchanged: every group stream becomes one
+// metric-device pair carrying a composed ground-truth signal
+// (scenario/waveforms.h adaptors over the signal/source.h atoms), and the
+// returned GroupRange index map lets callers aggregate per-pair outcomes
+// back per scenario group (the frontier driver's unit of report).
 //
 // Determinism contract — the property every scenario experiment leans on:
 //   * Every stream's RNG seed is a stable hash of (scenario seed, group
@@ -14,12 +14,12 @@
 //     one group never perturbs the streams of another.
 //   * Build order is sequential and independent of any worker count; all
 //     randomness is consumed at build time (signals are immutable
-//     afterwards), so engine results over a scenario fleet inherit the
-//     engine's bit-identical-across-workers guarantee.
+//     afterwards), so runs over a scenario fleet inherit the runtime's
+//     bit-identical-across-workers guarantee.
 //
-// Ownership: BuiltScenario owns the fleet; engines borrow it (const&) and
+// Ownership: BuiltScenario owns the fleet; runtimes borrow it (const&) and
 // must not outlive it. Threading: building is single-threaded; a built
-// fleet is immutable and safe to share across engine workers.
+// fleet is immutable and safe to share across runtime workers.
 #pragma once
 
 #include <cstdint>

@@ -244,10 +244,9 @@ FlushStats StorageManager::flush_impl(const Store& store) {
   NYQMON_CHECK_MSG(recovered_,
                    "attach-mode StorageManager: recover() before flush()");
   FlushStats out;
-  // One snapshot acquisition replaces the per-stream locked
-  // snapshot_stream() walk: stripe locks are held only during the brief
-  // capture, and the (comparatively slow) segment encoding below runs
-  // against the immutable epoch-stamped view.
+  // One snapshot acquisition for the whole flush: stripe locks are held
+  // only during the brief capture, and the (comparatively slow) segment
+  // encoding below runs against the immutable epoch-stamped view.
   const mon::ReadSnapshot snapshot = store.acquire_snapshot();
   const std::vector<std::string> names = snapshot.stream_names();
   if (names.empty()) {

@@ -169,8 +169,8 @@ class StorageManager final : public mon::IngestSink {
 
   /// Record the writing store's geometry in the manifest *now*, before any
   /// flush — so a mid-run crash (the WAL's whole reason to exist) still
-  /// recovers with verified seal boundaries. The engine calls this at
-  /// construction; flush() refreshes it. No-op when unchanged.
+  /// recovers with verified seal boundaries. The streaming runtime calls
+  /// this at construction; flush() refreshes it. No-op when unchanged.
   void record_geometry(const mon::StoreConfig& config);
 
   /// Checkpoint the store (see class comment). Quiesced ingest required.

@@ -1,4 +1,5 @@
-// Deterministic fan-out helper shared by the fleet audit and the engine.
+// Deterministic fan-out helper shared by the fleet audit, the query engine
+// and the streaming runtime's poll fan-out.
 //
 // Runs `task(i)` for every i in [0, n_tasks) on a fixed pool of worker
 // threads that claim indices from a shared atomic counter. Callers keep
@@ -16,30 +17,7 @@
 #include <thread>
 #include <vector>
 
-#ifdef __linux__
-#include <sched.h>
-#include <unistd.h>
-#endif
-
 namespace nyqmon {
-
-/// Best-effort: pin the calling thread to CPU `cpu % online CPUs`. Keeps a
-/// worker's scratch arena and its cache footprint on one core instead of
-/// migrating mid-run. Returns false (and changes nothing) when the platform
-/// or the container's CPU mask does not allow it.
-inline bool pin_this_thread(std::size_t cpu) {
-#ifdef __linux__
-  const long online = sysconf(_SC_NPROCESSORS_ONLN);
-  if (online <= 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % static_cast<std::size_t>(online)), &set);
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
 
 /// Resolve a requested worker count: 0 means hardware concurrency, and the
 /// result is clamped to [1, max(n_tasks, 1)].

@@ -1,9 +1,9 @@
-// WorkArena accounting: the per-worker scratch arena must reach zero
-// workspace heap allocations once shapes repeat (the steady-state
-// guarantee the engine's throughput depends on), count re-warms honestly
-// in arena-off mode, and — in Debug builds — poison-fill popped scratch
-// frames and canary-check every allocation so cross-pair buffer reuse can
-// never leak stale samples silently.
+// Scratch arena accounting: the per-thread dsp::Workspace must reach zero
+// heap allocations once shapes repeat (the steady-state guarantee fleet
+// throughput depends on), keep its counters across a reset, and — in
+// Debug builds — poison-fill popped scratch frames and canary-check every
+// allocation so buffer reuse across pairs can never leak stale samples
+// silently.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -13,7 +13,6 @@
 #include "dsp/fft.h"
 #include "dsp/goertzel.h"
 #include "dsp/workspace.h"
-#include "engine/arena.h"
 
 namespace {
 
@@ -41,18 +40,23 @@ void process_fixed_shape_pair() {
   ASSERT_EQ(powers.size(), 3u);
 }
 
-TEST(WorkArena, ZeroWorkspaceAllocationsAfterWarmup) {
-  // A prior test on this thread may have warmed the workspace; wipe it so
-  // this arena observes a genuine cold start.
-  dsp::this_thread_workspace().reset();
+TEST(Workspace, ZeroHeapAllocationsAfterWarmup) {
+  // The DSP calls draw on the calling thread's workspace. A prior test on
+  // this thread may have warmed it; wipe it so the first pair is a genuine
+  // cold start.
+  dsp::Workspace& ws = dsp::this_thread_workspace();
+  ws.reset();
+  const std::uint64_t base_allocs = ws.heap_allocations();
+  const std::uint64_t base_plan_builds = ws.plan_builds();
+  const std::uint64_t base_block_allocs = ws.scratch_block_allocs();
+  const std::uint64_t base_flushes = ws.cache_flushes();
 
-  eng::WorkArena arena;  // retain_across_pairs defaults on
   constexpr std::size_t kPairs = 8;
   std::uint64_t first_pair_allocs = 0;
   for (std::size_t p = 0; p < kPairs; ++p) {
-    arena.begin_pair();
+    const std::uint64_t before = ws.heap_allocations();
     process_fixed_shape_pair();
-    const std::uint64_t allocs = arena.end_pair();
+    const std::uint64_t allocs = ws.heap_allocations() - before;
     if (p == 0) {
       first_pair_allocs = allocs;
       EXPECT_GT(allocs, 0u) << "cold pair must build plans and scratch";
@@ -61,54 +65,13 @@ TEST(WorkArena, ZeroWorkspaceAllocationsAfterWarmup) {
     }
   }
 
-  const eng::WorkArenaStats stats = arena.stats();
-  EXPECT_EQ(stats.pairs_processed, kPairs);
-  EXPECT_EQ(stats.warm_pairs_with_allocations, 0u);
-  EXPECT_EQ(stats.heap_allocations, first_pair_allocs);
-  EXPECT_EQ(stats.heap_allocations,
-            stats.plan_builds + stats.scratch_block_allocs);
-  EXPECT_GT(stats.plan_cache_bytes, 0u);
-  EXPECT_GT(stats.scratch_capacity_bytes, 0u);
-  EXPECT_EQ(stats.cache_flushes, 0u);
-}
-
-TEST(WorkArena, RetainOffRewarmsEveryPair) {
-  dsp::this_thread_workspace().reset();
-
-  eng::WorkArenaConfig cfg;
-  cfg.retain_across_pairs = false;
-  eng::WorkArena arena(cfg);
-  constexpr std::size_t kPairs = 5;
-  for (std::size_t p = 0; p < kPairs; ++p) {
-    arena.begin_pair();
-    process_fixed_shape_pair();
-    EXPECT_GT(arena.end_pair(), 0u)
-        << "arena-off pair " << p << " should re-warm from scratch";
-  }
-  const eng::WorkArenaStats stats = arena.stats();
-  EXPECT_EQ(stats.pairs_processed, kPairs);
-  // Every pair after the first allocated (the wipe forces it).
-  EXPECT_EQ(stats.warm_pairs_with_allocations, kPairs - 1);
-}
-
-TEST(WorkArena, StatsSumAcrossWorkers) {
-  eng::WorkArenaStats a;
-  a.heap_allocations = 3;
-  a.plan_builds = 2;
-  a.pairs_processed = 10;
-  a.scratch_capacity_bytes = 100;
-  eng::WorkArenaStats b;
-  b.heap_allocations = 4;
-  b.warm_pairs_with_allocations = 1;
-  b.pairs_processed = 6;
-  b.scratch_capacity_bytes = 250;
-  a += b;
-  EXPECT_EQ(a.heap_allocations, 7u);
-  EXPECT_EQ(a.plan_builds, 2u);
-  EXPECT_EQ(a.pairs_processed, 16u);
-  EXPECT_EQ(a.warm_pairs_with_allocations, 1u);
-  // Byte gauges combine as totals too (fleet-wide footprint).
-  EXPECT_EQ(a.scratch_capacity_bytes, 350u);
+  EXPECT_EQ(ws.heap_allocations() - base_allocs, first_pair_allocs);
+  EXPECT_EQ(ws.heap_allocations() - base_allocs,
+            (ws.plan_builds() - base_plan_builds) +
+                (ws.scratch_block_allocs() - base_block_allocs));
+  EXPECT_GT(ws.plan_cache_bytes(), 0u);
+  EXPECT_GT(ws.scratch_capacity_bytes(), 0u);
+  EXPECT_EQ(ws.cache_flushes(), base_flushes);
 }
 
 TEST(Workspace, CountersSurviveReset) {

@@ -1,61 +1,23 @@
-// FleetMonitorEngine: shard partitioning, the striped store's thread
-// safety, end-to-end fleet runs, and the determinism contract (identical
-// fleet aggregates whatever the worker count).
+// Fleet runs: the striped store's thread safety, end-to-end runs through
+// the streaming runtime, and the determinism contract (one run digest
+// whatever the worker count and SIMD dispatch level).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <set>
 #include <thread>
 
 #include "dsp/simd.h"
 #include "engine/engine.h"
 #include "engine/report.h"
-#include "engine/shard.h"
 #include "monitor/striped_store.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "telemetry/fleet.h"
 
 namespace {
 
 using namespace nyqmon;
-
-// --------------------------------------------------------------- shards --
-
-TEST(Shard, EveryPairAssignedExactlyOnce) {
-  for (const std::size_t n_pairs : {0u, 1u, 7u, 64u, 1613u}) {
-    for (const std::size_t n_shards : {1u, 3u, 16u, 2000u}) {
-      const auto shards = eng::partition_shards(n_pairs, n_shards);
-      std::set<std::size_t> seen;
-      std::size_t total = 0;
-      for (const auto& shard : shards) {
-        for (const std::size_t i : shard.pair_indices) {
-          EXPECT_LT(i, n_pairs);
-          seen.insert(i);
-          ++total;
-        }
-      }
-      EXPECT_EQ(total, n_pairs) << n_pairs << " pairs / " << n_shards;
-      EXPECT_EQ(seen.size(), n_pairs);
-    }
-  }
-}
-
-TEST(Shard, BalancedWithinOne) {
-  const auto shards = eng::partition_shards(100, 8);
-  ASSERT_EQ(shards.size(), 8u);
-  std::size_t lo = 100, hi = 0;
-  for (const auto& s : shards) {
-    lo = std::min(lo, s.pair_indices.size());
-    hi = std::max(hi, s.pair_indices.size());
-  }
-  EXPECT_LE(hi - lo, 1u);
-}
-
-TEST(Shard, ClampsShardCount) {
-  EXPECT_EQ(eng::partition_shards(3, 100).size(), 3u);
-  EXPECT_EQ(eng::partition_shards(10, 0).size(), 1u);
-  EXPECT_EQ(eng::partition_shards(0, 4).size(), 1u);
-}
 
 // -------------------------------------------------------- striped store --
 
@@ -120,68 +82,27 @@ TEST(StripedStore, DelegatesStreamApi) {
 
 // ---------------------------------------------------------------- engine --
 
-// Bit-exact double comparison (NaN-safe: NRMSE can legitimately be inf/nan
-// for flat bursty traces, and nan == nan is false).
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
+// Trimmed per-pair work: these tests are about scheduling, dispatch and
+// buffer reuse, not trace length.
+rt::RuntimeConfig trimmed_config(std::size_t workers) {
+  rt::RuntimeConfig cfg;
+  cfg.engine.workers = workers;
+  cfg.engine.samples_per_window = 48;
+  cfg.engine.windows_per_pair = 4;
+  return cfg;
 }
 
-TEST(Engine, FivehundredPairsDeterministicAcrossWorkerCounts) {
-  tel::FleetConfig fleet_cfg;
-  fleet_cfg.target_pairs = 500;
-  fleet_cfg.seed = 99;
-  const tel::Fleet fleet(fleet_cfg);
-  ASSERT_GE(fleet.size(), 500u);
-
-  auto run_with = [&fleet](std::size_t workers) {
-    eng::EngineConfig cfg;
-    cfg.workers = workers;
-    // Trim per-pair work: determinism is about scheduling, not trace length.
-    cfg.samples_per_window = 48;
-    cfg.windows_per_pair = 4;
-    eng::FleetMonitorEngine engine(fleet, cfg);
-    return engine.run();
-  };
-
-  const auto serial = run_with(1);
-  const auto parallel = run_with(4);
-  EXPECT_EQ(serial.workers_used, 1u);
-  EXPECT_EQ(parallel.workers_used, 4u);
-
-  ASSERT_EQ(serial.pairs.size(), fleet.size());
-  ASSERT_EQ(parallel.pairs.size(), fleet.size());
-  for (std::size_t i = 0; i < serial.pairs.size(); ++i) {
-    const auto& a = serial.pairs[i];
-    const auto& b = parallel.pairs[i];
-    EXPECT_EQ(a.stream_id, b.stream_id);
-    EXPECT_TRUE(same_bits(a.cost_savings, b.cost_savings)) << a.stream_id;
-    EXPECT_TRUE(same_bits(a.nrmse, b.nrmse)) << a.stream_id;
-    EXPECT_TRUE(same_bits(a.max_abs_error, b.max_abs_error)) << a.stream_id;
-    EXPECT_EQ(a.adaptive_samples, b.adaptive_samples) << a.stream_id;
-    EXPECT_EQ(a.baseline_samples, b.baseline_samples) << a.stream_id;
-    EXPECT_EQ(a.audit.windows, b.audit.windows);
-    EXPECT_EQ(a.audit.aliased_windows, b.audit.aliased_windows);
-    EXPECT_EQ(a.audit.probe_windows, b.audit.probe_windows);
-    EXPECT_TRUE(same_bits(a.audit.final_rate_hz, b.audit.final_rate_hz));
-  }
-
-  // Store fan-in and cost aggregates must match too.
-  EXPECT_EQ(serial.store.ingested_samples, parallel.store.ingested_samples);
-  EXPECT_EQ(serial.store.stored_samples, parallel.store.stored_samples);
-  EXPECT_EQ(serial.store.chunks_reduced, parallel.store.chunks_reduced);
-  EXPECT_EQ(serial.adaptive_cost.samples, parallel.adaptive_cost.samples);
-  EXPECT_EQ(serial.baseline_cost.samples, parallel.baseline_cost.samples);
-  EXPECT_TRUE(same_bits(serial.fleet_cost_savings(),
-                        parallel.fleet_cost_savings()));
-}
-
-TEST(Engine, DeterminismStressAcrossWorkersSimdAndArenaModes) {
+TEST(Engine, DeterminismStressAcrossWorkersAndSimd) {
   // The full matrix the scaling work must not perturb: every worker count
-  // x every SIMD dispatch level x arena retained/wiped has to produce the
-  // same run digest over a 500-pair fleet. This is what lets the repo
-  // change FFT internals, vectorize kernels, or reuse scratch buffers
-  // without ever re-baselining a digest: the digest is defined by the
-  // computation, not by the execution strategy.
+  // x every SIMD dispatch level has to produce the same run digest over a
+  // 500-pair fleet. This is what lets the repo change FFT internals,
+  // vectorize kernels, or reuse scratch buffers without ever re-baselining
+  // a digest: the digest is defined by the computation, not by the
+  // execution strategy. Buffer reuse is covered too: one worker runs every
+  // pair inline on the calling thread's reused dsp::Workspace, while N
+  // workers start fresh threads (fresh workspaces) on every poll, so 1-vs-N
+  // equality shows that reuse leaks nothing from one pair into the next.
+  constexpr std::uint64_t kDigest = 0x3ac88392f2e8c5edull;
   tel::FleetConfig fleet_cfg;
   fleet_cfg.target_pairs = 500;
   fleet_cfg.seed = 424242;
@@ -196,37 +117,16 @@ TEST(Engine, DeterminismStressAcrossWorkersSimdAndArenaModes) {
     levels.push_back(dsp::simd::detected_level());
 
   const dsp::simd::Level original = dsp::simd::active_level();
-  std::uint64_t reference_digest = 0;
-  bool have_reference = false;
   for (const dsp::simd::Level level : levels) {
     dsp::simd::set_level(level);
-    for (const bool arena_retain : {true, false}) {
-      for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-        eng::EngineConfig cfg;
-        cfg.workers = workers;
-        cfg.arena_retain = arena_retain;
-        // Trim per-pair work: the matrix is about scheduling, dispatch and
-        // buffer reuse, not trace length.
-        cfg.samples_per_window = 48;
-        cfg.windows_per_pair = 4;
-        eng::FleetMonitorEngine engine(fleet, cfg);
-        const auto result = engine.run();
-        const std::uint64_t digest = eng::run_digest(result);
-        if (!have_reference) {
-          reference_digest = digest;
-          have_reference = true;
-        }
-        EXPECT_EQ(digest, reference_digest)
-            << "level=" << dsp::simd::level_name(level)
-            << " arena_retain=" << arena_retain << " workers=" << workers;
-        EXPECT_EQ(result.arena.pairs_processed, fleet.size());
-        if (!arena_retain) {
-          // Wiped between pairs: every warm pair re-allocates, by design.
-          EXPECT_GE(result.arena.warm_pairs_with_allocations,
-                    fleet.size() - workers)
-              << "workers=" << workers;
-        }
-      }
+    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+      rt::VirtualClock clock;
+      rt::StreamingRuntime runtime(fleet, clock, trimmed_config(workers));
+      const eng::FleetRunResult result = runtime.run_to_completion();
+      EXPECT_EQ(result.workers_used, workers);
+      EXPECT_EQ(eng::run_digest(result), kDigest)
+          << "level=" << dsp::simd::level_name(level)
+          << " workers=" << workers;
     }
   }
   dsp::simd::set_level(original);
@@ -239,21 +139,18 @@ TEST(Engine, RetainsQueryableStreamsAndReports) {
   fleet_cfg.topology.pods = 2;
   const tel::Fleet fleet(fleet_cfg);
 
-  eng::EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.samples_per_window = 48;
-  cfg.windows_per_pair = 4;
-  eng::FleetMonitorEngine engine(fleet, cfg);
-  const auto result = engine.run();
+  rt::VirtualClock clock;
+  rt::StreamingRuntime runtime(fleet, clock, trimmed_config(2));
+  const auto result = runtime.run_to_completion();
 
   EXPECT_EQ(result.pairs.size(), 40u);
-  EXPECT_EQ(engine.store().streams(), 40u);
+  EXPECT_EQ(runtime.store().streams(), 40u);
   for (const auto& pair : fleet.pairs()) {
     const std::string id = tel::stream_id(pair);
-    const auto stats = engine.store().stats(id);
+    const auto stats = runtime.store().stats(id);
     EXPECT_GT(stats.ingested_samples, 0u) << id;
     const auto series =
-        engine.store().query(id, 0.0, 8.0 * pair.metric.poll_interval_s);
+        runtime.store().query(id, 0.0, 8.0 * pair.metric.poll_interval_s);
     EXPECT_EQ(series.size(), 8u) << id;
   }
 
@@ -269,25 +166,28 @@ TEST(Engine, RetainsQueryableStreamsAndReports) {
   const std::string rendered = eng::render(report);
   EXPECT_NE(rendered.find("fleet-wide cost savings"), std::string::npos);
 
-  // Engines are single-shot.
-  EXPECT_THROW(engine.run(), std::invalid_argument);
+  // Runs are single-shot.
+  EXPECT_THROW(runtime.run_to_completion(), std::invalid_argument);
 }
 
-TEST(Engine, WorkerExceptionsPropagateToCaller) {
-  // A throwing task on a pooled std::thread used to std::terminate the
-  // process; parallel_claim must surface it on the calling thread whatever
-  // the worker count.
+TEST(Engine, BadSamplerConfigIsRejectedAtConstruction) {
+  // Every pair's sampler is built when the runtime is, so an invalid
+  // template config surfaces on the caller's thread before any worker
+  // starts, whatever the worker count. (parallel_claim's own exception
+  // path is covered in tests/util_test.cc.)
   tel::FleetConfig fleet_cfg;
   fleet_cfg.target_pairs = 16;
   fleet_cfg.topology.pods = 2;
   const tel::Fleet fleet(fleet_cfg);
 
   for (const std::size_t workers : {1u, 4u}) {
-    eng::EngineConfig cfg;
-    cfg.workers = workers;
-    cfg.sampler.probe_factor = 1.0;  // rejected inside each pair's sampler
-    eng::FleetMonitorEngine engine(fleet, cfg);
-    EXPECT_THROW(engine.run(), std::invalid_argument) << workers;
+    rt::RuntimeConfig cfg;
+    cfg.engine.workers = workers;
+    cfg.engine.sampler.probe_factor = 1.0;  // rejected by each pair's sampler
+    rt::VirtualClock clock;
+    EXPECT_THROW({ rt::StreamingRuntime runtime(fleet, clock, cfg); },
+                 std::invalid_argument)
+        << workers;
   }
 }
 

@@ -463,7 +463,6 @@ TEST(Snapshot, ExportAccountsForTrimmedChunks) {
   EXPECT_EQ(snap.export_stream("s", 2).chunks.size(), 2u);
   EXPECT_EQ(snap.export_stream("s", 3).chunks.size(), 1u);
   EXPECT_THROW((void)snap.export_stream("s", 1), std::invalid_argument);
-  EXPECT_THROW((void)store.snapshot_stream("s", 0), std::invalid_argument);
 }
 
 // Writer vs. snapshot readers under TSan: concurrent seal/evict/reclaim

@@ -9,13 +9,14 @@
 #include <cmath>
 #include <cstring>
 
-#include "engine/engine.h"
 #include "monitor/striped_store.h"
 #include "query/builder.h"
 #include "query/cache.h"
 #include "query/engine.h"
 #include "query/selector.h"
 #include "query/spec.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "telemetry/fleet.h"
 
 namespace {
@@ -441,7 +442,7 @@ TEST(QueryEngine, ExactSelectorFastPathSkipsFleetScan) {
 }
 
 TEST(QueryEngine, FleetScaleSelectorPruningAndDeterminism) {
-  // The acceptance scenario: a >= 500-pair engine run, a glob selector
+  // The acceptance scenario: a >= 500-pair fleet run, a glob selector
   // over one metric, and the contract that (a) only matched streams are
   // reconstructed (pruning observable via stats) and (b) results are
   // bit-identical across per-query worker counts and cache temperature.
@@ -451,12 +452,13 @@ TEST(QueryEngine, FleetScaleSelectorPruningAndDeterminism) {
   const tel::Fleet fleet(fleet_cfg);
   ASSERT_GE(fleet.size(), 500u);
 
-  eng::EngineConfig cfg;
-  cfg.workers = 4;
-  cfg.samples_per_window = 48;
-  cfg.windows_per_pair = 4;
-  eng::FleetMonitorEngine engine(fleet, cfg);
-  (void)engine.run();
+  rt::RuntimeConfig cfg;
+  cfg.engine.workers = 4;
+  cfg.engine.samples_per_window = 48;
+  cfg.engine.windows_per_pair = 4;
+  rt::VirtualClock clock;
+  rt::StreamingRuntime runtime(fleet, clock, cfg);
+  (void)runtime.run_to_completion();
 
   qry::QuerySpec spec;
   spec.selector = "*/" + tel::metric_name(tel::MetricKind::kTemperature);
@@ -468,7 +470,7 @@ TEST(QueryEngine, FleetScaleSelectorPruningAndDeterminism) {
   auto run_with_workers = [&](std::size_t workers) {
     qry::QueryEngineConfig qcfg;
     qcfg.workers = workers;
-    qry::QueryEngine qe = engine.serve(qcfg);
+    qry::QueryEngine qe(runtime.store(), qcfg);
     const auto first = qe.run(spec);
     EXPECT_FALSE(first.cache_hit);
     const auto second = qe.run(spec);  // cache-warm
@@ -485,7 +487,7 @@ TEST(QueryEngine, FleetScaleSelectorPruningAndDeterminism) {
     // it was reconstructed.
     const auto stats = qe.stats();
     EXPECT_GT(stats.streams_matched, 0u);
-    EXPECT_LT(stats.streams_matched, engine.store().streams());
+    EXPECT_LT(stats.streams_matched, runtime.store().streams());
     EXPECT_EQ(stats.streams_reconstructed + stats.streams_pruned,
               stats.streams_matched);
     EXPECT_EQ(first.result->matched.size(), stats.streams_matched);

@@ -1,7 +1,7 @@
 // StreamingRuntime: clock behavior, the deadline scheduler, live serving
 // during ingest, incremental durable checkpoints, and the headline
-// contract — a virtual-clock streaming run reproduces the batch engine's
-// results bit-exactly over the same fleet/seed/config.
+// contract — a virtual-clock run produces bit-identical outcomes, store
+// contents and query results at any worker count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -133,32 +133,36 @@ TEST(Runtime, StepDrivesWindowsInDeadlineOrder) {
             fleet.size() * cfg.engine.windows_per_pair);
 }
 
-// ------------------------------------------- streaming == batch, 500 pairs --
+// --------------------------------------- 1 vs 4 workers, 500 pairs, bitwise --
 
-TEST(Runtime, StreamingMatchesBatchBitExactly500Pairs) {
+TEST(Runtime, FivehundredPairsBitIdenticalAtOneAndFourWorkers) {
   tel::FleetConfig fleet_cfg;
   fleet_cfg.target_pairs = 500;
   fleet_cfg.seed = 99;
   const tel::Fleet fleet(fleet_cfg);
   ASSERT_GE(fleet.size(), 500u);
 
-  eng::EngineConfig shared = small_engine_config();
-  shared.workers = 4;
+  rt::RuntimeConfig serial_cfg;
+  serial_cfg.engine = small_engine_config();
+  serial_cfg.engine.workers = 1;
+  rt::RuntimeConfig parallel_cfg = serial_cfg;
+  parallel_cfg.engine.workers = 4;
 
-  eng::FleetMonitorEngine batch(fleet, shared);
-  const eng::FleetRunResult batch_result = batch.run();
-
-  rt::VirtualClock clock;
-  rt::RuntimeConfig cfg;
-  cfg.engine = shared;
-  rt::StreamingRuntime streaming(fleet, clock, cfg);
-  const eng::FleetRunResult live_result = streaming.run_to_completion();
+  rt::VirtualClock serial_clock;
+  rt::StreamingRuntime serial(fleet, serial_clock, serial_cfg);
+  const eng::FleetRunResult serial_result = serial.run_to_completion();
+  rt::VirtualClock parallel_clock;
+  rt::StreamingRuntime parallel(fleet, parallel_clock, parallel_cfg);
+  const eng::FleetRunResult parallel_result = parallel.run_to_completion();
+  EXPECT_EQ(serial_result.workers_used, 1u);
+  EXPECT_EQ(parallel_result.workers_used, 4u);
 
   // Per-pair outcomes, bit for bit.
-  ASSERT_EQ(live_result.pairs.size(), batch_result.pairs.size());
-  for (std::size_t i = 0; i < batch_result.pairs.size(); ++i) {
-    const auto& a = batch_result.pairs[i];
-    const auto& b = live_result.pairs[i];
+  ASSERT_EQ(serial_result.pairs.size(), fleet.size());
+  ASSERT_EQ(parallel_result.pairs.size(), fleet.size());
+  for (std::size_t i = 0; i < serial_result.pairs.size(); ++i) {
+    const auto& a = serial_result.pairs[i];
+    const auto& b = parallel_result.pairs[i];
     ASSERT_EQ(a.stream_id, b.stream_id);
     EXPECT_TRUE(same_bits(a.production_rate_hz, b.production_rate_hz));
     EXPECT_TRUE(same_bits(a.cost_savings, b.cost_savings)) << a.stream_id;
@@ -169,31 +173,39 @@ TEST(Runtime, StreamingMatchesBatchBitExactly500Pairs) {
     EXPECT_EQ(a.audit.windows, b.audit.windows);
     EXPECT_EQ(a.audit.aliased_windows, b.audit.aliased_windows);
     EXPECT_EQ(a.audit.probe_windows, b.audit.probe_windows);
+    EXPECT_TRUE(same_bits(a.audit.final_rate_hz, b.audit.final_rate_hz));
     EXPECT_TRUE(same_bits(a.audit.max_rate_hz, b.audit.max_rate_hz));
     EXPECT_EQ(a.store_bytes_raw, b.store_bytes_raw) << a.stream_id;
     EXPECT_EQ(a.store_bytes_stored, b.store_bytes_stored) << a.stream_id;
   }
 
   // Fleet aggregates.
-  EXPECT_TRUE(same_bits(batch_result.fleet_cost_savings(),
-                        live_result.fleet_cost_savings()));
-  EXPECT_EQ(batch_result.store.streams, live_result.store.streams);
-  EXPECT_EQ(batch_result.store.ingested_samples,
-            live_result.store.ingested_samples);
-  EXPECT_EQ(batch_result.store.stored_samples, live_result.store.stored_samples);
-  EXPECT_EQ(batch_result.store.chunks, live_result.store.chunks);
-  EXPECT_EQ(batch_result.store.chunks_reduced, live_result.store.chunks_reduced);
-  EXPECT_EQ(batch_result.store.bytes_raw, live_result.store.bytes_raw);
-  EXPECT_EQ(batch_result.store.bytes_stored, live_result.store.bytes_stored);
+  EXPECT_TRUE(same_bits(serial_result.fleet_cost_savings(),
+                        parallel_result.fleet_cost_savings()));
+  EXPECT_EQ(serial_result.adaptive_cost.samples,
+            parallel_result.adaptive_cost.samples);
+  EXPECT_EQ(serial_result.baseline_cost.samples,
+            parallel_result.baseline_cost.samples);
+  EXPECT_EQ(serial_result.store.streams, parallel_result.store.streams);
+  EXPECT_EQ(serial_result.store.ingested_samples,
+            parallel_result.store.ingested_samples);
+  EXPECT_EQ(serial_result.store.stored_samples,
+            parallel_result.store.stored_samples);
+  EXPECT_EQ(serial_result.store.chunks, parallel_result.store.chunks);
+  EXPECT_EQ(serial_result.store.chunks_reduced,
+            parallel_result.store.chunks_reduced);
+  EXPECT_EQ(serial_result.store.bytes_raw, parallel_result.store.bytes_raw);
+  EXPECT_EQ(serial_result.store.bytes_stored,
+            parallel_result.store.bytes_stored);
 
   // Store contents: every stream's sealed chunks and hot tail, bit for bit.
-  // (Write-generation counters differ by design: streaming ingests each
-  // stream in many batches, the batch engine in one.)
-  const auto names = batch.store().stream_names();
-  ASSERT_EQ(names, streaming.store().stream_names());
+  const auto names = serial.store().stream_names();
+  ASSERT_EQ(names, parallel.store().stream_names());
+  const mon::ReadSnapshot serial_snap = serial.store().acquire_snapshot();
+  const mon::ReadSnapshot parallel_snap = parallel.store().acquire_snapshot();
   for (const auto& name : names) {
-    const auto a = batch.store().snapshot_stream(name);
-    const auto b = streaming.store().snapshot_stream(name);
+    const auto a = serial_snap.export_stream(name);
+    const auto b = parallel_snap.export_stream(name);
     ASSERT_EQ(a.chunks.size(), b.chunks.size()) << name;
     for (std::size_t c = 0; c < a.chunks.size(); ++c) {
       EXPECT_TRUE(same_bits(a.chunks[c].t0, b.chunks[c].t0)) << name;
@@ -203,9 +215,9 @@ TEST(Runtime, StreamingMatchesBatchBitExactly500Pairs) {
     EXPECT_TRUE(same_values(a.hot, b.hot)) << name;
     EXPECT_TRUE(same_bits(a.collection_rate_hz, b.collection_rate_hz));
 
-    const auto meta = batch.store().meta(name);
-    const auto q_a = batch.store().query(name, meta.t0, meta.t_end);
-    const auto q_b = streaming.store().query(name, meta.t0, meta.t_end);
+    const auto meta = serial.store().meta(name);
+    const auto q_a = serial.store().query(name, meta.t0, meta.t_end);
+    const auto q_b = parallel.store().query(name, meta.t0, meta.t_end);
     EXPECT_TRUE(same_bits(q_a.t0(), q_b.t0())) << name;
     EXPECT_TRUE(same_values(q_a.span(), q_b.span())) << name;
   }
@@ -214,17 +226,17 @@ TEST(Runtime, StreamingMatchesBatchBitExactly500Pairs) {
   qry::QuerySpec spec;
   spec.selector = "*/*";
   spec.t_begin = 0.0;
-  spec.t_end = fleet_span_s(fleet, shared);
+  spec.t_end = fleet_span_s(fleet, serial_cfg.engine);
   spec.step_s = spec.t_end / 512.0;
   spec.aggregate = qry::Aggregation::kP95;
-  auto serve = batch.serve();
-  const auto r_batch = serve.run(spec);
-  const auto r_live = streaming.query_engine().run(spec);
-  ASSERT_EQ(r_batch.result->series.size(), r_live.result->series.size());
-  for (std::size_t s = 0; s < r_batch.result->series.size(); ++s) {
-    EXPECT_EQ(r_batch.result->series[s].label, r_live.result->series[s].label);
-    EXPECT_TRUE(same_values(r_batch.result->series[s].series.span(),
-                            r_live.result->series[s].series.span()));
+  const auto r_serial = serial.query_engine().run(spec);
+  const auto r_parallel = parallel.query_engine().run(spec);
+  ASSERT_EQ(r_serial.result->series.size(), r_parallel.result->series.size());
+  for (std::size_t s = 0; s < r_serial.result->series.size(); ++s) {
+    EXPECT_EQ(r_serial.result->series[s].label,
+              r_parallel.result->series[s].label);
+    EXPECT_TRUE(same_values(r_serial.result->series[s].series.span(),
+                            r_parallel.result->series[s].series.span()));
   }
 }
 
@@ -265,14 +277,15 @@ TEST(Runtime, ServesQueriesDuringIngestWithGenerationInvalidation) {
   EXPECT_GE(final_q.result->reconstructed.size(),
             early.result->reconstructed.size());
 
-  // And the served result matches a batch engine over the same fleet.
-  eng::FleetMonitorEngine batch(fleet, cfg.engine);
-  batch.run();
-  auto serve = batch.serve();
-  const auto batch_q = serve.run(spec);
-  ASSERT_EQ(batch_q.result->series.size(), final_q.result->series.size());
-  for (std::size_t s = 0; s < batch_q.result->series.size(); ++s) {
-    EXPECT_TRUE(same_values(batch_q.result->series[s].series.span(),
+  // And the served result matches a second runtime over the same fleet,
+  // run to completion with no queries in between.
+  rt::VirtualClock other_clock;
+  rt::StreamingRuntime other(fleet, other_clock, cfg);
+  other.run_to_completion();
+  const auto other_q = other.query_engine().run(spec);
+  ASSERT_EQ(other_q.result->series.size(), final_q.result->series.size());
+  for (std::size_t s = 0; s < other_q.result->series.size(); ++s) {
+    EXPECT_TRUE(same_values(other_q.result->series[s].series.span(),
                             final_q.result->series[s].series.span()));
   }
 }

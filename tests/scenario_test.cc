@@ -8,8 +8,9 @@
 #include <memory>
 #include <set>
 
-#include "engine/engine.h"
 #include "engine/report.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "scenario/frontier.h"
 #include "scenario/scenario.h"
 #include "scenario/spec.h"
@@ -323,37 +324,32 @@ TEST(ScenarioBuild, CorrelatedStreamsShareAComponent) {
 // ----------------------------------------------- engine-level determinism --
 
 TEST(ScenarioEngine, DigestBitIdenticalAcrossWorkerCounts) {
-  // The acceptance gate: same spec + seed -> bit-identical engine digest
+  // The acceptance gate: same spec + seed -> bit-identical run digest
   // whatever the worker count (TSan-sized fleet).
   scn::ScenarioSpec spec = scn::default_scenario(28, 99);
   const scn::BuiltScenario built = scn::build_scenario(spec);
 
-  auto digest_with = [&built](std::size_t workers) {
-    eng::EngineConfig cfg;
-    cfg.workers = workers;
-    cfg.samples_per_window = 48;
-    cfg.windows_per_pair = 4;
-    eng::FleetMonitorEngine engine(built.fleet, cfg);
-    return eng::run_digest(engine.run());
+  auto digest_of = [](const tel::Fleet& fleet, std::size_t workers) {
+    rt::RuntimeConfig cfg;
+    cfg.engine.workers = workers;
+    cfg.engine.samples_per_window = 48;
+    cfg.engine.windows_per_pair = 4;
+    rt::VirtualClock clock;
+    rt::StreamingRuntime runtime(fleet, clock, cfg);
+    return eng::run_digest(runtime.run_to_completion());
   };
-  const std::uint64_t serial = digest_with(1);
-  const std::uint64_t parallel = digest_with(4);
+  const std::uint64_t serial = digest_of(built.fleet, 1);
+  const std::uint64_t parallel = digest_of(built.fleet, 4);
   EXPECT_EQ(serial, parallel);
 
   // A rebuilt scenario digests identically too (build + run determinism).
   const scn::BuiltScenario rebuilt = scn::build_scenario(spec);
-  eng::EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.samples_per_window = 48;
-  cfg.windows_per_pair = 4;
-  eng::FleetMonitorEngine engine(rebuilt.fleet, cfg);
-  EXPECT_EQ(eng::run_digest(engine.run()), serial);
+  EXPECT_EQ(digest_of(rebuilt.fleet, 2), serial);
 
   // And a different scenario seed must not.
   spec.seed = 100;
   const scn::BuiltScenario other = scn::build_scenario(spec);
-  eng::FleetMonitorEngine engine_other(other.fleet, cfg);
-  EXPECT_NE(eng::run_digest(engine_other.run()), serial);
+  EXPECT_NE(digest_of(other.fleet, 2), serial);
 }
 
 TEST(ScenarioFrontier, CellsCoverTheGridAndEveryGroup) {

@@ -19,6 +19,8 @@
 #include "monitor/store.h"
 #include "monitor/striped_store.h"
 #include "query/engine.h"
+#include "runtime/clock.h"
+#include "runtime/runtime.h"
 #include "signal/generators.h"
 #include "storage/codec.h"
 #include "storage/crc32.h"
@@ -568,7 +570,7 @@ TEST(StorageManager, CorruptTailBlockDropsTailInsteadOfResurrectingStaleOne) {
   EXPECT_EQ(rec.crc_skipped_blocks, 1u);
   // The tail is dropped (bounded, counted loss) — segment 1's 5.0 tail must
   // not reappear at segment 2's hot_t0 (t = 128, where 2.0s lived).
-  const auto snap = store.snapshot_stream("dev/t");
+  const auto snap = store.acquire_snapshot().export_stream("dev/t");
   EXPECT_TRUE(snap.hot.empty());
   const auto series = store.query("dev/t", 128.0, 135.0);
   ASSERT_EQ(series.size(), 7u);
@@ -616,7 +618,7 @@ TEST(StorageManager, TruncationAfterHeaderLeavesEmptyTailNotStaleOne) {
   EXPECT_GE(rec.crc_skipped_blocks, 1u);  // the truncated remainder
   EXPECT_EQ(rec.chunks_missing, 1u);      // the sealed chunk block is gone
   // Segment 1's stale 5.0 tail must NOT reappear at the new hot_t0 = 128.
-  EXPECT_TRUE(store.snapshot_stream("dev/t").hot.empty());
+  EXPECT_TRUE(store.acquire_snapshot().export_stream("dev/t").hot.empty());
   const auto series = store.query("dev/t", 128.0, 135.0);
   for (const double v : series.values()) EXPECT_NE(v, 5.0);
 }
@@ -763,13 +765,15 @@ TEST(StorageEngine, FivehundredPairColdStartIsBitIdentical) {
   const tel::Fleet fleet(fleet_cfg);
   ASSERT_GE(fleet.size(), 500u);
 
-  eng::EngineConfig cfg;
+  rt::RuntimeConfig rt_cfg;
+  eng::EngineConfig& cfg = rt_cfg.engine;
   cfg.workers = 4;
   cfg.samples_per_window = 48;
   cfg.windows_per_pair = 4;
   cfg.storage.dir = dir.path;
-  eng::FleetMonitorEngine engine(fleet, cfg);
-  const auto result = engine.run();
+  rt::VirtualClock clock;
+  rt::StreamingRuntime runtime(fleet, clock, rt_cfg);
+  const auto result = runtime.run_to_completion();
   ASSERT_TRUE(result.persisted);
   EXPECT_EQ(result.flush.streams, fleet.size());
   EXPECT_GT(result.storage.segment_bytes, 0u);
@@ -789,7 +793,7 @@ TEST(StorageEngine, FivehundredPairColdStartIsBitIdentical) {
   EXPECT_EQ(rec.crc_skipped_blocks, 0u);
 
   // Store-level equivalence: every stream's rollup and metadata match.
-  const auto live_rollup = engine.store().rollup();
+  const auto live_rollup = runtime.store().rollup();
   const auto cold_rollup = cold.rollup();
   EXPECT_EQ(live_rollup.ingested_samples, cold_rollup.ingested_samples);
   EXPECT_EQ(live_rollup.stored_samples, cold_rollup.stored_samples);
@@ -799,7 +803,7 @@ TEST(StorageEngine, FivehundredPairColdStartIsBitIdentical) {
 
   // QueryEngine over the reopened store answers bit-identically to the
   // live serving session — exact streams and fleet-wide aggregates.
-  qry::QueryEngine live_qe = engine.serve();
+  qry::QueryEngine& live_qe = runtime.query_engine();
   qry::QueryEngine cold_qe(cold);
 
   std::vector<qry::QuerySpec> specs;

@@ -1,15 +1,21 @@
 // Utility layer: seeded RNG distributions, CSV writing, ASCII rendering,
-// contract-check macros.
+// contract-check macros, the parallel_claim fan-out.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/ascii.h"
 #include "util/check.h"
 #include "util/csv.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace {
@@ -191,6 +197,54 @@ TEST(Check, MessageContainsContext) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("the-context"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
+  }
+}
+
+TEST(ParallelClaim, RunsEveryIndexExactlyOnce) {
+  constexpr std::size_t kTasks = 257;
+  for (const std::size_t workers : {1u, 4u}) {
+    std::vector<std::atomic<int>> runs(kTasks);
+    EXPECT_EQ(nyqmon::parallel_claim(kTasks, workers,
+                                     [&](std::size_t i) { ++runs[i]; }),
+              workers);
+    for (std::size_t i = 0; i < kTasks; ++i)
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i << ", " << workers;
+  }
+}
+
+TEST(ParallelClaim, TaskExceptionReachesCallerAfterWorkersJoin) {
+  // A throwing task on a pooled std::thread would std::terminate the
+  // process; parallel_claim must stop handing out indices, join every
+  // worker, and only then rethrow on the calling thread.
+  constexpr std::size_t kTasks = 64;
+  constexpr std::size_t kThrowing = 5;
+  for (const std::size_t workers : {1u, 4u}) {
+    std::vector<std::atomic<int>> runs(kTasks);
+    std::atomic<int> in_flight{0};
+    try {
+      nyqmon::parallel_claim(kTasks, workers, [&](std::size_t i) {
+        ++runs[i];
+        if (i == kThrowing) throw std::runtime_error("task failed");
+        // Slow tasks: other workers are mid-task when the throw happens,
+        // so a rethrow before they join would see in_flight > 0.
+        ++in_flight;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        --in_flight;
+      });
+      ADD_FAILURE() << "no exception reached the caller, " << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task failed");
+      EXPECT_EQ(in_flight.load(), 0) << "rethrown before workers joined";
+    }
+    EXPECT_EQ(runs[kThrowing].load(), 1);
+    std::size_t ran = 0;
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      EXPECT_LE(runs[i].load(), 1) << "index " << i << " ran twice";
+      ran += static_cast<std::size_t>(runs[i].load());
+    }
+    // Claiming stops at the failure: the tasks in flight then finish, but
+    // no worker picks up the rest of the queue.
+    EXPECT_LT(ran, kTasks) << workers;
   }
 }
 
