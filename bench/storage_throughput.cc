@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common.h"
-#include "monitor/store.h"
+#include "monitor/striped_store.h"
 #include "storage/manager.h"
 #include "util/rng.h"
 
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------- ingest + WAL --
   sto::StorageManager manager(storage_cfg);
-  mon::RetentionStore store(store_cfg);
+  mon::StripedRetentionStore store(store_cfg);
   store.set_ingest_sink(&manager);
   Rng rng(bench::kFleetSeed);
   const double t_ingest = now_s();
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   sto::StorageConfig read_cfg;
   read_cfg.dir = dir;
   sto::StorageManager reopened(read_cfg);
-  mon::RetentionStore cold(store_cfg);
+  mon::StripedRetentionStore cold(store_cfg);
   const sto::RecoveryStats rec = reopened.recover(cold);
   const double recover_mb_s = double(rollup.bytes_raw) / 1.0e6 / rec.seconds;
   std::printf("recover: %.3fs (%.1f MB/s raw), %zu chunks, %zu streams\n",
@@ -148,9 +148,11 @@ int main(int argc, char** argv) {
 
   // Bit-identity spot check: a recovered stream must answer exactly like
   // the live one.
-  const auto meta = store.meta("dev000/metric0");
-  const auto live_q = store.query("dev000/metric0", meta.t0, meta.t_end);
-  const auto cold_q = cold.query("dev000/metric0", meta.t0, meta.t_end);
+  const auto meta = store.find_meta("dev000/metric0").value();
+  const auto live_q =
+      store.acquire_snapshot().query("dev000/metric0", meta.t0, meta.t_end);
+  const auto cold_q =
+      cold.acquire_snapshot().query("dev000/metric0", meta.t0, meta.t_end);
   if (live_q.size() != cold_q.size() ||
       std::memcmp(live_q.values().data(), cold_q.values().data(),
                   8 * live_q.size()) != 0) {

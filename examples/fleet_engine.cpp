@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   // Retained data stays queryable: pull the first pair's stream back out.
   const auto& pair = fleet.pairs().front();
   const std::string id = tel::stream_id(pair);
-  const auto series =
-      runtime.store().query(id, 0.0, 32.0 * pair.metric.poll_interval_s);
+  const auto series = runtime.store().acquire_snapshot().query(
+      id, 0.0, 32.0 * pair.metric.poll_interval_s);
   std::printf("\nquery %s -> %zu samples on the production grid "
               "(first %.3g, last %.3g)\n",
               id.c_str(), series.size(), series.values().front(),

@@ -8,7 +8,7 @@
 // keeps the latter at full rate; queries reconstruct transparently.
 #include <cstdio>
 
-#include "monitor/store.h"
+#include "monitor/striped_store.h"
 #include "reconstruct/error.h"
 #include "signal/generators.h"
 #include "util/rng.h"
@@ -23,7 +23,7 @@ int main() {
 
   mon::StoreConfig cfg;
   cfg.chunk_samples = 1024;
-  mon::RetentionStore store(cfg);
+  mon::StripedRetentionStore store(cfg);
   store.create_stream("tor7/link_util", 1.0);
   store.create_stream("tor7/drops", 1.0);
 
@@ -41,7 +41,8 @@ int main() {
   }
 
   // Query the link stream back and check fidelity against ground truth.
-  const auto recon = store.query("tor7/link_util", 500.0, 3500.0);
+  const auto recon =
+      store.acquire_snapshot().query("tor7/link_util", 500.0, 3500.0);
   std::vector<double> truth;
   truth.reserve(recon.size());
   for (std::size_t i = 0; i < recon.size(); ++i)

@@ -5,7 +5,7 @@
 // at a time. rt::StreamingRuntime (runtime/runtime.h) scales it out: every
 // pair of a fleet is driven through adaptive sampling, reconstruction and an
 // aliasing audit concurrently, reconstructions flow into a shared
-// mutex-striped RetentionStore keyed by "device/metric" stream IDs, and
+// StripedRetentionStore keyed by "device/metric" stream IDs, and
 // per-pair outcomes feed the fleet report (engine/report.h). This header
 // holds the types that describe such a run: its config (EngineConfig), one
 // pair's outcome (PairOutcome) and the aggregate (FleetRunResult).

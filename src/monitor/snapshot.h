@@ -1,15 +1,14 @@
 // Snapshot-isolated read primitives for the retention store.
 //
-// The store's original read path reconstructed under the owning stripe
-// lock, so one slow query serialized against ingest and produced the
-// ~1000x p50/p99 latency split the streaming bench measures. This header
-// holds the pieces that decouple readers from writers:
+// Reconstructing under the owning stripe lock would serialize one slow
+// query against ingest (the streaming bench measured a ~1000x p50/p99
+// latency split when reads did). This header holds the pieces that
+// decouple readers from writers:
 //
 //   SealedChunk      an immutable sealed chunk, shared by reference
 //                    between the store and any live snapshots.
 //   reconstruct_range()  the one band-limited reconstruction algorithm,
-//                    shared by the locked store query and lock-free
-//                    snapshot reads so both are bit-identical.
+//                    behind ReadSnapshot::query().
 //   EpochRegistry    a monotonic epoch counter plus the set of epochs
 //                    pinned by live snapshots. Chunks evicted by the
 //                    retention cap are parked here, stamped with the
@@ -47,12 +46,9 @@ using SealedChunkRef = std::shared_ptr<const SealedChunk>;
 
 /// Reconstruct the half-open range [t_begin, t_end) on the collection grid
 /// from sealed chunks plus the unsealed hot tail (rooted at hot_t0, raw at
-/// the collection rate). This is the single reconstruction algorithm: the
-/// store's locked query() and ReadSnapshot's lock-free query() both call
-/// it, so snapshot reads are bit-identical to locked reads by
-/// construction. Semantics match RetentionStore::query (clamped empty
-/// ranges, hole-filling with the nearest value, nearest-value hold for
-/// fully disjoint ranges).
+/// the collection rate). The algorithm behind ReadSnapshot::query, whose
+/// contract it implements (clamped empty ranges, hole-filling with the
+/// nearest value, nearest-value hold for fully disjoint ranges).
 sig::RegularSeries reconstruct_range(double collection_rate_hz,
                                      std::span<const SealedChunkRef> chunks,
                                      std::span<const double> hot,

@@ -10,14 +10,17 @@
 
 namespace nyqmon::mon {
 
-RetentionStore::RetentionStore(StoreConfig config) : config_(config) {
+RetentionStore::RetentionStore(StoreConfig config,
+                               std::shared_ptr<EpochRegistry> epochs)
+    : config_(config), epochs_(std::move(epochs)) {
   NYQMON_CHECK(config_.chunk_samples >= 32);
   NYQMON_CHECK(config_.headroom >= 1.0);
 }
 
 void RetentionStore::create_stream(const std::string& name,
                                    double collection_rate_hz, double t0) {
-  NYQMON_CHECK(collection_rate_hz > 0.0);
+  NYQMON_CHECK_MSG(collection_rate_hz > 0.0,
+                   "stream creation needs a positive rate: " + name);
   NYQMON_CHECK_MSG(streams_.find(name) == streams_.end(),
                    "stream already exists: " + name);
   if (sink_ != nullptr) sink_->on_create_stream(name, collection_rate_hz, t0);
@@ -107,25 +110,10 @@ void RetentionStore::seal_chunk(Stream& s) {
   }
 }
 
-const RetentionStore::Stream& RetentionStore::stream(
-    const std::string& name) const {
+StreamStats RetentionStore::stats(const std::string& name) const {
   const auto it = streams_.find(name);
   NYQMON_CHECK_MSG(it != streams_.end(), "unknown stream: " + name);
-  return it->second;
-}
-
-sig::RegularSeries RetentionStore::query(const std::string& name,
-                                         double t_begin, double t_end) const {
-  // The reconstruction algorithm lives in monitor/snapshot.cc and is
-  // shared with ReadSnapshot::query, so snapshot-isolated reads are
-  // bit-identical to this locked path by construction.
-  const Stream& s = stream(name);
-  return reconstruct_range(s.collection_rate_hz, s.chunks, s.hot, s.hot_t0,
-                           t_begin, t_end);
-}
-
-StreamStats RetentionStore::stats(const std::string& name) const {
-  return stream(name).stats;
+  return it->second.stats;
 }
 
 namespace {
@@ -142,11 +130,6 @@ StreamMeta make_meta(double rate_hz, double t0, std::size_t ingested,
 }
 
 }  // namespace
-
-StreamMeta RetentionStore::meta(const std::string& name) const {
-  const Stream& s = stream(name);
-  return make_meta(s.collection_rate_hz, s.t0, s.ingested, s.generation);
-}
 
 std::optional<StreamMeta> RetentionStore::find_meta(
     const std::string& name) const {
@@ -257,27 +240,6 @@ bool RetentionStore::capture_stream_view(const std::string& name,
 void RetentionStore::capture_all_views(std::vector<StreamView>& out) const {
   out.reserve(out.size() + streams_.size());
   for (const auto& [name, s] : streams_) out.push_back(make_view(name, s));
-}
-
-ReadSnapshot RetentionStore::acquire_snapshot() const {
-  std::vector<StreamView> views;
-  capture_all_views(views);
-  return ReadSnapshot(epochs_, epochs_->pin(), std::move(views));
-}
-
-ReadSnapshot RetentionStore::acquire_snapshot(
-    std::span<const std::string> names) const {
-  std::vector<StreamView> views;
-  views.reserve(names.size());
-  for (const auto& name : names) {
-    StreamView v;
-    if (capture_stream_view(name, v)) views.push_back(std::move(v));
-  }
-  std::sort(views.begin(), views.end(),
-            [](const StreamView& a, const StreamView& b) {
-              return a.name < b.name;
-            });
-  return ReadSnapshot(epochs_, epochs_->pin(), std::move(views));
 }
 
 // ---- ReadSnapshot ----

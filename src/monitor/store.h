@@ -11,8 +11,11 @@
 // the (high) collection rate into a bounded hot buffer; when a chunk of the
 // hot buffer seals, the store estimates its Nyquist rate and persists the
 // chunk re-sampled at headroom * that rate (falling back to the raw rate
-// when the estimate is unusable). Queries reconstruct any time range back
-// onto the collection grid by band-limited interpolation.
+// when the estimate is unusable). Reads reconstruct any time range back
+// onto the collection grid by band-limited interpolation, through a
+// ReadSnapshot. RetentionStore is one stripe of the thread-safe
+// StripedRetentionStore (monitor/striped_store.h), which is the store the
+// rest of nyqmon builds.
 #pragma once
 
 #include <cstdint>
@@ -170,12 +173,11 @@ struct StreamView {
 };
 
 /// An immutable, epoch-stamped view over a set of streams, acquired from
-/// RetentionStore/StripedRetentionStore::acquire_snapshot(). Capture is
-/// brief (per stripe: chunk refs + a hot-tail copy per stream, under the
-/// stripe lock); every read afterwards — query(), export_stream(),
-/// find_meta() — is lock-free and unaffected by concurrent ingest. Reads
-/// are bit-identical to the store's own locked query() at capture time
-/// because both run the shared reconstruct_range() algorithm.
+/// StripedRetentionStore::acquire_snapshot() — the store's only
+/// reconstructing read path. Capture is brief (per stripe: chunk refs + a
+/// hot-tail copy per stream, under the stripe lock); every read afterwards
+/// — query(), export_stream(), find_meta() — is lock-free and unaffected
+/// by concurrent ingest.
 ///
 /// The handle pins its epoch in the store's EpochRegistry: sealed chunks
 /// evicted by the retention cap while this snapshot is live are parked,
@@ -226,9 +228,15 @@ class ReadSnapshot {
   /// Metadata as of capture time; nullopt for names outside the snapshot.
   std::optional<StreamMeta> find_meta(const std::string& name) const;
 
-  /// Lock-free reconstruction over the captured state; same contract as
-  /// RetentionStore::query. Throws std::invalid_argument for names
-  /// outside the snapshot.
+  /// Reconstruct the half-open range [t_begin, t_end) on the stream's
+  /// collection grid from what the store kept at capture time (sealed
+  /// chunks re-sampled, the hot tail raw); lock-free. The result holds
+  /// round((t_end - t_begin) * rate) points at t_begin + i/rate, all
+  /// < t_end up to grid rounding. Inverted or empty ranges (t_begin >=
+  /// t_end, or a span shorter than half a grid step) are clamped to a
+  /// defined result: an empty series anchored at t_begin on the collection
+  /// grid. Ranges beyond the ingested data hold the nearest stored value.
+  /// Throws std::invalid_argument for names outside the snapshot.
   sig::RegularSeries query(const std::string& name, double t_begin,
                            double t_end) const;
 
@@ -263,12 +271,13 @@ class IngestSink {
                          std::span<const double> values) = 0;
 };
 
+/// One stripe of a StripedRetentionStore. Not thread-safe: the owning
+/// stripe's lock guards every call, and only StripedRetentionStore
+/// constructs it.
 class RetentionStore {
  public:
-  explicit RetentionStore(StoreConfig config = {});
-
-  /// Create a stream ingesting at `collection_rate_hz` starting at t0.
-  /// Stream names must be unique.
+  /// Create a stream ingesting at `collection_rate_hz` (> 0) starting at
+  /// t0. Stream names must be unique.
   void create_stream(const std::string& name, double collection_rate_hz,
                      double t0 = 0.0);
 
@@ -278,24 +287,10 @@ class RetentionStore {
   /// Bulk append: one stream lookup for the whole series.
   void append_series(const std::string& name, std::span<const double> values);
 
-  /// Reconstruct the half-open range [t_begin, t_end) on the stream's
-  /// collection grid from whatever the store kept (sealed chunks re-sampled,
-  /// the hot tail raw). The result holds round((t_end - t_begin) * rate)
-  /// points at t_begin + i/rate, all < t_end up to grid rounding. Inverted
-  /// or empty ranges (t_begin >= t_end, or a span shorter than half a grid
-  /// step) are clamped to a defined result: an empty series anchored at
-  /// t_begin on the collection grid. Ranges beyond the ingested data hold
-  /// the nearest stored value. Unknown names throw std::invalid_argument.
-  sig::RegularSeries query(const std::string& name, double t_begin,
-                           double t_end) const;
-
   StreamStats stats(const std::string& name) const;
 
-  /// Grid/span/generation metadata for one stream (see StreamMeta).
-  StreamMeta meta(const std::string& name) const;
-
-  /// meta() that reports an unknown name as nullopt instead of throwing —
-  /// the serving layer's exact-selector fast path.
+  /// Grid/span/generation metadata for one stream (see StreamMeta), or
+  /// nullopt for an unknown name.
   std::optional<StreamMeta> find_meta(const std::string& name) const;
 
   /// Metadata for every stream, in lexicographic name order. Cheap (no
@@ -327,18 +322,6 @@ class RetentionStore {
   /// generation counter continues monotonically.
   void restore_stream(StreamSnapshot snapshot);
 
-  // ---- snapshot-isolated reads ----
-
-  /// Acquire an immutable, epoch-stamped view over every stream (see
-  /// ReadSnapshot). Capture cost: chunk refs plus one hot-tail copy per
-  /// stream; reads on the handle never touch the store again.
-  ReadSnapshot acquire_snapshot() const;
-
-  /// Acquire a snapshot covering only `names` (unknown names are skipped,
-  /// mirroring the serving layer's match-then-read pipeline where a
-  /// stream can only appear between match and capture).
-  ReadSnapshot acquire_snapshot(std::span<const std::string> names) const;
-
   /// Capture one stream's view without pinning an epoch — the striped
   /// store composes these per stripe under each stripe lock, then pins
   /// once. Returns false for unknown names.
@@ -347,17 +330,14 @@ class RetentionStore {
   /// Capture every stream's view (appended to `out` in name order).
   void capture_all_views(std::vector<StreamView>& out) const;
 
-  /// The epoch registry backing this store's snapshots. A striped store
-  /// replaces each stripe's registry with one shared instance so a fleet
-  /// snapshot pins a single epoch.
-  const std::shared_ptr<EpochRegistry>& epoch_registry() const {
-    return epochs_;
-  }
-  void share_epoch_registry(std::shared_ptr<EpochRegistry> registry) {
-    epochs_ = std::move(registry);
-  }
-
  private:
+  friend class StripedRetentionStore;
+
+  /// `epochs` is the store-wide registry every stripe shares, so one
+  /// snapshot pins one epoch and cap-evicted chunks park until no snapshot
+  /// that could still reference them is live.
+  RetentionStore(StoreConfig config, std::shared_ptr<EpochRegistry> epochs);
+
   struct Stream {
     double collection_rate_hz = 0.0;
     double t0 = 0.0;
@@ -371,13 +351,12 @@ class RetentionStore {
   };
 
   void seal_chunk(Stream& stream);
-  const Stream& stream(const std::string& name) const;
   StreamView make_view(const std::string& name, const Stream& s) const;
 
   StoreConfig config_;
   std::map<std::string, Stream> streams_;
   IngestSink* sink_ = nullptr;
-  std::shared_ptr<EpochRegistry> epochs_ = std::make_shared<EpochRegistry>();
+  std::shared_ptr<EpochRegistry> epochs_;
 };
 
 }  // namespace nyqmon::mon

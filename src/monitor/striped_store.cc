@@ -43,19 +43,37 @@ std::unique_lock<std::mutex> lock_stripe(std::mutex& mu) {
 #endif
 }
 
+/// Merge `all`, a concatenation of name-sorted per-stripe runs ending at
+/// `bounds` (bounds[0] == 0), into one name-sorted sequence. Cascading
+/// inplace_merge over the run boundaries costs O(n log stripes) instead of
+/// a re-sort from scratch; list_meta() runs this once per query.
+template <typename T, typename Less>
+void merge_stripe_runs(std::vector<T>& all, std::vector<std::size_t> bounds,
+                       Less less) {
+  while (bounds.size() > 2) {
+    std::vector<std::size_t> next{0};
+    for (std::size_t i = 2; i < bounds.size(); i += 2) {
+      std::inplace_merge(all.begin() + bounds[i - 2],
+                         all.begin() + bounds[i - 1], all.begin() + bounds[i],
+                         less);
+      next.push_back(bounds[i]);
+    }
+    if (bounds.size() % 2 == 0) next.push_back(bounds.back());
+    bounds = std::move(next);
+  }
+}
+
 }  // namespace
 
 StripedRetentionStore::StripedRetentionStore(StoreConfig config,
                                              std::size_t stripes) {
   NYQMON_CHECK(stripes >= 1);
   stripes_.reserve(stripes);
-  for (std::size_t i = 0; i < stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>(config));
-    // All stripes share one epoch registry: acquire_snapshot() pins a
-    // single epoch covering the whole store, and chunks evicted by any
-    // stripe defer to the same live-snapshot set.
-    stripes_.back()->store.share_epoch_registry(epochs_);
-  }
+  // All stripes share one epoch registry: acquire_snapshot() pins a single
+  // epoch covering the whole store, and chunks evicted by any stripe defer
+  // to the same live-snapshot set.
+  for (std::size_t i = 0; i < stripes; ++i)
+    stripes_.push_back(std::make_unique<Stripe>(config, epochs_));
 }
 
 StripedRetentionStore::Stripe& StripedRetentionStore::stripe_of(
@@ -95,24 +113,23 @@ void StripedRetentionStore::append_series(const std::string& name,
   NYQMON_OBS_COUNT("nyqmon_store_generation_bumps_total", 1);
 }
 
-sig::RegularSeries StripedRetentionStore::query(const std::string& name,
-                                                double t_begin,
-                                                double t_end) const {
-  const Stripe& s = stripe_of(name);
+std::size_t StripedRetentionStore::create_or_append(
+    const std::string& name, double collection_rate_hz, double t0,
+    std::span<const double> values) {
+  Stripe& s = stripe_of(name);
   const auto lock = lock_stripe(s.mu);
-  return s.store.query(name, t_begin, t_end);
+  if (!s.store.find_meta(name))
+    s.store.create_stream(name, collection_rate_hz, t0);
+  s.store.append_series(name, values);
+  NYQMON_OBS_COUNT("nyqmon_store_appends_total", 1);
+  NYQMON_OBS_COUNT("nyqmon_store_generation_bumps_total", 1);
+  return s.store.find_meta(name)->ingested_samples;
 }
 
 StreamStats StripedRetentionStore::stats(const std::string& name) const {
   const Stripe& s = stripe_of(name);
   const auto lock = lock_stripe(s.mu);
   return s.store.stats(name);
-}
-
-StreamMeta StripedRetentionStore::meta(const std::string& name) const {
-  const Stripe& s = stripe_of(name);
-  const auto lock = lock_stripe(s.mu);
-  return s.store.meta(name);
 }
 
 std::optional<StreamMeta> StripedRetentionStore::find_meta(
@@ -124,10 +141,6 @@ std::optional<StreamMeta> StripedRetentionStore::find_meta(
 
 std::vector<std::pair<std::string, StreamMeta>>
 StripedRetentionStore::list_meta() const {
-  // Each stripe's map yields its entries already name-sorted, so the
-  // concatenation is a list of sorted runs: cascade inplace_merge over the
-  // run boundaries (O(S log stripes)) instead of re-sorting from scratch —
-  // this sits on the serving hot path, once per query.
   std::vector<std::pair<std::string, StreamMeta>> all;
   std::vector<std::size_t> bounds{0};
   for (const auto& stripe : stripes_) {
@@ -137,20 +150,9 @@ StripedRetentionStore::list_meta() const {
                std::make_move_iterator(part.end()));
     bounds.push_back(all.size());
   }
-  const auto by_name = [](const auto& a, const auto& b) {
+  merge_stripe_runs(all, std::move(bounds), [](const auto& a, const auto& b) {
     return a.first < b.first;
-  };
-  while (bounds.size() > 2) {
-    std::vector<std::size_t> next{0};
-    for (std::size_t i = 2; i < bounds.size(); i += 2) {
-      std::inplace_merge(all.begin() + bounds[i - 2],
-                         all.begin() + bounds[i - 1], all.begin() + bounds[i],
-                         by_name);
-      next.push_back(bounds[i]);
-    }
-    if (bounds.size() % 2 == 0) next.push_back(bounds.back());
-    bounds = std::move(next);
-  }
+  });
   return all;
 }
 
@@ -202,9 +204,8 @@ void StripedRetentionStore::restore_stream(StreamSnapshot snapshot) {
 
 ReadSnapshot StripedRetentionStore::acquire_snapshot() const {
   // Capture per stripe under its lock (brief: chunk refs + hot copies),
-  // pin one epoch for the composed view. Each stripe's map yields its
-  // streams name-sorted, so like list_meta() the concatenation is sorted
-  // runs; a final merge keeps ReadSnapshot::find's binary-search invariant.
+  // pin one epoch for the composed view. The merge keeps
+  // ReadSnapshot::find's binary-search invariant.
   std::vector<StreamView> views;
   std::vector<std::size_t> bounds{0};
   for (const auto& stripe : stripes_) {
@@ -212,20 +213,10 @@ ReadSnapshot StripedRetentionStore::acquire_snapshot() const {
     stripe->store.capture_all_views(views);
     bounds.push_back(views.size());
   }
-  const auto by_name = [](const StreamView& a, const StreamView& b) {
-    return a.name < b.name;
-  };
-  while (bounds.size() > 2) {
-    std::vector<std::size_t> next{0};
-    for (std::size_t i = 2; i < bounds.size(); i += 2) {
-      std::inplace_merge(views.begin() + bounds[i - 2],
-                         views.begin() + bounds[i - 1],
-                         views.begin() + bounds[i], by_name);
-      next.push_back(bounds[i]);
-    }
-    if (bounds.size() % 2 == 0) next.push_back(bounds.back());
-    bounds = std::move(next);
-  }
+  merge_stripe_runs(views, std::move(bounds),
+                    [](const StreamView& a, const StreamView& b) {
+                      return a.name < b.name;
+                    });
   return ReadSnapshot(epochs_, epochs_->pin(), std::move(views));
 }
 

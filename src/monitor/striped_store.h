@@ -1,4 +1,5 @@
-// Thread-safe, mutex-striped facade over RetentionStore.
+// The retention store nyqmon builds: thread-safe and mutex-striped over
+// RetentionStore (monitor/store.h, the paper's a-posteriori policy).
 //
 // The fleet engine drives hundreds of metric-device pairs concurrently and
 // every pair ingests its reconstruction into shared retention. A single
@@ -7,7 +8,8 @@
 // of the stream name; each stripe has its own lock and unrelated streams
 // ingest in parallel. The final store state is independent of thread
 // interleaving because every stream is written by exactly one producer and
-// stripe assignment depends only on the name.
+// stripe assignment depends only on the name. Reconstructing reads go
+// through acquire_snapshot().
 #pragma once
 
 #include <memory>
@@ -34,14 +36,19 @@ class StripedRetentionStore {
   /// Bulk ingest: one lock acquisition for the whole series.
   void append_series(const std::string& name, std::span<const double> values);
 
-  sig::RegularSeries query(const std::string& name, double t_begin,
-                           double t_end) const;
+  /// Append `values` to `name`, first creating it at (collection_rate_hz,
+  /// t0) when it does not exist yet, all under one stripe lock — so two
+  /// concurrent first writers of a stream never both try to create it.
+  /// Returns the stream's ingested sample count after the append. A new
+  /// stream with collection_rate_hz <= 0 throws and creates nothing.
+  std::size_t create_or_append(const std::string& name,
+                               double collection_rate_hz, double t0,
+                               std::span<const double> values);
+
   StreamStats stats(const std::string& name) const;
 
-  /// Grid/span/generation metadata for one stream (see StreamMeta).
-  StreamMeta meta(const std::string& name) const;
-
-  /// meta() that reports an unknown name as nullopt instead of throwing.
+  /// Grid/span/generation metadata for one stream (see StreamMeta), or
+  /// nullopt for an unknown name.
   std::optional<StreamMeta> find_meta(const std::string& name) const;
 
   /// Metadata for every stream across stripes, lexicographically sorted by
@@ -79,8 +86,9 @@ class StripedRetentionStore {
   /// turn — per-stripe (not globally) atomic under concurrent ingest, the
   /// same consistency list_meta() offers — and pins one epoch in the
   /// store-wide registry; every read on the handle afterwards is
-  /// lock-free. This is the read path the query engine, HANDOFF export,
-  /// and the storage flush use so reconstruction never blocks ingest.
+  /// lock-free. This is the only way to reconstruct a stream: the query
+  /// engine, HANDOFF export and the storage flush all read through it, so
+  /// reconstruction never blocks ingest.
   ReadSnapshot acquire_snapshot() const;
 
   /// Snapshot covering only `names` (unknown names are skipped). Stripes
@@ -98,7 +106,8 @@ class StripedRetentionStore {
     mutable std::mutex mu;
     RetentionStore store;
 
-    explicit Stripe(const StoreConfig& config) : store(config) {}
+    Stripe(const StoreConfig& config, std::shared_ptr<EpochRegistry> epochs)
+        : store(config, std::move(epochs)) {}
   };
 
   Stripe& stripe_of(const std::string& name);

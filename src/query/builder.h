@@ -24,7 +24,6 @@
 // canonical key.
 #pragma once
 
-#include <cstdint>
 #include <utility>
 
 #include "query/spec.h"
@@ -85,19 +84,8 @@ class QueryBuilder {
     return spec_;
   }
 
-  /// The spec as filled so far, unvalidated (tests poke at partial specs).
-  const QuerySpec& peek() const { return spec_; }
-
   bool matched_wanted() const { return want_matched_; }
   bool explain_wanted() const { return want_explain_; }
-
-  /// The QUERY request flag byte these options encode to. Bit values match
-  /// server/protocol.h (kQueryWantMatched = 0x01, kQueryWantExplain = 0x02);
-  /// server_test pins the equivalence.
-  std::uint8_t wire_flags() const {
-    return static_cast<std::uint8_t>((want_matched_ ? 0x01 : 0) |
-                                     (want_explain_ ? 0x02 : 0));
-  }
 
  private:
   QuerySpec spec_;

@@ -684,15 +684,14 @@ std::vector<std::uint8_t> NyqmondServer::handle_ingest(
     sto::ByteReader& reader) {
   const auto req = decode_ingest(reader);
   if (!req.has_value()) return error_frame("malformed INGEST payload");
-  if (!store_.find_meta(req->stream).has_value()) {
-    if (!(req->rate_hz > 0.0))
-      return error_frame("stream creation needs rate_hz > 0");
-    store_.create_stream(req->stream, req->rate_hz, req->t0);
-  }
-  store_.append_series(req->stream, req->values);
+  // One stripe-locked step: connections on different reactors may race to
+  // create the same new stream. A new stream with rate_hz <= 0 throws
+  // (ERR via dispatch) and creates nothing.
+  const std::size_t total = store_.create_or_append(
+      req->stream, req->rate_hz, req->t0, req->values);
   samples_ingested_.fetch_add(req->values.size());
   std::vector<std::uint8_t> payload;
-  sto::put_u64(payload, store_.meta(req->stream).ingested_samples);
+  sto::put_u64(payload, total);
   return ok_frame(payload);
 }
 

@@ -236,8 +236,7 @@ void StorageManager::record_geometry(const mon::StoreConfig& config) {
   write_manifest_locked();
 }
 
-template <typename Store>
-FlushStats StorageManager::flush_impl(const Store& store) {
+FlushStats StorageManager::flush(const mon::StripedRetentionStore& store) {
   NYQMON_TRACE_SPAN("flush", "storage");
   const auto t_start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(manifest_mu_);
@@ -324,16 +323,7 @@ FlushStats StorageManager::flush_impl(const Store& store) {
   return out;
 }
 
-FlushStats StorageManager::flush(const mon::RetentionStore& store) {
-  return flush_impl(store);
-}
-
-FlushStats StorageManager::flush(const mon::StripedRetentionStore& store) {
-  return flush_impl(store);
-}
-
-template <typename Store>
-RecoveryStats StorageManager::recover_impl(Store& store) {
+RecoveryStats StorageManager::recover(mon::StripedRetentionStore& store) {
   const auto t_start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(manifest_mu_);
   NYQMON_CHECK_MSG(store.streams() == 0, "recover() needs an empty store");
@@ -422,14 +412,6 @@ RecoveryStats StorageManager::recover_impl(Store& store) {
   recovered_ = true;
   out.seconds = elapsed_s(t_start);
   return out;
-}
-
-RecoveryStats StorageManager::recover(mon::RetentionStore& store) {
-  return recover_impl(store);
-}
-
-RecoveryStats StorageManager::recover(mon::StripedRetentionStore& store) {
-  return recover_impl(store);
 }
 
 std::size_t StorageManager::compact_locked() {

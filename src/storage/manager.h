@@ -174,12 +174,10 @@ class StorageManager final : public mon::IngestSink {
   void record_geometry(const mon::StoreConfig& config);
 
   /// Checkpoint the store (see class comment). Quiesced ingest required.
-  FlushStats flush(const mon::RetentionStore& store);
   FlushStats flush(const mon::StripedRetentionStore& store);
 
   /// Rebuild `store` (which must be freshly constructed and empty) from the
   /// directory. Attach-mode managers must recover before any ingest.
-  RecoveryStats recover(mon::RetentionStore& store);
   RecoveryStats recover(mon::StripedRetentionStore& store);
 
   /// Fold all live segments into one. Returns how many were folded (0 if
@@ -211,11 +209,6 @@ class StorageManager final : public mon::IngestSink {
   void remove_orphans_locked();
   std::size_t compact_locked();
   void compaction_loop();
-
-  template <typename Store>
-  FlushStats flush_impl(const Store& store);
-  template <typename Store>
-  RecoveryStats recover_impl(Store& store);
 
   StorageConfig config_;
 

@@ -473,7 +473,7 @@ TEST(Fleet, ConcurrentQueriesAnswerLikeOneNodeBesideIngest) {
   // The side stream landed whole on its ring owner, and only there.
   const std::size_t owner = four.router->ring().owner(side);
   ASSERT_TRUE(four.stores[owner]->find_meta(side).has_value());
-  EXPECT_EQ(four.stores[owner]->meta(side).ingested_samples,
+  EXPECT_EQ(four.stores[owner]->find_meta(side).value().ingested_samples,
             kBatches * kBatch);
 }
 

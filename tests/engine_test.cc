@@ -57,10 +57,12 @@ TEST(StripedStore, ConcurrentIngestMatchesSerial) {
   EXPECT_EQ(a.stored_samples, b.stored_samples);
   EXPECT_EQ(a.chunks, b.chunks);
   EXPECT_EQ(a.chunks_reduced, b.chunks_reduced);
+  const mon::ReadSnapshot serial_snap = serial.acquire_snapshot();
+  const mon::ReadSnapshot parallel_snap = parallel.acquire_snapshot();
   for (std::size_t s = 0; s < kStreams; ++s) {
     const std::string name = "stream" + std::to_string(s);
-    const auto qa = serial.query(name, 0.0, 100.0);
-    const auto qb = parallel.query(name, 0.0, 100.0);
+    const auto qa = serial_snap.query(name, 0.0, 100.0);
+    const auto qb = parallel_snap.query(name, 0.0, 100.0);
     ASSERT_EQ(qa.size(), qb.size());
     for (std::size_t i = 0; i < qa.size(); ++i) EXPECT_EQ(qa[i], qb[i]);
   }
@@ -75,7 +77,7 @@ TEST(StripedStore, DelegatesStreamApi) {
   for (int i = 0; i < 10; ++i) store.append("a", 3.0);
   EXPECT_EQ(store.stats("a").ingested_samples, 10u);
   EXPECT_EQ(store.streams(), 1u);
-  const auto series = store.query("a", 0.0, 10.0);
+  const auto series = store.acquire_snapshot().query("a", 0.0, 10.0);
   EXPECT_EQ(series.size(), 10u);
   EXPECT_NEAR(series[0], 3.0, 1e-12);
 }
@@ -149,8 +151,8 @@ TEST(Engine, RetainsQueryableStreamsAndReports) {
     const std::string id = tel::stream_id(pair);
     const auto stats = runtime.store().stats(id);
     EXPECT_GT(stats.ingested_samples, 0u) << id;
-    const auto series =
-        runtime.store().query(id, 0.0, 8.0 * pair.metric.poll_interval_s);
+    const auto series = runtime.store().acquire_snapshot().query(
+        id, 0.0, 8.0 * pair.metric.poll_interval_s);
     EXPECT_EQ(series.size(), 8u) << id;
   }
 

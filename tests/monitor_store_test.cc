@@ -1,5 +1,6 @@
-// RetentionStore (the paper's a-posteriori policy: collect fast, store at
-// the Nyquist rate) and RatePriorStore (warm-starting from fleet history).
+// The retention store (the paper's a-posteriori policy: collect fast, store
+// at the Nyquist rate) and RatePriorStore (warm-starting from fleet
+// history).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,20 +23,21 @@ namespace {
 using nyqmon::Rng;
 using namespace nyqmon;
 using mon::RatePriorStore;
-using mon::RetentionStore;
 using mon::StoreConfig;
+using mon::StripedRetentionStore;
 
 TEST(Store, CreateAppendQuery) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("tor1/temp", 1.0 / 30.0);
   for (int i = 0; i < 100; ++i) store.append("tor1/temp", 42.0);
-  const auto series = store.query("tor1/temp", 0.0, 100.0 * 30.0);
+  const auto series =
+      store.acquire_snapshot().query("tor1/temp", 0.0, 100.0 * 30.0);
   EXPECT_EQ(series.size(), 100u);
   for (double v : series.values()) EXPECT_NEAR(v, 42.0, 1e-9);
 }
 
 TEST(Store, DuplicateStreamThrows) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 1.0);
   EXPECT_THROW(store.create_stream("s", 1.0), std::invalid_argument);
 }
@@ -52,7 +54,7 @@ TEST(Store, EmptyStreamReductionIsOne) {
   ghost.stored_samples = 5;  // nothing ingested: reduction is undefined
   EXPECT_DOUBLE_EQ(ghost.reduction(), 1.0);
 
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("idle", 1.0);
   EXPECT_DOUBLE_EQ(store.stats("idle").reduction(), 1.0);
 
@@ -67,9 +69,10 @@ TEST(Store, EmptyStreamReductionIsOne) {
 }
 
 TEST(Store, UnknownStreamThrows) {
-  RetentionStore store;
+  StripedRetentionStore store;
   EXPECT_THROW(store.append("nope", 1.0), std::invalid_argument);
-  EXPECT_THROW((void)store.query("nope", 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)store.acquire_snapshot().query("nope", 0.0, 1.0),
+               std::invalid_argument);
   EXPECT_THROW((void)store.stats("nope"), std::invalid_argument);
 }
 
@@ -79,7 +82,7 @@ TEST(Store, SealedChunksShrinkOversampledStreams) {
   const sig::SumOfSines tone({{0.002, 5.0, 0.0}}, /*dc=*/50.0);
   StoreConfig cfg;
   cfg.chunk_samples = 1024;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("link", 1.0);
   for (int i = 0; i < 4096; ++i) store.append("link", tone.value(i));
 
@@ -94,12 +97,12 @@ TEST(Store, QueryReconstructsSealedData) {
   const sig::SumOfSines tone({{0.002, 5.0, 0.0}}, 50.0);
   StoreConfig cfg;
   cfg.chunk_samples = 1024;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("link", 1.0);
   for (int i = 0; i < 2048; ++i) store.append("link", tone.value(i));
 
   // Query the first sealed chunk's interior and compare with ground truth.
-  const auto series = store.query("link", 100.0, 900.0);
+  const auto series = store.acquire_snapshot().query("link", 100.0, 900.0);
   std::vector<double> truth;
   for (std::size_t i = 0; i < series.size(); ++i)
     truth.push_back(tone.value(series.time_at(i)));
@@ -107,10 +110,10 @@ TEST(Store, QueryReconstructsSealedData) {
 }
 
 TEST(Store, HotTailServedRaw) {
-  RetentionStore store;  // default chunk 512
+  StripedRetentionStore store;  // default chunk 512
   store.create_stream("s", 1.0);
   for (int i = 0; i < 100; ++i) store.append("s", double(i));  // unsealed
-  const auto series = store.query("s", 0.0, 100.0);
+  const auto series = store.acquire_snapshot().query("s", 0.0, 100.0);
   for (std::size_t i = 0; i < series.size(); ++i)
     EXPECT_DOUBLE_EQ(series[i], double(i));
 }
@@ -121,7 +124,7 @@ TEST(Store, BroadbandChunksKeptAtFullRate) {
   Rng rng(55);
   StoreConfig cfg;
   cfg.chunk_samples = 512;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("drops", 1.0);
   for (int i = 0; i < 1024; ++i) store.append("drops", rng.normal(0.0, 1.0));
   const auto stats = store.stats("drops");
@@ -134,14 +137,14 @@ TEST(Store, StorageCostReflectsReduction) {
   StoreConfig cfg;
   cfg.chunk_samples = 512;
 
-  RetentionStore reduced(cfg);
+  StripedRetentionStore reduced(cfg);
   reduced.create_stream("s", 1.0);
   for (int i = 0; i < 2048; ++i) reduced.append("s", tone.value(i));
 
   // The same data in a store with (effectively) no chunk sealing yet.
   StoreConfig raw_cfg;
   raw_cfg.chunk_samples = 1 << 20;  // effectively never seals
-  RetentionStore raw(raw_cfg);
+  StripedRetentionStore raw(raw_cfg);
   raw.create_stream("s", 1.0);
   for (int i = 0; i < 2048; ++i) raw.append("s", tone.value(i));
 
@@ -153,20 +156,20 @@ TEST(Store, EmptyAndInvertedRangesClampToEmptySeries) {
   // Half-open [t_begin, t_end): inverted or empty ranges are defined to
   // return an empty series on the collection grid, not to throw or to fall
   // through reconstruction.
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 2.0);
   for (int i = 0; i < 50; ++i) store.append("s", double(i));
 
   const std::vector<std::pair<double, double>> ranges = {
       {5.0, 5.0}, {9.0, 3.0}, {0.0, -1.0}};
   for (const auto& [b, e] : ranges) {
-    const auto series = store.query("s", b, e);
+    const auto series = store.acquire_snapshot().query("s", b, e);
     EXPECT_EQ(series.size(), 0u) << b << ".." << e;
     EXPECT_DOUBLE_EQ(series.t0(), b);
     EXPECT_DOUBLE_EQ(series.dt(), 0.5);  // collection grid survives
   }
   // A span shorter than half a grid step rounds to zero points.
-  EXPECT_EQ(store.query("s", 1.0, 1.2).size(), 0u);
+  EXPECT_EQ(store.acquire_snapshot().query("s", 1.0, 1.2).size(), 0u);
 }
 
 TEST(Store, QueryEntirelyInsideHotTail) {
@@ -174,11 +177,11 @@ TEST(Store, QueryEntirelyInsideHotTail) {
   // in the tail must serve the raw (unsealed) values exactly.
   StoreConfig cfg;
   cfg.chunk_samples = 64;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
   for (int i = 0; i < 150; ++i) store.append("s", double(i));  // 128 sealed
 
-  const auto series = store.query("s", 130.0, 148.0);
+  const auto series = store.acquire_snapshot().query("s", 130.0, 148.0);
   ASSERT_EQ(series.size(), 18u);
   for (std::size_t i = 0; i < series.size(); ++i)
     EXPECT_DOUBLE_EQ(series[i], 130.0 + double(i));
@@ -189,55 +192,57 @@ TEST(Store, QuerySpansSealedHotBoundary) {
   // across the sealed-chunk / hot-tail seam, with no discontinuity.
   StoreConfig cfg;
   cfg.chunk_samples = 64;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
   for (int i = 0; i < 100; ++i) store.append("s", 5.0);
 
-  const auto series = store.query("s", 50.0, 90.0);  // 64 is the seam
+  // 64 is the seam.
+  const auto series = store.acquire_snapshot().query("s", 50.0, 90.0);
   ASSERT_EQ(series.size(), 40u);
   for (std::size_t i = 0; i < series.size(); ++i)
     EXPECT_NEAR(series[i], 5.0, 1e-6) << i;
 }
 
 TEST(Store, QueryPastEndOfDataHoldsLastValue) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 1.0);
   for (int i = 0; i < 10; ++i) store.append("s", double(i));
 
-  const auto series = store.query("s", 5.0, 20.0);  // data ends at t=10
+  // Data ends at t=10.
+  const auto series = store.acquire_snapshot().query("s", 5.0, 20.0);
   ASSERT_EQ(series.size(), 15u);
   EXPECT_DOUBLE_EQ(series[0], 5.0);
   for (std::size_t i = 5; i < series.size(); ++i)
     EXPECT_DOUBLE_EQ(series[i], 9.0) << i;  // hold the nearest stored value
 
   // Entirely past the end: still defined, still held.
-  const auto beyond = store.query("s", 100.0, 105.0);
+  const auto beyond = store.acquire_snapshot().query("s", 100.0, 105.0);
   ASSERT_EQ(beyond.size(), 5u);
   for (const double v : beyond.values()) EXPECT_DOUBLE_EQ(v, 9.0);
 }
 
 TEST(Store, QueryBeforeDataHoldsFirstValue) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 1.0, /*t0=*/100.0);
   for (int i = 0; i < 10; ++i) store.append("s", double(i));  // [100, 110)
 
   // Entirely before the data: hold the first stored value.
-  const auto before = store.query("s", 80.0, 85.0);
+  const auto before = store.acquire_snapshot().query("s", 80.0, 85.0);
   ASSERT_EQ(before.size(), 5u);
   for (const double v : before.values()) EXPECT_DOUBLE_EQ(v, 0.0);
 
   // t_end barely overlaps the data start but every actual grid point lies
   // before it: still the first value (the hold is judged by the last grid
   // point, not t_end).
-  const auto brushing = store.query("s", 95.0, 100.4);
+  const auto brushing = store.acquire_snapshot().query("s", 95.0, 100.4);
   ASSERT_EQ(brushing.size(), 5u);  // t = 95..99
   for (const double v : brushing.values()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(Store, MetaTracksSpanAndGeneration) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 2.0, /*t0=*/100.0);
-  auto m = store.meta("s");
+  auto m = store.find_meta("s").value();
   EXPECT_DOUBLE_EQ(m.collection_rate_hz, 2.0);
   EXPECT_DOUBLE_EQ(m.t0, 100.0);
   EXPECT_DOUBLE_EQ(m.t_end, 100.0);  // half-open, nothing ingested
@@ -245,7 +250,7 @@ TEST(Store, MetaTracksSpanAndGeneration) {
   EXPECT_EQ(m.ingested_samples, 0u);
 
   store.append("s", 1.0);
-  m = store.meta("s");
+  m = store.find_meta("s").value();
   EXPECT_EQ(m.generation, 1u);
   EXPECT_EQ(m.ingested_samples, 1u);
   EXPECT_DOUBLE_EQ(m.t_end, 100.5);
@@ -253,12 +258,12 @@ TEST(Store, MetaTracksSpanAndGeneration) {
   // One bulk append = one generation bump; an empty batch bumps nothing.
   store.append_series("s", std::vector<double>(99, 2.0));
   store.append_series("s", {});
-  m = store.meta("s");
+  m = store.find_meta("s").value();
   EXPECT_EQ(m.generation, 2u);
   EXPECT_EQ(m.ingested_samples, 100u);
   EXPECT_DOUBLE_EQ(m.t_end, 150.0);
 
-  EXPECT_THROW((void)store.meta("nope"), std::invalid_argument);
+  EXPECT_FALSE(store.find_meta("nope").has_value());
 }
 
 TEST(StripedStore, MetaAndListMetaAcrossStripes) {
@@ -277,11 +282,11 @@ TEST(StripedStore, MetaAndListMetaAcrossStripes) {
   EXPECT_DOUBLE_EQ(all[0].second.t_end, 5.0);
   EXPECT_EQ(all[1].second.generation, 0u);
 
-  EXPECT_EQ(store.meta("a/x").ingested_samples, 10u);
-  EXPECT_THROW((void)store.meta("nope"), std::invalid_argument);
+  EXPECT_EQ(store.find_meta("a/x").value().ingested_samples, 10u);
+  EXPECT_FALSE(store.find_meta("nope").has_value());
 
-  // The striped read path shares the clamped empty-range convention.
-  EXPECT_EQ(store.query("a/x", 7.0, 7.0).size(), 0u);
+  // Snapshot reads keep the clamped empty-range convention.
+  EXPECT_EQ(store.acquire_snapshot().query("a/x", 7.0, 7.0).size(), 0u);
 }
 
 TEST(RatePriors, LearnFromAuditAndWarmStart) {
@@ -338,14 +343,14 @@ TEST(RatePriors, DirectObservations) {
 
 // ------------------------------------------------ snapshot read path ------
 
-// A snapshot must be a frozen, bit-identical view: equal to the locked
-// query at acquire time, and unchanged by any amount of later ingest,
-// sealing, cap eviction, and reclamation.
+// A snapshot must be a frozen, bit-identical view: equal to a fresh read
+// at acquire time, and unchanged by any amount of later ingest, sealing,
+// cap eviction, and reclamation.
 TEST(Snapshot, ReaderSurvivesSealEvictionAndReclaim) {
   StoreConfig cfg;
   cfg.chunk_samples = 64;
   cfg.max_chunks_per_stream = 2;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 2.0);  // collection grid dt = 0.5 s
   for (int i = 0; i < 300; ++i)
     store.append("s", std::sin(0.05 * i) + 0.01 * (i % 7));
@@ -358,12 +363,13 @@ TEST(Snapshot, ReaderSurvivesSealEvictionAndReclaim) {
   // Query the live window [sample 128, sample 300).
   const double t_begin = 128 * 0.5;
   const double t_end = 300 * 0.5;
-  const sig::RegularSeries locked = store.query("s", t_begin, t_end);
+  const sig::RegularSeries fresh =
+      store.acquire_snapshot().query("s", t_begin, t_end);
   mon::ReadSnapshot snap = store.acquire_snapshot();
   const sig::RegularSeries at_acquire = snap.query("s", t_begin, t_end);
-  ASSERT_EQ(at_acquire.size(), locked.size());
-  for (std::size_t i = 0; i < locked.size(); ++i)
-    EXPECT_EQ(at_acquire[i], locked[i]) << i;  // bit-identical
+  ASSERT_EQ(at_acquire.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i)
+    EXPECT_EQ(at_acquire[i], fresh[i]) << i;  // bit-identical
 
   // Ingest on: more seals, more evictions. The evicted chunks are ones
   // this snapshot holds references to, so they must be parked, not freed.
@@ -374,9 +380,9 @@ TEST(Snapshot, ReaderSurvivesSealEvictionAndReclaim) {
 
   // The snapshot still reads its frozen capture, bit-identically.
   const sig::RegularSeries after_churn = snap.query("s", t_begin, t_end);
-  ASSERT_EQ(after_churn.size(), locked.size());
-  for (std::size_t i = 0; i < locked.size(); ++i)
-    EXPECT_EQ(after_churn[i], locked[i]) << i;
+  ASSERT_EQ(after_churn.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i)
+    EXPECT_EQ(after_churn[i], fresh[i]) << i;
 
   // Releasing the last snapshot at-or-before the retire epochs reclaims
   // every parked chunk.
@@ -391,7 +397,7 @@ TEST(Snapshot, LateSnapshotDoesNotDelayReclaim) {
   StoreConfig cfg;
   cfg.chunk_samples = 32;
   cfg.max_chunks_per_stream = 1;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
 
   mon::ReadSnapshot early = store.acquire_snapshot();
@@ -425,11 +431,12 @@ TEST(Snapshot, StripedSnapshotMatchesLockedReads) {
   for (const auto& name : names) {
     const auto meta = snap.find_meta(name);
     ASSERT_TRUE(meta.has_value());
-    const sig::RegularSeries locked = store.query(name, 0.0, meta->t_end);
+    const sig::RegularSeries fresh =
+        store.acquire_snapshot().query(name, 0.0, meta->t_end);
     const sig::RegularSeries via_snap = snap.query(name, 0.0, meta->t_end);
-    ASSERT_EQ(via_snap.size(), locked.size());
-    for (std::size_t i = 0; i < locked.size(); ++i)
-      EXPECT_EQ(via_snap[i], locked[i]) << name << " @" << i;
+    ASSERT_EQ(via_snap.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+      EXPECT_EQ(via_snap[i], fresh[i]) << name << " @" << i;
   }
 
   // Named capture: only the requested (existing) streams, sorted.
@@ -449,7 +456,7 @@ TEST(Snapshot, ExportAccountsForTrimmedChunks) {
   StoreConfig cfg;
   cfg.chunk_samples = 32;
   cfg.max_chunks_per_stream = 2;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
   for (int i = 0; i < 150; ++i) store.append("s", double(i));  // 4 sealed
   const mon::ReadSnapshot snap = store.acquire_snapshot();

@@ -116,16 +116,9 @@ TEST(Builder, BuildValidates) {
                std::invalid_argument);
   EXPECT_THROW(qry::QueryBuilder().select("*").range(0.0, 1.0).build(),
                std::invalid_argument);
-  // peek() exposes the partial spec without validating.
-  EXPECT_EQ(qry::QueryBuilder().select("x").peek().selector, "x");
 }
 
 TEST(Builder, WireFlagBits) {
-  EXPECT_EQ(qry::QueryBuilder().wire_flags(), 0);
-  EXPECT_EQ(qry::QueryBuilder().want_matched().wire_flags(), 0x01);
-  EXPECT_EQ(qry::QueryBuilder().want_explain().wire_flags(), 0x02);
-  EXPECT_EQ(qry::QueryBuilder().want_matched().want_explain().wire_flags(),
-            0x03);
   EXPECT_FALSE(qry::QueryBuilder().matched_wanted());
   EXPECT_TRUE(qry::QueryBuilder().want_matched().matched_wanted());
 }
@@ -180,7 +173,7 @@ TEST(QueryEngine, AlignmentMatchesDirectStoreQuery) {
   const auto r = qe.run(spec);
   ASSERT_EQ(r.result->series.size(), 1u);
   const auto& got = r.result->series[0].series;
-  const auto want = store.query("dev/a", 10.0, 200.0);
+  const auto want = store.acquire_snapshot().query("dev/a", 10.0, 200.0);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_NEAR(got[i], want[i], 1e-9) << i;
@@ -200,7 +193,7 @@ TEST(QueryEngine, CoarserGridInterpolates) {
   ASSERT_EQ(got.size(), 10u);
   EXPECT_DOUBLE_EQ(got.t0(), 0.0);
   EXPECT_DOUBLE_EQ(got.dt(), 10.0);
-  const auto base = store.query("dev/a", 0.0, 100.0);
+  const auto base = store.acquire_snapshot().query("dev/a", 0.0, 100.0);
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_NEAR(got[i], base[i * 10], 1e-9) << i;
 }

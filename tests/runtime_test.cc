@@ -215,9 +215,9 @@ TEST(Runtime, FivehundredPairsBitIdenticalAtOneAndFourWorkers) {
     EXPECT_TRUE(same_values(a.hot, b.hot)) << name;
     EXPECT_TRUE(same_bits(a.collection_rate_hz, b.collection_rate_hz));
 
-    const auto meta = serial.store().meta(name);
-    const auto q_a = serial.store().query(name, meta.t0, meta.t_end);
-    const auto q_b = parallel.store().query(name, meta.t0, meta.t_end);
+    const auto meta = serial_snap.find_meta(name).value();
+    const auto q_a = serial_snap.query(name, meta.t0, meta.t_end);
+    const auto q_b = parallel_snap.query(name, meta.t0, meta.t_end);
     EXPECT_TRUE(same_bits(q_a.t0(), q_b.t0())) << name;
     EXPECT_TRUE(same_values(q_a.span(), q_b.span())) << name;
   }
@@ -353,10 +353,12 @@ TEST(Runtime, IncrementalCheckpointsLeaveRecoverableState) {
 
   const auto names = runtime.store().stream_names();
   ASSERT_EQ(names, recovered.stream_names());
+  const mon::ReadSnapshot live = runtime.store().acquire_snapshot();
+  const mon::ReadSnapshot cold = recovered.acquire_snapshot();
   for (const auto& name : names) {
-    const auto meta = runtime.store().meta(name);
-    const auto live_q = runtime.store().query(name, meta.t0, meta.t_end);
-    const auto cold_q = recovered.query(name, meta.t0, meta.t_end);
+    const auto meta = live.find_meta(name).value();
+    const auto live_q = live.query(name, meta.t0, meta.t_end);
+    const auto cold_q = cold.query(name, meta.t0, meta.t_end);
     EXPECT_TRUE(same_values(live_q.span(), cold_q.span())) << name;
   }
 }

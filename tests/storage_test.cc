@@ -205,9 +205,15 @@ mon::StoreConfig small_chunks() {
   return cfg;
 }
 
+/// The StorageManager tests run on several stripes, as production does, so
+/// flush merges per-stripe captures and WAL replay routes each record to
+/// its owning stripe. With 4 stripes "dev0/temp" lands on stripe 3 and
+/// "dev1/drops" on stripe 2: stripe order is not name order.
+constexpr std::size_t kStripes = 4;
+
 /// Ingest a deterministic two-stream workload through `store`.
-template <typename Store>
-void ingest_workload(Store& store, std::size_t batches, std::uint64_t seed) {
+void ingest_workload(mon::StripedRetentionStore& store, std::size_t batches,
+                     std::uint64_t seed) {
   Rng rng(seed);
   for (std::size_t b = 0; b < batches; ++b) {
     store.append_series("dev0/temp", noisy_sine(37, 0.01, rng));
@@ -215,15 +221,14 @@ void ingest_workload(Store& store, std::size_t batches, std::uint64_t seed) {
   }
 }
 
-template <typename Store>
-void create_workload_streams(Store& store) {
+void create_workload_streams(mon::StripedRetentionStore& store) {
   store.create_stream("dev0/temp", 1.0);
   store.create_stream("dev1/drops", 4.0, 100.0);
 }
 
 TEST(StorageManager, FlushReopenQueriesBitIdentical) {
   TempDir dir("flush_reopen");
-  mon::RetentionStore live(small_chunks());
+  mon::StripedRetentionStore live(small_chunks(), kStripes);
   {
     sto::StorageConfig cfg;
     cfg.dir = dir.path;
@@ -245,15 +250,15 @@ TEST(StorageManager, FlushReopenQueriesBitIdentical) {
   ASSERT_TRUE(geom.has_value());
   EXPECT_EQ(geom->chunk_samples, 64u);
 
-  mon::RetentionStore cold(small_chunks());
+  mon::StripedRetentionStore cold(small_chunks(), kStripes);
   const auto rec = reopened.recover(cold);
   EXPECT_EQ(rec.streams, 2u);
   EXPECT_EQ(rec.crc_skipped_blocks, 0u);
   EXPECT_EQ(rec.wal_records_replayed, 0u);  // fresh WAL after flush
 
   for (const std::string name : {"dev0/temp", "dev1/drops"}) {
-    const auto live_meta = live.meta(name);
-    const auto cold_meta = cold.meta(name);
+    const auto live_meta = live.find_meta(name).value();
+    const auto cold_meta = cold.find_meta(name).value();
     EXPECT_EQ(live_meta.generation, cold_meta.generation) << name;
     EXPECT_EQ(live_meta.ingested_samples, cold_meta.ingested_samples);
     EXPECT_TRUE(same_bits(live_meta.t0, cold_meta.t0));
@@ -270,11 +275,13 @@ TEST(StorageManager, FlushReopenQueriesBitIdentical) {
     // store is bit-identical to the live in-memory store.
     const double t0 = live_meta.t0;
     const double t_end = live_meta.t_end;
-    const auto a = live.query(name, t0, t_end);
-    const auto b = cold.query(name, t0, t_end);
+    const auto a = live.acquire_snapshot().query(name, t0, t_end);
+    const auto b = cold.acquire_snapshot().query(name, t0, t_end);
     EXPECT_TRUE(same_bits(a.values(), b.values())) << name;
-    const auto a_mid = live.query(name, t0 + 13.0, t_end - 17.0);
-    const auto b_mid = cold.query(name, t0 + 13.0, t_end - 17.0);
+    const auto a_mid =
+        live.acquire_snapshot().query(name, t0 + 13.0, t_end - 17.0);
+    const auto b_mid =
+        cold.acquire_snapshot().query(name, t0 + 13.0, t_end - 17.0);
     EXPECT_TRUE(same_bits(a_mid.values(), b_mid.values())) << name;
   }
 }
@@ -282,7 +289,7 @@ TEST(StorageManager, FlushReopenQueriesBitIdentical) {
 TEST(StorageManager, ReopenThenAppendContinuesGenerationsAndSealing) {
   TempDir dir("reopen_append");
   // Reference: one uninterrupted in-memory store over the full workload.
-  mon::RetentionStore reference(small_chunks());
+  mon::StripedRetentionStore reference(small_chunks(), kStripes);
   create_workload_streams(reference);
   ingest_workload(reference, 30, 5);
   ingest_workload(reference, 30, 6);
@@ -293,7 +300,7 @@ TEST(StorageManager, ReopenThenAppendContinuesGenerationsAndSealing) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks(), kStripes);
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 30, 5);
@@ -304,11 +311,11 @@ TEST(StorageManager, ReopenThenAppendContinuesGenerationsAndSealing) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   const std::uint64_t gen_before = [&] {
     const auto rec = manager.recover(store);
     EXPECT_EQ(rec.streams, 2u);
-    return store.meta("dev0/temp").generation;
+    return store.find_meta("dev0/temp").value().generation;
   }();
   EXPECT_EQ(gen_before, 30u);  // one generation bump per append batch
   store.set_ingest_sink(&manager);
@@ -318,8 +325,8 @@ TEST(StorageManager, ReopenThenAppendContinuesGenerationsAndSealing) {
   // invalidation stays correct), and the merged history seals exactly like
   // the uninterrupted run.
   for (const std::string name : {"dev0/temp", "dev1/drops"}) {
-    const auto ref_meta = reference.meta(name);
-    const auto got_meta = store.meta(name);
+    const auto ref_meta = reference.find_meta(name).value();
+    const auto got_meta = store.find_meta(name).value();
     EXPECT_EQ(ref_meta.generation, got_meta.generation) << name;
     EXPECT_EQ(ref_meta.ingested_samples, got_meta.ingested_samples);
     const auto ref_stats = reference.stats(name);
@@ -327,8 +334,10 @@ TEST(StorageManager, ReopenThenAppendContinuesGenerationsAndSealing) {
     EXPECT_EQ(ref_stats.chunks, got_stats.chunks);
     EXPECT_EQ(ref_stats.stored_samples, got_stats.stored_samples);
     EXPECT_EQ(ref_stats.bytes_stored, got_stats.bytes_stored);
-    const auto a = reference.query(name, ref_meta.t0, ref_meta.t_end);
-    const auto b = store.query(name, ref_meta.t0, ref_meta.t_end);
+    const auto a =
+        reference.acquire_snapshot().query(name, ref_meta.t0, ref_meta.t_end);
+    const auto b =
+        store.acquire_snapshot().query(name, ref_meta.t0, ref_meta.t_end);
     EXPECT_TRUE(same_bits(a.values(), b.values())) << name;
   }
 }
@@ -342,7 +351,7 @@ TEST(StorageManager, MidRunKillLosesAtMostTheTornBatch) {
     cfg.truncate_existing = true;
     cfg.wal_sync_interval_batches = 1;  // fsync every batch
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks(), kStripes);
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 25, 9);
@@ -360,7 +369,7 @@ TEST(StorageManager, MidRunKillLosesAtMostTheTornBatch) {
     sto::StorageConfig cfg;
     cfg.dir = dir.path;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks(), kStripes);
     const auto rec = manager.recover(store);
     EXPECT_EQ(rec.wal_records_replayed, 2u + 50u);  // 2 creates + 50 batches
     EXPECT_EQ(rec.wal_records_truncated, 0u);
@@ -374,7 +383,7 @@ TEST(StorageManager, MidRunKillLosesAtMostTheTornBatch) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   const auto rec = manager.recover(store);
   EXPECT_EQ(rec.wal_records_replayed, 2u + 49u);
   EXPECT_EQ(rec.wal_records_truncated, 1u);
@@ -390,7 +399,7 @@ TEST(StorageManager, CrcCorruptedChunkBlockSkippedAndCounted) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks(), kStripes);
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 40, 13);
@@ -429,7 +438,7 @@ TEST(StorageManager, CrcCorruptedChunkBlockSkippedAndCounted) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   const auto rec = manager.recover(store);
   // The damaged block is skipped with a counted warning; everything else
   // survives, including the sibling stream.
@@ -442,8 +451,11 @@ TEST(StorageManager, CrcCorruptedChunkBlockSkippedAndCounted) {
                 store.stats("dev1/drops").chunks,
             rec.chunks + rec.chunks_missing);
   // Queries still answer over the surviving data.
-  const auto meta = store.meta("dev0/temp");
-  EXPECT_GT(store.query("dev0/temp", meta.t0, meta.t_end).size(), 0u);
+  const auto meta = store.find_meta("dev0/temp").value();
+  EXPECT_GT(store.acquire_snapshot()
+                .query("dev0/temp", meta.t0, meta.t_end)
+                .size(),
+            0u);
 }
 
 TEST(StorageManager, CorruptNewestHeaderDropsWalGraftsForThatStreamOnly) {
@@ -454,7 +466,7 @@ TEST(StorageManager, CorruptNewestHeaderDropsWalGraftsForThatStreamOnly) {
     cfg.truncate_existing = true;
     cfg.wal_sync_interval_batches = 1;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks(), kStripes);
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 10, 3);
@@ -499,7 +511,7 @@ TEST(StorageManager, CorruptNewestHeaderDropsWalGraftsForThatStreamOnly) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   const auto rec = manager.recover(store);
   // dev0/temp restored to its flush-1 epoch (a consistent older snapshot);
   // its post-flush-2 WAL batches were dropped, not grafted onto stale grid
@@ -518,7 +530,7 @@ TEST(StorageManager, CorruptTailBlockDropsTailInsteadOfResurrectingStaleOne) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks(), kStripes);
     store.set_ingest_sink(&manager);
     store.create_stream("dev/t", 1.0);
     // Flush 1 checkpoints a 31 x 5.0 tail (t = 64..95). The next batch
@@ -565,14 +577,14 @@ TEST(StorageManager, CorruptTailBlockDropsTailInsteadOfResurrectingStaleOne) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   const auto rec = manager.recover(store);
   EXPECT_EQ(rec.crc_skipped_blocks, 1u);
   // The tail is dropped (bounded, counted loss) — segment 1's 5.0 tail must
   // not reappear at segment 2's hot_t0 (t = 128, where 2.0s lived).
   const auto snap = store.acquire_snapshot().export_stream("dev/t");
   EXPECT_TRUE(snap.hot.empty());
-  const auto series = store.query("dev/t", 128.0, 135.0);
+  const auto series = store.acquire_snapshot().query("dev/t", 128.0, 135.0);
   ASSERT_EQ(series.size(), 7u);
   for (const double v : series.values()) EXPECT_NE(v, 5.0);
 }
@@ -584,7 +596,7 @@ TEST(StorageManager, TruncationAfterHeaderLeavesEmptyTailNotStaleOne) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks(), kStripes);
     store.set_ingest_sink(&manager);
     store.create_stream("dev/t", 1.0);
     std::vector<double> first(64, 1.0);
@@ -613,13 +625,13 @@ TEST(StorageManager, TruncationAfterHeaderLeavesEmptyTailNotStaleOne) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   const auto rec = manager.recover(store);
   EXPECT_GE(rec.crc_skipped_blocks, 1u);  // the truncated remainder
   EXPECT_EQ(rec.chunks_missing, 1u);      // the sealed chunk block is gone
   // Segment 1's stale 5.0 tail must NOT reappear at the new hot_t0 = 128.
   EXPECT_TRUE(store.acquire_snapshot().export_stream("dev/t").hot.empty());
-  const auto series = store.query("dev/t", 128.0, 135.0);
+  const auto series = store.acquire_snapshot().query("dev/t", 128.0, 135.0);
   for (const double v : series.values()) EXPECT_NE(v, 5.0);
 }
 
@@ -631,7 +643,7 @@ TEST(StorageManager, UnreadableSegmentDegradesRecoveryAndBlocksCompaction) {
   cfg.compact_min_segments = 100;
   {
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks(), kStripes);
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 10, 21);
@@ -663,14 +675,17 @@ TEST(StorageManager, UnreadableSegmentDegradesRecoveryAndBlocksCompaction) {
 
   // ...while recovery degrades past it with counted warnings and still
   // serves everything the surviving segment + WAL hold.
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   const auto rec = attach.recover(store);
   EXPECT_EQ(rec.segments_unreadable, 1u);
   EXPECT_EQ(rec.segments, 1u);
   EXPECT_EQ(rec.streams, 2u);
   EXPECT_GT(rec.chunks_missing, 0u);  // seg-1's chunks are gone
-  const auto meta = store.meta("dev0/temp");
-  EXPECT_GT(store.query("dev0/temp", meta.t0, meta.t_end).size(), 0u);
+  const auto meta = store.find_meta("dev0/temp").value();
+  EXPECT_GT(store.acquire_snapshot()
+                .query("dev0/temp", meta.t0, meta.t_end)
+                .size(),
+            0u);
 }
 
 TEST(XorCodec, CorruptWindowThrowsInsteadOfUndefinedShift) {
@@ -693,7 +708,7 @@ TEST(StorageManager, CompactionFoldsSegmentsPreservingData) {
   cfg.truncate_existing = true;
   cfg.compact_min_segments = 100;  // no auto-compaction; we drive it
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   store.set_ingest_sink(&manager);
   create_workload_streams(store);
   for (int round = 0; round < 5; ++round) {
@@ -711,15 +726,15 @@ TEST(StorageManager, CompactionFoldsSegmentsPreservingData) {
   sto::StorageConfig read_cfg;
   read_cfg.dir = dir.path;
   sto::StorageManager reopened(read_cfg);
-  mon::RetentionStore cold(small_chunks());
+  mon::StripedRetentionStore cold(small_chunks(), kStripes);
   const auto rec = reopened.recover(cold);
   EXPECT_EQ(rec.segments, 1u);
   EXPECT_EQ(rec.crc_skipped_blocks, 0u);
   for (const std::string name : {"dev0/temp", "dev1/drops"}) {
-    const auto meta = store.meta(name);
-    EXPECT_EQ(cold.meta(name).generation, meta.generation);
-    const auto a = store.query(name, meta.t0, meta.t_end);
-    const auto b = cold.query(name, meta.t0, meta.t_end);
+    const auto meta = store.find_meta(name).value();
+    EXPECT_EQ(cold.find_meta(name).value().generation, meta.generation);
+    const auto a = store.acquire_snapshot().query(name, meta.t0, meta.t_end);
+    const auto b = cold.acquire_snapshot().query(name, meta.t0, meta.t_end);
     EXPECT_TRUE(same_bits(a.values(), b.values())) << name;
   }
 
@@ -738,7 +753,7 @@ TEST(StorageManager, BackgroundCompactionKicksInAfterFlushes) {
   cfg.compact_min_segments = 3;
   cfg.background_compaction = true;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks(), kStripes);
   store.set_ingest_sink(&manager);
   create_workload_streams(store);
   for (int round = 0; round < 6; ++round) {
