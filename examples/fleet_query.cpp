@@ -183,7 +183,8 @@ int main(int argc, char** argv) {
   show("\nsame rack query again:", qe.run(rack));
   const auto warm = qe.run(rack);
   if (!warm.result->reconstructed.empty()) {
-    runtime.mutable_store().append(warm.result->reconstructed.front(), 42.0);
+    runtime.mutable_store().append_series(
+        warm.result->reconstructed.front(), std::vector<double>{42.0});
     show("\nafter appending to one matched stream:", qe.run(rack));
   }
 

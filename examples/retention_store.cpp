@@ -7,6 +7,7 @@
 // utilization and a bursty drop counter. The store shrinks the former and
 // keeps the latter at full rate; queries reconstruct transparently.
 #include <cstdio>
+#include <vector>
 
 #include "monitor/striped_store.h"
 #include "reconstruct/error.h"
@@ -27,10 +28,14 @@ int main() {
   store.create_stream("tor7/link_util", 1.0);
   store.create_stream("tor7/drops", 1.0);
 
+  std::vector<double> link_values;
+  std::vector<double> drop_values;
   for (int i = 0; i < 7200; ++i) {
-    store.append("tor7/link_util", link->value(i));
-    store.append("tor7/drops", drops->value(i));
+    link_values.push_back(link->value(i));
+    drop_values.push_back(drops->value(i));
   }
+  store.append_series("tor7/link_util", link_values);
+  store.append_series("tor7/drops", drop_values);
 
   for (const char* name : {"tor7/link_util", "tor7/drops"}) {
     const auto s = store.stats(name);
@@ -50,6 +55,10 @@ int main() {
   std::printf("\nquery [500, 3500): %zu samples, NRMSE vs ground truth "
               "%.4f\n",
               recon.size(), rec::nrmse(truth, recon.values()));
-  std::printf("storage bill: %s\n", to_string(store.storage_cost()).c_str());
+  const mon::StoreRollup rollup = store.rollup();
+  std::printf("stored bytes: %llu of %llu raw (%.1fx compression)\n",
+              static_cast<unsigned long long>(rollup.bytes_stored),
+              static_cast<unsigned long long>(rollup.bytes_raw),
+              rollup.compression_ratio());
   return 0;
 }

@@ -85,15 +85,9 @@ std::uint64_t ClusterClient::ingest(const std::string& stream, double rate_hz,
         payload, srv::TraceContext{tctx.trace_id, tctx.span_id, 1});
   return srv::retry_with_backoff(config_.retry, [&] {
     try {
-      const auto body = node(owner).request_raw(
-          static_cast<std::uint8_t>(srv::Verb::kIngest), payload);
+      const auto body =
+          node(owner).call_ok({.verb = srv::Verb::kIngest, .payload = payload});
       sto::ByteReader reader(body);
-      const auto status = static_cast<srv::Status>(reader.get_u8());
-      if (status != srv::Status::kOk) {
-        const std::string message = reader.get_string();
-        throw srv::ServerError(message.empty() ? "(no message)" : message,
-                               srv::decode_error_detail(reader));
-      }
       const std::uint64_t total = reader.get_u64();
       if (!reader.ok()) throw std::runtime_error("malformed INGEST response");
       return total;

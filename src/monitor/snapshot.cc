@@ -158,11 +158,6 @@ void EpochRegistry::collect_locked(std::vector<SealedChunkRef>& freed) {
   retired_.erase(keep, retired_.end());
 }
 
-std::uint64_t EpochRegistry::current_epoch() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
 std::size_t EpochRegistry::active_snapshots() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;

@@ -17,7 +17,8 @@
 //                    released.
 //
 // ReadSnapshot itself (the user-facing handle) lives in monitor/store.h
-// next to the store API it snapshots.
+// with the store's other value types; StripedRetentionStore
+// (monitor/striped_store.h) hands it out.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +85,6 @@ class EpochRegistry {
   /// Park an evicted chunk under the current epoch (freed immediately when
   /// no snapshot is live).
   void retire(SealedChunkRef chunk);
-
-  /// The epoch the next pin() will mint, minus pins since; monotonic.
-  std::uint64_t current_epoch() const;
 
   /// Live (acquired but unreleased) snapshot count.
   std::size_t active_snapshots() const;

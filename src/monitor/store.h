@@ -1,4 +1,4 @@
-// Nyquist-aware retention store.
+// Nyquist-aware retention store: the value types and the read handle.
 //
 // "In some cases, the actual measurement may be inexpensive relative to the
 //  cost to store the metric or the cost of downstream analysis; in such
@@ -7,19 +7,20 @@
 //  present for later analysis only the measurements that are re-sampled at
 //  the lower nyquist rate." (paper Section 4, opening)
 //
-// RetentionStore implements exactly that policy: streams are ingested at
-// the (high) collection rate into a bounded hot buffer; when a chunk of the
-// hot buffer seals, the store estimates its Nyquist rate and persists the
-// chunk re-sampled at headroom * that rate (falling back to the raw rate
-// when the estimate is unusable). Reads reconstruct any time range back
-// onto the collection grid by band-limited interpolation, through a
-// ReadSnapshot. RetentionStore is one stripe of the thread-safe
-// StripedRetentionStore (monitor/striped_store.h), which is the store the
-// rest of nyqmon builds.
+// StripedRetentionStore (monitor/striped_store.h) implements exactly that
+// policy: streams are ingested at the (high) collection rate into a bounded
+// hot buffer; when a chunk of the hot buffer seals, the store estimates its
+// Nyquist rate and keeps the chunk re-sampled at headroom * that rate
+// (falling back to the raw rate when the estimate is unusable). This header
+// holds what the store's callers exchange with it: its configuration, the
+// per-stream and store-wide accounting, the durable tier's snapshot types,
+// the write-ahead sink interface, and ReadSnapshot, the handle through
+// which every read reconstructs a time range back onto the collection grid
+// by band-limited interpolation. ReadSnapshot's methods are defined with the
+// store, in striped_store.cc.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -27,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "monitor/cost_model.h"
 #include "monitor/snapshot.h"
 #include "nyquist/estimator.h"
 #include "signal/timeseries.h"
@@ -46,7 +46,6 @@ struct StoreConfig {
   /// cold-start recovery since evicted chunks cannot be re-exported.
   std::size_t max_chunks_per_stream = 0;
   nyq::EstimatorConfig estimator;
-  CostModel cost;
 };
 
 /// num/den with 1.0 as the neutral value when either count is zero — the
@@ -124,8 +123,6 @@ struct StoreRollup {
   double sealed_reduction() const {
     return ratio_or_one(sealed_ingested_samples, stored_samples);
   }
-
-  StoreRollup& operator+=(const StoreRollup& other);
 };
 
 /// One sealed chunk as the durable tier sees it: a regular grid (t0, dt)
@@ -261,7 +258,8 @@ class ReadSnapshot {
 /// Observer of a store's write path. The durable tier implements this to
 /// write-ahead-log stream creation and every append batch before the store
 /// mutates, so a crashed run replays to exactly the live store's state.
-/// Implementations must be thread-safe when attached to a striped store.
+/// The store calls it from whichever thread ingests, under the stream's
+/// stripe lock, so implementations must be thread-safe.
 class IngestSink {
  public:
   virtual ~IngestSink() = default;
@@ -269,94 +267,6 @@ class IngestSink {
                                 double collection_rate_hz, double t0) = 0;
   virtual void on_append(const std::string& name,
                          std::span<const double> values) = 0;
-};
-
-/// One stripe of a StripedRetentionStore. Not thread-safe: the owning
-/// stripe's lock guards every call, and only StripedRetentionStore
-/// constructs it.
-class RetentionStore {
- public:
-  /// Create a stream ingesting at `collection_rate_hz` (> 0) starting at
-  /// t0. Stream names must be unique.
-  void create_stream(const std::string& name, double collection_rate_hz,
-                     double t0 = 0.0);
-
-  /// Append the next reading of a stream (readings arrive in grid order).
-  void append(const std::string& name, double value);
-
-  /// Bulk append: one stream lookup for the whole series.
-  void append_series(const std::string& name, std::span<const double> values);
-
-  StreamStats stats(const std::string& name) const;
-
-  /// Grid/span/generation metadata for one stream (see StreamMeta), or
-  /// nullopt for an unknown name.
-  std::optional<StreamMeta> find_meta(const std::string& name) const;
-
-  /// Metadata for every stream, in lexicographic name order. Cheap (no
-  /// reconstruction): the serving layer calls this per query to match
-  /// selectors and prune streams outside the requested time range.
-  std::vector<std::pair<std::string, StreamMeta>> list_meta() const;
-
-  /// Names of all streams, in lexicographic order.
-  std::vector<std::string> stream_names() const;
-
-  /// Aggregate ingest/retention counters across all streams.
-  StoreRollup rollup() const;
-
-  /// Storage bill for everything currently persisted (sealed + hot).
-  Cost storage_cost() const;
-
-  std::size_t streams() const { return streams_.size(); }
-
-  const StoreConfig& config() const { return config_; }
-
-  /// Attach a durability sink (nullptr detaches). Every subsequent
-  /// create_stream/append goes through the sink *before* the store mutates.
-  /// restore_stream never notifies — recovery must not re-log itself.
-  void set_ingest_sink(IngestSink* sink) { sink_ = sink; }
-
-  /// Recreate a stream from a full snapshot (chunks_before must be 0 and
-  /// the name unused). Queries against the restored stream are
-  /// bit-identical to the store the snapshot was taken from, and its
-  /// generation counter continues monotonically.
-  void restore_stream(StreamSnapshot snapshot);
-
-  /// Capture one stream's view without pinning an epoch — the striped
-  /// store composes these per stripe under each stripe lock, then pins
-  /// once. Returns false for unknown names.
-  bool capture_stream_view(const std::string& name, StreamView& out) const;
-
-  /// Capture every stream's view (appended to `out` in name order).
-  void capture_all_views(std::vector<StreamView>& out) const;
-
- private:
-  friend class StripedRetentionStore;
-
-  /// `epochs` is the store-wide registry every stripe shares, so one
-  /// snapshot pins one epoch and cap-evicted chunks park until no snapshot
-  /// that could still reference them is live.
-  RetentionStore(StoreConfig config, std::shared_ptr<EpochRegistry> epochs);
-
-  struct Stream {
-    double collection_rate_hz = 0.0;
-    double t0 = 0.0;
-    std::size_t ingested = 0;
-    std::vector<double> hot;  ///< unsealed tail, at the collection rate
-    double hot_t0 = 0.0;
-    std::vector<SealedChunkRef> chunks;
-    std::size_t chunks_trimmed = 0;  ///< evicted by the retention cap
-    StreamStats stats;
-    std::uint64_t generation = 0;  ///< bumped per non-empty append batch
-  };
-
-  void seal_chunk(Stream& stream);
-  StreamView make_view(const std::string& name, const Stream& s) const;
-
-  StoreConfig config_;
-  std::map<std::string, Stream> streams_;
-  IngestSink* sink_ = nullptr;
-  std::shared_ptr<EpochRegistry> epochs_;
 };
 
 }  // namespace nyqmon::mon

@@ -1,17 +1,18 @@
-// The retention store nyqmon builds: thread-safe and mutex-striped over
-// RetentionStore (monitor/store.h, the paper's a-posteriori policy).
+// The retention store: the paper's a-posteriori policy (monitor/store.h),
+// thread-safe and mutex-striped.
 //
-// The fleet engine drives hundreds of metric-device pairs concurrently and
-// every pair ingests its reconstruction into shared retention. A single
-// store behind one mutex would serialize the fan-in, so streams are
-// partitioned across S independent RetentionStore stripes by a stable hash
-// of the stream name; each stripe has its own lock and unrelated streams
-// ingest in parallel. The final store state is independent of thread
-// interleaving because every stream is written by exactly one producer and
-// stripe assignment depends only on the name. Reconstructing reads go
-// through acquire_snapshot().
+// The streaming runtime ingests hundreds of metric-device pairs from its
+// worker threads, and nyqmond's reactors ingest client batches concurrently.
+// A single store behind one mutex would serialize that fan-in, so streams
+// are partitioned across S stripes by a stable hash of the stream name;
+// each stripe holds its own lock, stream map and ingest-sink pointer, and
+// unrelated streams ingest in parallel. The final store state is
+// independent of thread interleaving because every stream is written by
+// exactly one producer and stripe assignment depends only on the name.
+// Reconstructing reads go through acquire_snapshot().
 #pragma once
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -26,14 +27,18 @@ namespace nyqmon::mon {
 
 class StripedRetentionStore {
  public:
+  /// Throws std::invalid_argument unless config.chunk_samples >= 32,
+  /// config.headroom >= 1 and stripes >= 1.
   explicit StripedRetentionStore(StoreConfig config = {},
                                  std::size_t stripes = 16);
 
-  /// Thread-safe equivalents of the RetentionStore stream API.
+  /// Create a stream ingesting at `collection_rate_hz` (> 0) starting at
+  /// t0. Stream names must be unique.
   void create_stream(const std::string& name, double collection_rate_hz,
                      double t0 = 0.0);
-  void append(const std::string& name, double value);
-  /// Bulk ingest: one lock acquisition for the whole series.
+
+  /// Append the next readings of a stream (in grid order) as one batch:
+  /// one lock acquisition and, when non-empty, one generation bump.
   void append_series(const std::string& name, std::span<const double> values);
 
   /// Append `values` to `name`, first creating it at (collection_rate_hz,
@@ -60,26 +65,30 @@ class StripedRetentionStore {
   /// All stream names across stripes, lexicographically sorted.
   std::vector<std::string> stream_names() const;
 
-  /// Aggregate ingest/retention counters across every stripe.
+  /// Aggregate ingest/retention counters across every stream.
   StoreRollup rollup() const;
 
-  /// Storage bill across every stripe.
-  Cost storage_cost() const;
-
   std::size_t streams() const;
-  std::size_t stripes() const { return stripes_.size(); }
 
-  /// The (shared) per-stripe store configuration.
-  const StoreConfig& config() const;
+  const StoreConfig& config() const { return config_; }
 
-  /// Attach a durability sink to every stripe (nullptr detaches). The sink
-  /// is invoked under the owning stripe's lock, from whichever thread
-  /// ingests — it must be thread-safe.
+  /// Attach a durability sink (nullptr detaches). Every later
+  /// create_stream/append goes through the sink *before* the store
+  /// mutates, under the owning stripe's lock and from whichever thread
+  /// ingests — it must be thread-safe. restore_streams never notifies:
+  /// recovery must not re-log itself.
   void set_ingest_sink(IngestSink* sink);
 
-  /// Thread-safe equivalent of RetentionStore::restore_stream (see
-  /// monitor/store.h) — the storage tier's recover hook.
-  void restore_stream(StreamSnapshot snapshot);
+  /// Recreate streams from full snapshots (chunks_before == 0), all or
+  /// none: every owning stripe is locked, in ascending index order, for
+  /// the whole call. When any of the names already exists, nothing is
+  /// restored and those names are returned; otherwise the result is empty.
+  /// Queries against a restored stream are bit-identical to the store the
+  /// snapshot was taken from, and its generation counter continues
+  /// monotonically. The storage tier's recover and nyqmond's HANDOFF
+  /// import both restore through here.
+  std::vector<std::string> restore_streams(
+      std::map<std::string, StreamSnapshot> snapshots);
 
   /// Acquire an immutable, epoch-stamped view over every stream (see
   /// ReadSnapshot in monitor/store.h). Capture takes each stripe lock in
@@ -102,17 +111,43 @@ class StripedRetentionStore {
   }
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    RetentionStore store;
-
-    Stripe(const StoreConfig& config, std::shared_ptr<EpochRegistry> epochs)
-        : store(config, std::move(epochs)) {}
+  struct Stream {
+    double collection_rate_hz = 0.0;
+    double t0 = 0.0;
+    std::size_t ingested = 0;
+    std::vector<double> hot;  ///< unsealed tail, at the collection rate
+    double hot_t0 = 0.0;
+    std::vector<SealedChunkRef> chunks;
+    std::size_t chunks_trimmed = 0;  ///< evicted by the retention cap
+    StreamStats stats;
+    std::uint64_t generation = 0;  ///< bumped per non-empty append batch
   };
 
-  Stripe& stripe_of(const std::string& name);
-  const Stripe& stripe_of(const std::string& name) const;
+  using StreamMap = std::map<std::string, Stream>;
 
+  struct Stripe {
+    mutable std::mutex mu;  ///< guards the other two members
+    StreamMap streams;
+    IngestSink* sink = nullptr;
+  };
+
+  std::size_t stripe_index(const std::string& name) const;
+  Stripe& stripe_of(const std::string& name) {
+    return *stripes_[stripe_index(name)];
+  }
+  const Stripe& stripe_of(const std::string& name) const {
+    return *stripes_[stripe_index(name)];
+  }
+
+  // The stream logic. Each helper runs with the stripe's lock held.
+  StreamMap::iterator create_locked(Stripe& stripe, const std::string& name,
+                                    double collection_rate_hz, double t0);
+  void append_locked(Stripe& stripe, StreamMap::iterator it,
+                     std::span<const double> values);
+  void seal_chunk(Stream& s);
+  static StreamView view_of(const std::string& name, const Stream& s);
+
+  StoreConfig config_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   /// One registry across all stripes so a fleet snapshot pins one epoch.
   std::shared_ptr<EpochRegistry> epochs_ = std::make_shared<EpochRegistry>();

@@ -182,14 +182,6 @@ std::vector<std::uint8_t> NyqmonClient::call_ok(const Request& req) {
                     std::move(resp.error_details));
 }
 
-std::vector<std::uint8_t> NyqmonClient::request_ok(
-    Verb verb, std::span<const std::uint8_t> payload) {
-  Request req;
-  req.verb = verb;
-  req.payload = payload;
-  return call_ok(req);
-}
-
 std::uint64_t NyqmonClient::ingest(const std::string& stream, double rate_hz,
                                    double t0, std::span<const double> values) {
   IngestRequest req;
@@ -197,7 +189,8 @@ std::uint64_t NyqmonClient::ingest(const std::string& stream, double rate_hz,
   req.rate_hz = rate_hz;
   req.t0 = t0;
   req.values.assign(values.begin(), values.end());
-  const auto payload = request_ok(Verb::kIngest, encode_ingest(req));
+  const auto payload =
+      call_ok({.verb = Verb::kIngest, .payload = encode_ingest(req)});
   sto::ByteReader reader(payload);
   const std::uint64_t total = reader.get_u64();
   if (!reader.ok()) throw std::runtime_error("malformed INGEST response");
@@ -222,7 +215,7 @@ QueryReply NyqmonClient::query(const qry::QuerySpec& spec, bool want_matched,
 }
 
 std::string NyqmonClient::stats_json() {
-  const auto payload = request_ok(Verb::kStats, {});
+  const auto payload = call_ok({.verb = Verb::kStats});
   return std::string(payload.begin(), payload.end());
 }
 
@@ -243,12 +236,12 @@ std::string NyqmonClient::trace_json(bool fleet) {
 }
 
 std::string NyqmonClient::logs_text() {
-  const auto payload = request_ok(Verb::kLogs, {});
+  const auto payload = call_ok({.verb = Verb::kLogs});
   return std::string(payload.begin(), payload.end());
 }
 
 CheckpointReply NyqmonClient::checkpoint() {
-  const auto payload = request_ok(Verb::kCheckpoint, {});
+  const auto payload = call_ok({.verb = Verb::kCheckpoint});
   sto::ByteReader reader(payload);
   auto reply = decode_checkpoint_reply(reader);
   if (!reply.has_value())
@@ -257,8 +250,8 @@ CheckpointReply NyqmonClient::checkpoint() {
 }
 
 HandoffExportReply NyqmonClient::handoff_export(const std::string& selector) {
-  const auto payload =
-      request_ok(Verb::kHandoff, encode_handoff_export(selector));
+  const auto payload = call_ok(
+      {.verb = Verb::kHandoff, .payload = encode_handoff_export(selector)});
   sto::ByteReader reader(payload);
   auto reply = decode_handoff_export_reply(reader);
   if (!reply.has_value())
@@ -268,8 +261,8 @@ HandoffExportReply NyqmonClient::handoff_export(const std::string& selector) {
 
 HandoffImportReply NyqmonClient::handoff_import(
     std::span<const std::uint8_t> segment) {
-  const auto payload =
-      request_ok(Verb::kHandoff, encode_handoff_import(segment));
+  const auto payload = call_ok(
+      {.verb = Verb::kHandoff, .payload = encode_handoff_import(segment)});
   sto::ByteReader reader(payload);
   auto reply = decode_handoff_import_reply(reader);
   if (!reply.has_value())

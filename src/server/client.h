@@ -78,7 +78,7 @@ struct Request {
   Verb verb = Verb::kStats;
   std::span<const std::uint8_t> payload{};
   std::optional<std::uint8_t> flags{};
-  std::string trace;
+  std::string trace{};
 };
 
 /// The decoded response frame: the status byte plus everything after it.
@@ -190,9 +190,6 @@ class NyqmonClient {
                                         std::span<const std::uint8_t> payload);
 
  private:
-  /// request_raw + ERR unwrapping: returns the OK payload.
-  std::vector<std::uint8_t> request_ok(Verb verb,
-                                       std::span<const std::uint8_t> payload);
   std::vector<std::uint8_t> read_response_body();
 
   int fd_ = -1;

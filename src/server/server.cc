@@ -832,23 +832,25 @@ std::vector<std::uint8_t> NyqmondServer::handle_handoff(
     const auto segment = reader.get_bytes(reader.remaining());
     std::map<std::string, mon::StreamSnapshot> streams;
     sto::read_segment_bytes(segment, streams);  // throws -> ERR via dispatch
-    // Refuse before restoring anything: an import must not silently merge
-    // into streams this node already owns (that would double-count on a
-    // repeated handoff). The detail block names every conflict.
-    std::vector<ErrorDetail> conflicts;
-    for (const auto& [name, snap] : streams)
-      if (store_.find_meta(name).has_value())
-        conflicts.push_back({name, "stream already exists"});
-    if (!conflicts.empty())
-      return error_frame_with_detail("handoff import refused", conflicts);
     HandoffImportReply reply;
-    for (auto& [name, snap] : streams) {
+    reply.streams = static_cast<std::uint32_t>(streams.size());
+    for (const auto& [name, snap] : streams) {
       for (const auto& chunk : snap.chunks) reply.samples += chunk.values.size();
       reply.samples += snap.hot.size();
-      store_.restore_stream(std::move(snap));
-      ++reply.streams;
     }
-    // restore_stream bypasses the ingest sink (it is the recovery path and
+    // All or nothing, atomically with respect to concurrent INGEST: an
+    // import must not silently merge into streams this node already owns
+    // (that would double-count on a repeated handoff). The detail block
+    // names every conflict.
+    const std::vector<std::string> existing =
+        store_.restore_streams(std::move(streams));
+    if (!existing.empty()) {
+      std::vector<ErrorDetail> conflicts;
+      for (const std::string& name : existing)
+        conflicts.push_back({name, "stream already exists"});
+      return error_frame_with_detail("handoff import refused", conflicts);
+    }
+    // restore_streams bypasses the ingest sink (it is the recovery path and
     // must not re-log), so durability comes from checkpointing through the
     // manifest's atomic commit before OK is answered: after this, a crash
     // recovers the imported streams. Quiesced like CHECKPOINT — other

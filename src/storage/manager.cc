@@ -372,13 +372,14 @@ RecoveryStats StorageManager::recover(mon::StripedRetentionStore& store) {
   out.stale_streams = stale.size();
 
   out.streams = streams.size();
-  for (auto& [name, snap] : streams) {
+  for (const auto& [name, snap] : streams) {
     if (snap.chunks.size() < snap.stats.chunks)
       out.chunks_missing += snap.stats.chunks - snap.chunks.size();
     out.chunks += snap.chunks.size();
     flushed_chunks_[name] = snap.chunks.size();
-    store.restore_stream(std::move(snap));
   }
+  // The store was checked empty above, so no restored name can collide.
+  NYQMON_ENSURE(store.restore_streams(std::move(streams)).empty());
 
   // WAL replay through the normal ingest path: re-sealing is deterministic,
   // so the store converges to exactly the pre-crash state (minus any torn

@@ -546,6 +546,34 @@ TEST(Fleet, KilledBackendAnswersErrWithDetailPromptly) {
   }
 }
 
+TEST(Fleet, RefusedIngestNamesTheOwnerAndIsNotRetried) {
+  MiniFleet fleet(4);
+  srv::NyqmonClient client("127.0.0.1", fleet.router->port());
+  const std::string name = "podZ/new";
+  const std::size_t owner = fleet.router->ring().owner(name);
+  std::vector<std::uint64_t> frames_before;
+  for (const auto& backend : fleet.backends)
+    frames_before.push_back(backend->stats().ingest_frames);
+
+  // A new stream needs a positive rate: the owner answers ERR, which the
+  // router passes back with a detail naming the owner.
+  try {
+    client.ingest(name, 0.0, 0.0, wave(8, 0.0));
+    FAIL() << "a new stream with rate 0 must be refused";
+  } catch (const srv::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("positive rate"), std::string::npos)
+        << e.what();
+    ASSERT_EQ(e.details().size(), 1u);
+    EXPECT_EQ(e.details()[0].node, fleet.router->ring().owner_node(name).id);
+  }
+  // An ERR answer is never retried: the owner saw exactly one frame.
+  for (std::size_t i = 0; i < fleet.backends.size(); ++i)
+    EXPECT_EQ(fleet.backends[i]->stats().ingest_frames,
+              frames_before[i] + (i == owner ? 1 : 0))
+        << "node" << i;
+  EXPECT_FALSE(fleet.stores[owner]->find_meta(name).has_value());
+}
+
 // -------------------------------------------------- fleet observability ---
 
 TEST(Fleet, FleetMetricsConcatenatesPerNodeSections) {

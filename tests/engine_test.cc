@@ -73,8 +73,9 @@ TEST(StripedStore, DelegatesStreamApi) {
   mon::StripedRetentionStore store({}, 8);
   store.create_stream("a", 1.0);
   EXPECT_THROW(store.create_stream("a", 1.0), std::invalid_argument);
-  EXPECT_THROW(store.append("missing", 1.0), std::invalid_argument);
-  for (int i = 0; i < 10; ++i) store.append("a", 3.0);
+  EXPECT_THROW(store.append_series("missing", std::vector<double>{1.0}),
+               std::invalid_argument);
+  store.append_series("a", std::vector<double>(10, 3.0));
   EXPECT_EQ(store.stats("a").ingested_samples, 10u);
   EXPECT_EQ(store.streams(), 1u);
   const auto series = store.acquire_snapshot().query("a", 0.0, 10.0);

@@ -13,6 +13,7 @@
 #include "monitor/rate_prior.h"
 #include "monitor/store.h"
 #include "monitor/striped_store.h"
+#include "obs/metrics.h"
 #include "reconstruct/error.h"
 #include "signal/generators.h"
 #include "signal/source.h"
@@ -26,10 +27,24 @@ using mon::RatePriorStore;
 using mon::StoreConfig;
 using mon::StripedRetentionStore;
 
+/// f(0), ..., f(n - 1): n readings to append as one batch.
+template <typename F>
+std::vector<double> readings(int n, F f) {
+  std::vector<double> out;
+  out.reserve(n);
+  for (int i = 0; i < n; ++i) out.push_back(f(i));
+  return out;
+}
+
+/// The ramp 0, 1, ..., n - 1.
+std::vector<double> ramp(int n) {
+  return readings(n, [](int i) { return double(i); });
+}
+
 TEST(Store, CreateAppendQuery) {
   StripedRetentionStore store;
   store.create_stream("tor1/temp", 1.0 / 30.0);
-  for (int i = 0; i < 100; ++i) store.append("tor1/temp", 42.0);
+  store.append_series("tor1/temp", std::vector<double>(100, 42.0));
   const auto series =
       store.acquire_snapshot().query("tor1/temp", 0.0, 100.0 * 30.0);
   EXPECT_EQ(series.size(), 100u);
@@ -59,7 +74,7 @@ TEST(Store, EmptyStreamReductionIsOne) {
   EXPECT_DOUBLE_EQ(store.stats("idle").reduction(), 1.0);
 
   // Ingested-but-nothing-sealed must not report ingested/0 either.
-  store.append("idle", 1.0);
+  store.append_series("idle", std::vector<double>{1.0});
   EXPECT_EQ(store.stats("idle").ingested_samples, 1u);
   EXPECT_EQ(store.stats("idle").stored_samples, 0u);
   EXPECT_DOUBLE_EQ(store.stats("idle").reduction(), 1.0);
@@ -70,7 +85,8 @@ TEST(Store, EmptyStreamReductionIsOne) {
 
 TEST(Store, UnknownStreamThrows) {
   StripedRetentionStore store;
-  EXPECT_THROW(store.append("nope", 1.0), std::invalid_argument);
+  EXPECT_THROW(store.append_series("nope", std::vector<double>{1.0}),
+               std::invalid_argument);
   EXPECT_THROW((void)store.acquire_snapshot().query("nope", 0.0, 1.0),
                std::invalid_argument);
   EXPECT_THROW((void)store.stats("nope"), std::invalid_argument);
@@ -84,7 +100,8 @@ TEST(Store, SealedChunksShrinkOversampledStreams) {
   cfg.chunk_samples = 1024;
   StripedRetentionStore store(cfg);
   store.create_stream("link", 1.0);
-  for (int i = 0; i < 4096; ++i) store.append("link", tone.value(i));
+  store.append_series("link",
+                      readings(4096, [&](int i) { return tone.value(i); }));
 
   const auto stats = store.stats("link");
   EXPECT_EQ(stats.ingested_samples, 4096u);
@@ -99,7 +116,8 @@ TEST(Store, QueryReconstructsSealedData) {
   cfg.chunk_samples = 1024;
   StripedRetentionStore store(cfg);
   store.create_stream("link", 1.0);
-  for (int i = 0; i < 2048; ++i) store.append("link", tone.value(i));
+  store.append_series("link",
+                      readings(2048, [&](int i) { return tone.value(i); }));
 
   // Query the first sealed chunk's interior and compare with ground truth.
   const auto series = store.acquire_snapshot().query("link", 100.0, 900.0);
@@ -112,7 +130,7 @@ TEST(Store, QueryReconstructsSealedData) {
 TEST(Store, HotTailServedRaw) {
   StripedRetentionStore store;  // default chunk 512
   store.create_stream("s", 1.0);
-  for (int i = 0; i < 100; ++i) store.append("s", double(i));  // unsealed
+  store.append_series("s", ramp(100));  // unsealed
   const auto series = store.acquire_snapshot().query("s", 0.0, 100.0);
   for (std::size_t i = 0; i < series.size(); ++i)
     EXPECT_DOUBLE_EQ(series[i], double(i));
@@ -126,7 +144,8 @@ TEST(Store, BroadbandChunksKeptAtFullRate) {
   cfg.chunk_samples = 512;
   StripedRetentionStore store(cfg);
   store.create_stream("drops", 1.0);
-  for (int i = 0; i < 1024; ++i) store.append("drops", rng.normal(0.0, 1.0));
+  store.append_series(
+      "drops", readings(1024, [&](int) { return rng.normal(0.0, 1.0); }));
   const auto stats = store.stats("drops");
   EXPECT_EQ(stats.chunks, 2u);
   EXPECT_LT(stats.reduction(), 1.5);
@@ -139,17 +158,17 @@ TEST(Store, StorageCostReflectsReduction) {
 
   StripedRetentionStore reduced(cfg);
   reduced.create_stream("s", 1.0);
-  for (int i = 0; i < 2048; ++i) reduced.append("s", tone.value(i));
+  const auto values = readings(2048, [&](int i) { return tone.value(i); });
+  reduced.append_series("s", values);
 
   // The same data in a store with (effectively) no chunk sealing yet.
   StoreConfig raw_cfg;
   raw_cfg.chunk_samples = 1 << 20;  // effectively never seals
   StripedRetentionStore raw(raw_cfg);
   raw.create_stream("s", 1.0);
-  for (int i = 0; i < 2048; ++i) raw.append("s", tone.value(i));
+  raw.append_series("s", values);
 
-  EXPECT_LT(reduced.storage_cost().storage_bytes,
-            raw.storage_cost().storage_bytes / 2.0);
+  EXPECT_LT(reduced.rollup().bytes_stored, raw.rollup().bytes_stored / 2.0);
 }
 
 TEST(Store, EmptyAndInvertedRangesClampToEmptySeries) {
@@ -158,7 +177,7 @@ TEST(Store, EmptyAndInvertedRangesClampToEmptySeries) {
   // through reconstruction.
   StripedRetentionStore store;
   store.create_stream("s", 2.0);
-  for (int i = 0; i < 50; ++i) store.append("s", double(i));
+  store.append_series("s", ramp(50));
 
   const std::vector<std::pair<double, double>> ranges = {
       {5.0, 5.0}, {9.0, 3.0}, {0.0, -1.0}};
@@ -179,7 +198,7 @@ TEST(Store, QueryEntirelyInsideHotTail) {
   cfg.chunk_samples = 64;
   StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
-  for (int i = 0; i < 150; ++i) store.append("s", double(i));  // 128 sealed
+  store.append_series("s", ramp(150));  // 128 sealed
 
   const auto series = store.acquire_snapshot().query("s", 130.0, 148.0);
   ASSERT_EQ(series.size(), 18u);
@@ -194,7 +213,7 @@ TEST(Store, QuerySpansSealedHotBoundary) {
   cfg.chunk_samples = 64;
   StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
-  for (int i = 0; i < 100; ++i) store.append("s", 5.0);
+  store.append_series("s", std::vector<double>(100, 5.0));
 
   // 64 is the seam.
   const auto series = store.acquire_snapshot().query("s", 50.0, 90.0);
@@ -206,7 +225,7 @@ TEST(Store, QuerySpansSealedHotBoundary) {
 TEST(Store, QueryPastEndOfDataHoldsLastValue) {
   StripedRetentionStore store;
   store.create_stream("s", 1.0);
-  for (int i = 0; i < 10; ++i) store.append("s", double(i));
+  store.append_series("s", ramp(10));
 
   // Data ends at t=10.
   const auto series = store.acquire_snapshot().query("s", 5.0, 20.0);
@@ -224,7 +243,7 @@ TEST(Store, QueryPastEndOfDataHoldsLastValue) {
 TEST(Store, QueryBeforeDataHoldsFirstValue) {
   StripedRetentionStore store;
   store.create_stream("s", 1.0, /*t0=*/100.0);
-  for (int i = 0; i < 10; ++i) store.append("s", double(i));  // [100, 110)
+  store.append_series("s", ramp(10));  // [100, 110)
 
   // Entirely before the data: hold the first stored value.
   const auto before = store.acquire_snapshot().query("s", 80.0, 85.0);
@@ -249,7 +268,7 @@ TEST(Store, MetaTracksSpanAndGeneration) {
   EXPECT_EQ(m.generation, 0u);
   EXPECT_EQ(m.ingested_samples, 0u);
 
-  store.append("s", 1.0);
+  store.append_series("s", std::vector<double>{1.0});
   m = store.find_meta("s").value();
   EXPECT_EQ(m.generation, 1u);
   EXPECT_EQ(m.ingested_samples, 1u);
@@ -264,6 +283,38 @@ TEST(Store, MetaTracksSpanAndGeneration) {
   EXPECT_DOUBLE_EQ(m.t_end, 150.0);
 
   EXPECT_FALSE(store.find_meta("nope").has_value());
+}
+
+TEST(Store, EmptyBatchesCountNothing) {
+  // nyqmond accepts INGEST frames with no values. An empty batch changes
+  // no data, so it must neither bump the generation nor report cache churn.
+  obs::Counter& appends =
+      obs::Registry::instance().counter("nyqmon_store_appends_total");
+  obs::Counter& bumps = obs::Registry::instance().counter(
+      "nyqmon_store_generation_bumps_total");
+  StripedRetentionStore store;
+  store.create_stream("s", 1.0);
+  const std::uint64_t appends0 = appends.value();
+  const std::uint64_t bumps0 = bumps.value();
+
+  store.append_series("s", {});
+  EXPECT_EQ(store.create_or_append("s", 1.0, 0.0, {}), 0u);
+  EXPECT_EQ(store.create_or_append("new", 1.0, 0.0, {}), 0u);
+  EXPECT_EQ(appends.value(), appends0);
+  EXPECT_EQ(bumps.value(), bumps0);
+  EXPECT_EQ(store.find_meta("s").value().generation, 0u);
+  EXPECT_EQ(store.find_meta("new").value().generation, 0u);
+
+  // A non-empty batch moves each by one, through either entry point.
+  store.append_series("s", std::vector<double>(3, 1.0));
+  EXPECT_EQ(appends.value(), appends0 + 1);
+  EXPECT_EQ(bumps.value(), bumps0 + 1);
+  EXPECT_EQ(store.find_meta("s").value().generation, 1u);
+  EXPECT_EQ(store.create_or_append("s", 1.0, 0.0, std::vector<double>{1.0}),
+            4u);
+  EXPECT_EQ(appends.value(), appends0 + 2);
+  EXPECT_EQ(bumps.value(), bumps0 + 2);
+  EXPECT_EQ(store.find_meta("s").value().generation, 2u);
 }
 
 TEST(StripedStore, MetaAndListMetaAcrossStripes) {
@@ -352,8 +403,9 @@ TEST(Snapshot, ReaderSurvivesSealEvictionAndReclaim) {
   cfg.max_chunks_per_stream = 2;
   StripedRetentionStore store(cfg);
   store.create_stream("s", 2.0);  // collection grid dt = 0.5 s
-  for (int i = 0; i < 300; ++i)
-    store.append("s", std::sin(0.05 * i) + 0.01 * (i % 7));
+  store.append_series("s", readings(300, [](int i) {
+                        return std::sin(0.05 * i) + 0.01 * (i % 7);
+                      }));
 
   // 4 chunks sealed, the first 2 evicted by the cap (no snapshot was live,
   // so they were freed immediately, not parked).
@@ -373,8 +425,8 @@ TEST(Snapshot, ReaderSurvivesSealEvictionAndReclaim) {
 
   // Ingest on: more seals, more evictions. The evicted chunks are ones
   // this snapshot holds references to, so they must be parked, not freed.
-  for (int i = 300; i < 600; ++i)
-    store.append("s", std::cos(0.03 * i));
+  store.append_series(
+      "s", readings(300, [](int i) { return std::cos(0.03 * (300 + i)); }));
   EXPECT_EQ(store.epoch_registry()->active_snapshots(), 1u);
   EXPECT_GT(store.epoch_registry()->retired_pending(), 0u);
 
@@ -401,7 +453,7 @@ TEST(Snapshot, LateSnapshotDoesNotDelayReclaim) {
   store.create_stream("s", 1.0);
 
   mon::ReadSnapshot early = store.acquire_snapshot();
-  for (int i = 0; i < 100; ++i) store.append("s", double(i));
+  store.append_series("s", ramp(100));
   EXPECT_GT(store.epoch_registry()->retired_pending(), 0u);
 
   // A snapshot acquired now pins a later epoch; releasing `early` must
@@ -421,8 +473,9 @@ TEST(Snapshot, StripedSnapshotMatchesLockedReads) {
   for (int s = 0; s < 10; ++s) {
     names.push_back("dev" + std::to_string(s) + "/metric");
     store.create_stream(names.back(), 2.0);
-    for (int i = 0; i < 100 + 17 * s; ++i)
-      store.append(names.back(), std::sin(0.1 * i + s));
+    store.append_series(names.back(), readings(100 + 17 * s, [&](int i) {
+                          return std::sin(0.1 * i + s);
+                        }));
   }
   std::sort(names.begin(), names.end());
 
@@ -458,7 +511,7 @@ TEST(Snapshot, ExportAccountsForTrimmedChunks) {
   cfg.max_chunks_per_stream = 2;
   StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
-  for (int i = 0; i < 150; ++i) store.append("s", double(i));  // 4 sealed
+  store.append_series("s", ramp(150));  // 4 sealed
   const mon::ReadSnapshot snap = store.acquire_snapshot();
   const mon::StreamView* view = snap.find("s");
   ASSERT_NE(view, nullptr);
@@ -485,8 +538,8 @@ TEST(Snapshot, ConcurrentReadersNeverSeeReclaimedData) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     for (int i = 0; i < 6000; ++i) {
-      store.append("a", std::sin(0.01 * i));
-      store.append("b", std::cos(0.02 * i));
+      store.append_series("a", std::vector<double>{std::sin(0.01 * i)});
+      store.append_series("b", std::vector<double>{std::cos(0.02 * i)});
     }
     stop.store(true);
   });

@@ -317,7 +317,7 @@ TEST(QueryEngine, CacheHitThenGenerationInvalidation) {
   // and the cached entry must not be served again. The appended sample
   // lands past the queried range, so the values coincide — the point is
   // that a fresh result was computed rather than the stale entry served.
-  store.append("a/m", 100.0);
+  store.append_series("a/m", std::vector<double>{100.0});
   const auto after = qe.run(spec);
   EXPECT_FALSE(after.cache_hit);
   EXPECT_NE(after.result.get(), cold.result.get());
@@ -336,7 +336,8 @@ TEST(QueryEngine, IngestOutsideSelectorKeepsCacheWarm) {
   qry::QuerySpec spec = agg_spec(qry::Aggregation::kAvg);
   spec.selector = "a/*";
   (void)qe.run(spec);
-  store.append("zz/other", 1.0);  // not matched: fingerprint unchanged
+  // Not matched: the fingerprint is unchanged.
+  store.append_series("zz/other", std::vector<double>{1.0});
   EXPECT_TRUE(qe.run(spec).cache_hit);
 }
 

@@ -31,6 +31,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/manager.h"
+#include "storage/segment.h"
 #include "telemetry/fleet.h"
 
 namespace {
@@ -1161,6 +1162,97 @@ TEST(Server, ConcurrentFirstIngestsCreateEachStreamOnce) {
   });
   EXPECT_EQ(creates.size(), kRounds * kStreams);  // none for "norate/metric"
   for (const auto& [name, count] : creates) EXPECT_EQ(count, 1u) << name;
+}
+
+// A HANDOFF import is all or nothing even when another reactor's first
+// INGEST of an imported name lands while the import runs. Each round
+// imports a segment of new streams while two more connections send first
+// INGESTs for the same names in reverse order (so they meet the import's
+// last names first), after a stagger that sweeps the import's duration.
+// Either the import answers OK and every stream holds its imported samples
+// plus both batches, or it is refused and no stream holds an imported one.
+TEST(Server, HandoffImportIsAtomicAgainstConcurrentFirstIngest) {
+  constexpr std::size_t kRounds = 80;
+  constexpr std::size_t kStreams = 200;
+  constexpr std::size_t kImported = 8;
+  constexpr std::size_t kBatch = 4;
+  // One stripe: the import and both writers contend on one lock.
+  mon::StripedRetentionStore store({}, 1);
+  srv::ServerConfig server_cfg;
+  server_cfg.reactors = 4;
+  srv::NyqmondServer server(store, nullptr, server_cfg);
+  server.start();
+  srv::NyqmonClient importer("127.0.0.1", server.port());
+  srv::NyqmonClient writer0("127.0.0.1", server.port());
+  srv::NyqmonClient writer1("127.0.0.1", server.port());
+  srv::NyqmonClient* writers[] = {&writer0, &writer1};
+
+  // kStreams new names under `prefix`, and a segment image holding each.
+  const auto make_import = [&](const std::string& prefix,
+                               std::vector<std::string>& names) {
+    mon::StripedRetentionStore source;
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      char name[48];
+      std::snprintf(name, sizeof(name), "%s-%03zu/metric", prefix.c_str(), s);
+      names.emplace_back(name);
+      source.create_stream(name, 1.0);
+      source.append_series(name, wave(kImported, static_cast<double>(s)));
+    }
+    sto::SegmentWriter segment;
+    const mon::ReadSnapshot snap = source.acquire_snapshot();
+    for (const std::string& name : names)
+      segment.add_stream(snap.export_stream(name));
+    return segment.bytes();
+  };
+
+  // The stagger sweeps twice what one import takes in this build, so the
+  // writers' first frames land before, during and after the import.
+  std::vector<std::string> warm_names;
+  const std::vector<std::uint8_t> warm = make_import("warm", warm_names);
+  const auto t0 = std::chrono::steady_clock::now();
+  importer.handoff_import(warm);
+  const auto import_time = std::chrono::steady_clock::now() - t0;
+
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::vector<std::string> names;
+    const std::vector<std::uint8_t> segment =
+        make_import("r" + std::to_string(round), names);
+    bool imported = false;
+    std::vector<srv::ErrorDetail> conflicts;
+    const auto stagger = import_time * static_cast<int>(round % 40) / 20;
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+      try {
+        importer.handoff_import(segment);
+        imported = true;
+      } catch (const srv::ServerError& e) {
+        EXPECT_NE(std::string(e.what()).find("handoff import refused"),
+                  std::string::npos)
+            << e.what();
+        conflicts = e.details();
+      }
+    });
+    for (srv::NyqmonClient* writer : writers)
+      threads.emplace_back([&, writer] {
+        std::this_thread::sleep_for(stagger);
+        try {
+          for (auto it = names.rbegin(); it != names.rend(); ++it)
+            writer->ingest(*it, 1.0, 0.0, wave(kBatch, 0.5));
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << e.what();
+        }
+      });
+    for (std::thread& t : threads) t.join();
+
+    if (!imported) {
+      EXPECT_FALSE(conflicts.empty()) << "round " << round;
+    }
+    const std::size_t expected = (imported ? kImported : 0) + 2 * kBatch;
+    for (const std::string& name : names)
+      ASSERT_EQ(store.find_meta(name).value().ingested_samples, expected)
+          << name << (imported ? " after an import" : " after a refusal");
+  }
+  server.stop();
 }
 
 TEST(Server, TraceVerbDisabledReturnsEmptyCapture) {
