@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
           }
           ++i;
           const auto t0 = std::chrono::steady_clock::now();
-          const srv::QueryReply reply = client.query(builder);
+          const srv::QueryReply reply = client.query(builder.build());
           const auto t1 = std::chrono::steady_clock::now();
           if (reply.reconstructed > reply.matched) std::abort();
           if (warmup > 0) {

@@ -198,16 +198,16 @@ int main(int argc, char** argv) {
       qry::Transform tf = qry::Transform::kRaw;
       if (args.size() > 4 && !parse_aggregation(args[4], agg)) return usage();
       if (args.size() > 5 && !parse_transform(args[5], tf)) return usage();
-      const qry::QueryBuilder builder =
+      const qry::QuerySpec spec =
           qry::QueryBuilder()
               .select(args[0])
               .range(std::atof(args[1].c_str()), std::atof(args[2].c_str()))
               .align(std::atof(args[3].c_str()))
               .transform(tf)
               .aggregate(agg)
-              .want_explain(explain);
+              .build();
 
-      const srv::QueryReply reply = client.query(builder);
+      const srv::QueryReply reply = client.query(spec, false, explain);
       std::printf("matched %u stream(s), reconstructed %u%s\n", reply.matched,
                   reply.reconstructed,
                   reply.cache_hit ? " (served from cache)" : "");

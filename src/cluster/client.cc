@@ -85,8 +85,7 @@ std::uint64_t ClusterClient::ingest(const std::string& stream, double rate_hz,
         payload, srv::TraceContext{tctx.trace_id, tctx.span_id, 1});
   return srv::retry_with_backoff(config_.retry, [&] {
     try {
-      const auto body =
-          node(owner).call_ok({.verb = srv::Verb::kIngest, .payload = payload});
+      const auto body = node(owner).call_ok(srv::Verb::kIngest, payload);
       sto::ByteReader reader(body);
       const std::uint64_t total = reader.get_u64();
       if (!reader.ok()) throw std::runtime_error("malformed INGEST response");
@@ -282,7 +281,7 @@ FleetQuery ClusterClient::query(const qry::QuerySpec& spec) {
   for (std::size_t i = 0; i < scattered.payloads.size(); ++i) {
     if (!scattered.payloads[i].has_value()) continue;
     sto::ByteReader reader(*scattered.payloads[i]);
-    auto reply = srv::decode_query_reply(reader);
+    auto reply = srv::decode_query_reply(reader, srv::kQueryWantMatched);
     if (!reply.has_value()) {
       fleet.failures.push_back(
           {config_.nodes[i].id, "malformed QUERY response"});
@@ -298,14 +297,6 @@ FleetQuery ClusterClient::query(const qry::QuerySpec& spec) {
   fleet.merged = qry::merge_shard_slices(spec, std::move(slices));
   fleet.merge_ns = elapsed_ns(t_merge);  // shard decode + central merge
   return fleet;
-}
-
-std::vector<NodeText> ClusterClient::fleet_stats() {
-  return fleet_text(srv::Verb::kStats);
-}
-
-std::vector<NodeText> ClusterClient::fleet_metrics() {
-  return fleet_text(srv::Verb::kMetrics);
 }
 
 std::vector<NodeText> ClusterClient::fleet_text(srv::Verb verb) {
@@ -341,30 +332,6 @@ std::vector<std::optional<srv::CheckpointReply>> ClusterClient::checkpoint_all(
   }
   failures = std::move(scattered.failures);
   return out;
-}
-
-srv::HandoffImportReply ClusterClient::handoff(const std::string& selector,
-                                               std::size_t from,
-                                               std::size_t to) {
-  if (from >= nodes() || to >= nodes() || from == to)
-    throw std::invalid_argument("handoff needs two distinct node indices");
-  srv::HandoffExportReply exported;
-  try {
-    exported = node(from).handoff_export(selector);
-  } catch (const srv::ServerError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    reset(from);
-    throw;
-  }
-  try {
-    return node(to).handoff_import(exported.segment);
-  } catch (const srv::ServerError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    reset(to);
-    throw;
-  }
 }
 
 }  // namespace nyqmon::clu

@@ -113,10 +113,6 @@ class ClusterClient {
   ClusterClient(const ClusterClient&) = delete;
   ClusterClient& operator=(const ClusterClient&) = delete;
 
-  const HashRing& ring() const { return ring_; }
-  std::size_t nodes() const { return config_.nodes.size(); }
-  const ClusterConfig& config() const { return config_; }
-
   /// Route one ingest batch to the stream's ring owner (reconnecting with
   /// the retry policy). Returns the stream's total after the append.
   std::uint64_t ingest(const std::string& stream, double rate_hz, double t0,
@@ -127,24 +123,14 @@ class ClusterClient {
   /// answered a different grid); backend failures land in `failures`.
   FleetQuery query(const qry::QuerySpec& spec);
 
-  /// Every node's STATS JSON (or its error), index-aligned with nodes().
-  std::vector<NodeText> fleet_stats();
-
-  /// Every node's Prometheus exposition (or its error).
-  std::vector<NodeText> fleet_metrics();
+  /// Scatter a payload-less text verb (STATS, METRICS): every node's reply
+  /// text or its error, index-aligned with the configured nodes.
+  std::vector<NodeText> fleet_text(srv::Verb verb);
 
   /// Scatter CHECKPOINT to every node. Failures land in
   /// `outcome.failures`; each OK payload is a decoded CheckpointReply.
   std::vector<std::optional<srv::CheckpointReply>> checkpoint_all(
       std::vector<srv::ErrorDetail>& failures);
-
-  /// Move every stream matching `selector` from node `from` to node `to`:
-  /// EXPORT on the source, IMPORT on the destination. Non-destructive on
-  /// the source (mid-handoff duplicates dedupe at query merge; the
-  /// operator retires the source copy afterwards). Throws ServerError when
-  /// either side refuses.
-  srv::HandoffImportReply handoff(const std::string& selector,
-                                  std::size_t from, std::size_t to);
 
   /// Scatter one identical request to every node and gather the replies
   /// within the per-backend deadline. The building block under query() and
@@ -158,9 +144,6 @@ class ClusterClient {
   /// Drop node i's connection so the next use reconnects (a timed-out or
   /// failed exchange leaves the byte stream unsynchronized).
   void reset(std::size_t i);
-  /// Scatter a payload-less text verb (STATS, METRICS): every node's reply
-  /// text or its error, index-aligned with nodes().
-  std::vector<NodeText> fleet_text(srv::Verb verb);
 
   ClusterConfig config_;
   HashRing ring_;

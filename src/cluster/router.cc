@@ -28,15 +28,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-std::vector<std::uint8_t> text_frame(const std::string& text,
-                                     std::size_t max_frame_bytes,
-                                     const char* what) {
-  if (text.size() >= max_frame_bytes)
-    return srv::error_frame(std::string(what) + " exceeds the frame cap");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(text.data());
-  return srv::ok_frame(std::span<const std::uint8_t>(bytes, text.size()));
-}
-
 }  // namespace
 
 NyqmonRouter::NyqmonRouter(RouterConfig config)
@@ -130,8 +121,9 @@ std::optional<std::vector<std::uint8_t>> NyqmonRouter::intercept(
       if ((flags & srv::kMetricsFleet) != 0) return fleet_metrics_text();
       // Flags byte consumed, so serve the local exposition here instead of
       // falling through (nullopt promises an untouched reader).
-      return text_frame(obs::Registry::instance().render_prometheus(),
-                        config_.max_frame_bytes, "metrics exposition");
+      return srv::capped_ok_frame(
+          srv::text_bytes(obs::Registry::instance().render_prometheus()),
+          config_.max_frame_bytes, "metrics exposition exceeds the frame cap");
     }
     case srv::Verb::kTrace: {
       if (reader.remaining() == 0)
@@ -140,8 +132,9 @@ std::optional<std::vector<std::uint8_t>> NyqmonRouter::intercept(
       if (!reader.ok() || reader.remaining() != 0)
         return srv::error_frame("malformed TRACE payload");
       if ((flags & srv::kTraceFleet) != 0) return fleet_trace_json();
-      return text_frame(obs::TraceRecorder::instance().export_chrome_json(),
-                        config_.max_frame_bytes, "trace export");
+      return srv::capped_ok_frame(
+          srv::text_bytes(obs::TraceRecorder::instance().export_chrome_json()),
+          config_.max_frame_bytes, "trace export exceeds the frame cap");
     }
   }
   return std::nullopt;  // unknown verb: built-in ERR path
@@ -207,18 +200,18 @@ std::vector<std::uint8_t> NyqmonRouter::scatter_query(
             {"backend/" + config_.cluster.nodes[i].id, fleet.gather_ns[i]});
     explain.total_ns = elapsed_ns(t0);
   }
-  auto payload = srv::encode_query_reply(
-      result, fleet.cache_hit, (flags & srv::kQueryWantMatched) != 0,
-      (flags & srv::kQueryWantExplain) != 0 ? &explain : nullptr);
-  if (payload.size() >= config_.max_frame_bytes)
-    return srv::error_frame(
-        "query result exceeds the frame cap; narrow the selector/range or "
-        "coarsen step_s");
-  return srv::ok_frame(payload);
+  return srv::capped_ok_frame(
+      srv::encode_query_reply(
+          result, fleet.cache_hit, (flags & srv::kQueryWantMatched) != 0,
+          (flags & srv::kQueryWantExplain) != 0 ? &explain : nullptr),
+      config_.max_frame_bytes,
+      "query result exceeds the frame cap; narrow the selector/range or "
+      "coarsen step_s");
 }
 
 std::vector<std::uint8_t> NyqmonRouter::fleet_stats_json() {
-  const std::vector<NodeText> backends = lease()->fleet_stats();
+  const std::vector<NodeText> backends =
+      lease()->fleet_text(srv::Verb::kStats);
   char head[320];
   std::snprintf(
       head, sizeof(head),
@@ -245,10 +238,8 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_stats_json() {
     json += '}';
   }
   json += "]}";
-  if (json.size() >= config_.max_frame_bytes)
-    return srv::error_frame("fleet stats exceed the frame cap");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(json.data());
-  return srv::ok_frame(std::span<const std::uint8_t>(bytes, json.size()));
+  return srv::capped_ok_frame(srv::text_bytes(json), config_.max_frame_bytes,
+                              "fleet stats exceed the frame cap");
 }
 
 std::vector<std::uint8_t> NyqmonRouter::scatter_checkpoint() {
@@ -283,12 +274,14 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_trace_json() {
     if (payload.has_value())
       parts.emplace_back(payload->begin(), payload->end());
   parts.push_back(obs::TraceRecorder::instance().export_chrome_json());
-  return text_frame(obs::merge_chrome_json(parts), config_.max_frame_bytes,
-                    "stitched trace export");
+  return srv::capped_ok_frame(srv::text_bytes(obs::merge_chrome_json(parts)),
+                              config_.max_frame_bytes,
+                              "stitched trace export exceeds the frame cap");
 }
 
 std::vector<std::uint8_t> NyqmonRouter::fleet_metrics_text() {
-  const std::vector<NodeText> backends = lease()->fleet_metrics();
+  const std::vector<NodeText> backends =
+      lease()->fleet_text(srv::Verb::kMetrics);
   std::string text = "# == node " + config_.node_name + " ==\n" +
                      obs::Registry::instance().render_prometheus();
   for (const NodeText& backend : backends) {
@@ -298,7 +291,8 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_metrics_text() {
     else
       text += "# error: " + backend.error + "\n";
   }
-  return text_frame(text, config_.max_frame_bytes, "fleet metrics");
+  return srv::capped_ok_frame(srv::text_bytes(text), config_.max_frame_bytes,
+                              "fleet metrics exceeds the frame cap");
 }
 
 RouterStats NyqmonRouter::stats() const {

@@ -119,7 +119,6 @@ std::vector<cdouble> rfft(std::span<const double> x) {
   if (n >= 4 && n % 2 == 0) {
     const std::size_t half = n / 2;
     auto& ws = this_thread_workspace();
-    const auto& tw = ws.rfft_unpack_table(n);
     auto frame = ws.frame();
     cdouble* z = frame.cdoubles(half);
     for (std::size_t k = 0; k < half; ++k)
@@ -134,6 +133,9 @@ std::vector<cdouble> rfft(std::span<const double> x) {
       zf = zf_store.data();
     }
 
+    // Fetched after the transform: a plan build inside it may flush the
+    // plan cache, which would free a table taken before.
+    const auto& tw = ws.rfft_unpack_table(n);
     std::vector<cdouble> out(half + 1);
     for (std::size_t k = 0; k <= half; ++k) {
       const std::size_t k1 = k % half;

@@ -2,7 +2,7 @@
 //
 // Raw QuerySpec struct fills scatter field defaults and validation across
 // every call site; the builder makes the common path read in query order
-// (selector → range → align → transform → aggregate → flags) and funnels
+// (selector → range → align → transform → aggregate) and funnels
 // everything through QuerySpec::validate() at build() time. The builder is
 // sugar only: build() returns a plain QuerySpec, so a built spec and a
 // hand-filled spec with the same fields canonicalize to the same
@@ -17,11 +17,6 @@
 //                                   .transform(qry::Transform::kRate)
 //                                   .aggregate(qry::Aggregation::kP95)
 //                                   .build();
-//
-// The request flags (want_matched / want_explain) ride along for callers
-// that hand the whole builder to NyqmonClient::query(builder) — they are
-// wire-request options, not part of the spec, and do not affect the
-// canonical key.
 #pragma once
 
 #include <utility>
@@ -64,19 +59,6 @@ class QueryBuilder {
     return *this;
   }
 
-  /// Ask the reply to carry the matched stream IDs (kQueryWantMatched).
-  QueryBuilder& want_matched(bool on = true) {
-    want_matched_ = on;
-    return *this;
-  }
-
-  /// Ask the reply to carry the per-stage latency breakdown
-  /// (kQueryWantExplain).
-  QueryBuilder& want_explain(bool on = true) {
-    want_explain_ = on;
-    return *this;
-  }
-
   /// Validate and return the spec. Throws std::invalid_argument exactly
   /// like QuerySpec::validate() on a malformed spec.
   QuerySpec build() const {
@@ -84,13 +66,8 @@ class QueryBuilder {
     return spec_;
   }
 
-  bool matched_wanted() const { return want_matched_; }
-  bool explain_wanted() const { return want_explain_; }
-
  private:
   QuerySpec spec_;
-  bool want_matched_ = false;
-  bool want_explain_ = false;
 };
 
 }  // namespace nyqmon::qry

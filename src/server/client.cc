@@ -145,41 +145,22 @@ std::vector<std::uint8_t> NyqmonClient::request_raw(
   return read_response_body();
 }
 
-Response NyqmonClient::call(const Request& req) {
-  std::vector<std::uint8_t> body;
-  try {
-    if (req.flags.has_value()) {
-      // The trailing flag byte is part of the request payload on the wire
-      // (QUERY/METRICS/TRACE treat an absent byte as "no flags").
-      std::vector<std::uint8_t> payload(req.payload.begin(),
-                                        req.payload.end());
-      sto::put_u8(payload, *req.flags);
-      body = request_raw(static_cast<std::uint8_t>(req.verb), payload);
-    } else {
-      body = request_raw(static_cast<std::uint8_t>(req.verb), req.payload);
-    }
-  } catch (const std::runtime_error& e) {
-    if (req.trace.empty()) throw;
-    throw std::runtime_error(req.trace + ": " + e.what());
-  }
+std::vector<std::uint8_t> NyqmonClient::call_ok(
+    Verb verb, std::span<const std::uint8_t> payload) {
+  const std::vector<std::uint8_t> body =
+      request_raw(static_cast<std::uint8_t>(verb), payload);
   sto::ByteReader reader(body);
-  Response resp;
-  resp.status = static_cast<Status>(reader.get_u8());
-  if (resp.status == Status::kOk) {
-    resp.payload.assign(body.begin() + 1, body.end());
-    return resp;
-  }
-  resp.error_message = reader.get_string();
-  resp.error_details = decode_error_detail(reader);
-  return resp;
+  if (static_cast<Status>(reader.get_u8()) == Status::kOk)
+    return std::vector<std::uint8_t>(body.begin() + 1, body.end());
+  const std::string message = reader.get_string();
+  throw ServerError(message.empty() ? "(no message)" : message,
+                    decode_error_detail(reader));
 }
 
-std::vector<std::uint8_t> NyqmonClient::call_ok(const Request& req) {
-  Response resp = call(req);
-  if (resp.ok()) return std::move(resp.payload);
-  throw ServerError(resp.error_message.empty() ? "(no message)"
-                                               : resp.error_message,
-                    std::move(resp.error_details));
+std::string NyqmonClient::call_text(Verb verb,
+                                    std::span<const std::uint8_t> payload) {
+  const auto reply = call_ok(verb, payload);
+  return std::string(reply.begin(), reply.end());
 }
 
 std::uint64_t NyqmonClient::ingest(const std::string& stream, double rate_hz,
@@ -189,8 +170,7 @@ std::uint64_t NyqmonClient::ingest(const std::string& stream, double rate_hz,
   req.rate_hz = rate_hz;
   req.t0 = t0;
   req.values.assign(values.begin(), values.end());
-  const auto payload =
-      call_ok({.verb = Verb::kIngest, .payload = encode_ingest(req)});
+  const auto payload = call_ok(Verb::kIngest, encode_ingest(req));
   sto::ByteReader reader(payload);
   const std::uint64_t total = reader.get_u64();
   if (!reader.ok()) throw std::runtime_error("malformed INGEST response");
@@ -202,46 +182,31 @@ QueryReply NyqmonClient::query(const qry::QuerySpec& spec, bool want_matched,
   std::uint8_t flags = 0;
   if (want_matched) flags |= kQueryWantMatched;
   if (want_explain) flags |= kQueryWantExplain;
-  Request req;
-  req.verb = Verb::kQuery;
-  const std::vector<std::uint8_t> encoded = encode_query(spec);
-  req.payload = encoded;
-  if (flags != 0) req.flags = flags;
-  const auto payload = call_ok(req);
+  const auto payload = call_ok(Verb::kQuery, encode_query(spec, flags));
   sto::ByteReader reader(payload);
   auto reply = decode_query_reply(reader, flags);
   if (!reply.has_value()) throw std::runtime_error("malformed QUERY response");
   return std::move(*reply);
 }
 
-std::string NyqmonClient::stats_json() {
-  const auto payload = call_ok({.verb = Verb::kStats});
-  return std::string(payload.begin(), payload.end());
-}
+std::string NyqmonClient::stats_json() { return call_text(Verb::kStats); }
 
 std::string NyqmonClient::metrics_text(bool fleet) {
-  Request req;
-  req.verb = Verb::kMetrics;
-  if (fleet) req.flags = kMetricsFleet;
-  const auto payload = call_ok(req);
-  return std::string(payload.begin(), payload.end());
+  const std::uint8_t flags[] = {kMetricsFleet};
+  return call_text(Verb::kMetrics,
+                   std::span<const std::uint8_t>(flags, fleet ? 1u : 0u));
 }
 
 std::string NyqmonClient::trace_json(bool fleet) {
-  Request req;
-  req.verb = Verb::kTrace;
-  if (fleet) req.flags = kTraceFleet;
-  const auto payload = call_ok(req);
-  return std::string(payload.begin(), payload.end());
+  const std::uint8_t flags[] = {kTraceFleet};
+  return call_text(Verb::kTrace,
+                   std::span<const std::uint8_t>(flags, fleet ? 1u : 0u));
 }
 
-std::string NyqmonClient::logs_text() {
-  const auto payload = call_ok({.verb = Verb::kLogs});
-  return std::string(payload.begin(), payload.end());
-}
+std::string NyqmonClient::logs_text() { return call_text(Verb::kLogs); }
 
 CheckpointReply NyqmonClient::checkpoint() {
-  const auto payload = call_ok({.verb = Verb::kCheckpoint});
+  const auto payload = call_ok(Verb::kCheckpoint);
   sto::ByteReader reader(payload);
   auto reply = decode_checkpoint_reply(reader);
   if (!reply.has_value())
@@ -250,8 +215,8 @@ CheckpointReply NyqmonClient::checkpoint() {
 }
 
 HandoffExportReply NyqmonClient::handoff_export(const std::string& selector) {
-  const auto payload = call_ok(
-      {.verb = Verb::kHandoff, .payload = encode_handoff_export(selector)});
+  const auto payload =
+      call_ok(Verb::kHandoff, encode_handoff_export(selector));
   sto::ByteReader reader(payload);
   auto reply = decode_handoff_export_reply(reader);
   if (!reply.has_value())
@@ -261,8 +226,7 @@ HandoffExportReply NyqmonClient::handoff_export(const std::string& selector) {
 
 HandoffImportReply NyqmonClient::handoff_import(
     std::span<const std::uint8_t> segment) {
-  const auto payload = call_ok(
-      {.verb = Verb::kHandoff, .payload = encode_handoff_import(segment)});
+  const auto payload = call_ok(Verb::kHandoff, encode_handoff_import(segment));
   sto::ByteReader reader(payload);
   auto reply = decode_handoff_import_reply(reader);
   if (!reply.has_value())

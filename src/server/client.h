@@ -14,16 +14,10 @@
 // reconnect loop: transport errors retry with exponential backoff,
 // ServerError (the server *answered*) never retries.
 //
-// The typed surface is Request/Response + call()/call_ok(): a Request
-// names the verb, carries the encoded payload, and optionally the
-// protocol's trailing flag byte and a trace label (prefixed onto
-// transport-error messages so fan-out callers can tell which request
-// died). The pre-existing per-verb methods (ingest/query/stats_json/…)
-// are kept as thin wrappers over call_ok() for one release while callers
-// migrate; new code should prefer query(QueryBuilder) and, for verbs this
-// client predates, call()/call_ok() directly. Not marked [[deprecated]]
-// yet — the wrappers still back most in-tree call sites — but treat them
-// as frozen: new verbs get a Request, not a new wrapper.
+// One method per verb, each over call_ok(): the method encodes its own
+// payload — flag byte included (protocol.h owns where it goes) — sends it,
+// and decodes the OK reply. call_ok() is public for callers that already
+// hold an encoded payload (the cluster client's traced ingest).
 //
 // The raw escape hatches (send_raw / request_raw) exist for protocol
 // tests: truncated frames, oversized length prefixes, unknown verbs.
@@ -31,7 +25,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -39,14 +32,14 @@
 #include <utility>
 #include <vector>
 
-#include "query/builder.h"
 #include "query/spec.h"
 #include "server/protocol.h"
 
 namespace nyqmon::srv {
 
 /// The server answered ERR. `details` is non-empty only for ERR-with-detail
-/// payloads (the router's per-backend failure report).
+/// payloads (the router's per-backend failure report, a HANDOFF import's
+/// conflict list).
 class ServerError : public std::runtime_error {
  public:
   ServerError(const std::string& message, std::vector<ErrorDetail> details)
@@ -69,58 +62,22 @@ struct ClientOptions {
   std::size_t max_frame_bytes = kMaxFrameBytes;
 };
 
-/// One typed wire request: the verb, its encoded payload, and (when set)
-/// the protocol's optional trailing flag byte — QUERY's kQueryWant* bits,
-/// METRICS/TRACE's fleet bit. `trace` is a client-side label only (never
-/// sent): it prefixes transport-error messages, so a caller fanning one
-/// logical operation across many requests can tell which one failed.
-struct Request {
-  Verb verb = Verb::kStats;
-  std::span<const std::uint8_t> payload{};
-  std::optional<std::uint8_t> flags{};
-  std::string trace{};
-};
-
-/// The decoded response frame: the status byte plus everything after it.
-/// For ERR frames the server's message and per-node details are decoded
-/// into error_message / error_details and `payload` is empty.
-struct Response {
-  Status status = Status::kOk;
-  std::vector<std::uint8_t> payload;
-  std::string error_message;
-  std::vector<ErrorDetail> error_details;
-
-  bool ok() const { return status == Status::kOk; }
-};
-
 class NyqmonClient {
  public:
   /// Connect to host:port (numeric IPv4 host). Throws on failure (a
   /// connect timeout throws std::runtime_error mentioning "timed out").
   NyqmonClient(const std::string& host, std::uint16_t port,
-               ClientOptions options);
-
-  /// Untimed connect (back-compat convenience).
-  NyqmonClient(const std::string& host, std::uint16_t port,
-               std::size_t max_frame_bytes = kMaxFrameBytes)
-      : NyqmonClient(host, port,
-                     ClientOptions{0, 0, max_frame_bytes}) {}
+               ClientOptions options = {});
 
   ~NyqmonClient();
 
   NyqmonClient(const NyqmonClient&) = delete;
   NyqmonClient& operator=(const NyqmonClient&) = delete;
 
-  /// Issue one typed request and return the decoded response, OK or ERR
-  /// alike. Throws std::runtime_error only on transport failure (with
-  /// req.trace prefixed onto the message when set) — inspect
-  /// Response::ok() for the server's verdict.
-  Response call(const Request& req);
-
-  /// call() + ERR unwrapping: returns the OK payload, throws ServerError
-  /// when the server answered ERR. Every per-verb method below routes
-  /// through here.
-  std::vector<std::uint8_t> call_ok(const Request& req);
+  /// Send one request and return its OK payload. Throws ServerError when
+  /// the server answers ERR, std::runtime_error on transport failure.
+  std::vector<std::uint8_t> call_ok(Verb verb,
+                                    std::span<const std::uint8_t> payload = {});
 
   /// Append a batch to `stream`, creating it on first ingest with the
   /// given collection rate and start time. Returns the stream's total
@@ -135,13 +92,6 @@ class NyqmonClient {
   /// ignores the flag and the field stays empty.
   QueryReply query(const qry::QuerySpec& spec, bool want_matched = false,
                    bool want_explain = false);
-
-  /// Build-and-query in one go: validates the builder's spec and carries
-  /// its want_matched/want_explain options as the request flags.
-  QueryReply query(const qry::QueryBuilder& builder) {
-    return query(builder.build(), builder.matched_wanted(),
-                 builder.explain_wanted());
-  }
 
   /// The server's JSON counter snapshot, verbatim.
   std::string stats_json();
@@ -170,7 +120,9 @@ class NyqmonClient {
   HandoffExportReply handoff_export(const std::string& selector);
 
   /// Restore a wire segment image into the server. The server refuses
-  /// (ServerError with per-stream details) when any stream already exists.
+  /// (ServerError with per-stream details) when any stream already exists;
+  /// the details list at most 255 streams, and the message states the
+  /// total.
   HandoffImportReply handoff_import(std::span<const std::uint8_t> segment);
 
   /// Close the socket early (tests: disconnect mid-exchange). Idempotent.
@@ -191,6 +143,8 @@ class NyqmonClient {
 
  private:
   std::vector<std::uint8_t> read_response_body();
+  /// call_ok() for the verbs whose OK payload is text, returned verbatim.
+  std::string call_text(Verb verb, std::span<const std::uint8_t> payload = {});
 
   int fd_ = -1;
   std::size_t max_frame_bytes_;

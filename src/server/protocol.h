@@ -79,6 +79,7 @@
 //   * An ERR payload may append detail entries after the message:
 //     u8 n_details, then per entry u16 len|node_id, u16 len|error. The
 //     router's partial-failure report: which backends failed and why.
+//     At most 255 entries are sent.
 //   * Any request body may append a 21-byte TraceContext trailer
 //     (u64 trace_id, u64 parent_span_id, u8 sampled, u32 magic "NYTC"),
 //     detected by the magic at the body's tail and stripped before verb
@@ -95,6 +96,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "query/spec.h"
@@ -277,17 +279,37 @@ inline std::vector<std::uint8_t> error_frame(const std::string& message) {
 }
 
 /// ERR carrying per-node failure detail (the router's partial-failure
-/// report). Old clients read the message and ignore the trailing block.
+/// report, a HANDOFF import's conflict list). Old clients read the message
+/// and ignore the trailing block. The block's count is one byte, so only
+/// the first 255 entries are sent; a message that must report the total
+/// has to state it itself.
 inline std::vector<std::uint8_t> error_frame_with_detail(
     const std::string& message, const std::vector<ErrorDetail>& details) {
+  const std::size_t n = std::min<std::size_t>(details.size(), 255);
   std::vector<std::uint8_t> payload;
   sto::put_string(payload, message);
-  sto::put_u8(payload, static_cast<std::uint8_t>(details.size()));
-  for (const ErrorDetail& d : details) {
-    sto::put_string(payload, d.node);
-    sto::put_string(payload, d.error);
+  sto::put_u8(payload, static_cast<std::uint8_t>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    sto::put_string(payload, details[i].node);
+    sto::put_string(payload, details[i].error);
   }
   return frame(static_cast<std::uint8_t>(Status::kError), payload);
+}
+
+/// OK carrying `payload`, or ERR `refusal` when the reply would not fit one
+/// frame under `max_frame_bytes`: clients reject bodies over their cap, and
+/// past 4 GiB the u32 length prefix would wrap.
+inline std::vector<std::uint8_t> capped_ok_frame(
+    std::span<const std::uint8_t> payload, std::size_t max_frame_bytes,
+    const std::string& refusal) {
+  if (payload.size() >= max_frame_bytes) return error_frame(refusal);
+  return ok_frame(payload);
+}
+
+/// The bytes of a text reply (STATS JSON, METRICS/TRACE/LOGS exports). The
+/// span views `text`, so use it before the text goes away.
+inline std::span<const std::uint8_t> text_bytes(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
 }
 
 /// Parse the optional detail block after an ERR message. The reader must
@@ -369,11 +391,6 @@ inline std::optional<qry::QuerySpec> decode_query(sto::ByteReader& r,
   return spec;
 }
 
-inline std::optional<qry::QuerySpec> decode_query(sto::ByteReader& r) {
-  std::uint8_t flags = 0;
-  return decode_query(r, flags);
-}
-
 inline std::vector<std::uint8_t> encode_query_reply(
     const qry::QueryResult& result, bool cache_hit,
     bool with_matched_labels = false,
@@ -412,10 +429,8 @@ inline std::vector<std::uint8_t> encode_query_reply(
 /// carried: the optional reply blocks are positional, so the decoder
 /// needs to know which were asked for. Each block is tolerated absent
 /// (an old server ignores flag bits it predates), strict when present.
-/// The default preserves the pre-explain behavior of treating any bytes
-/// after the series block as the matched-labels block.
-inline std::optional<QueryReply> decode_query_reply(
-    sto::ByteReader& r, std::uint8_t flags = kQueryWantMatched) {
+inline std::optional<QueryReply> decode_query_reply(sto::ByteReader& r,
+                                                    std::uint8_t flags) {
   QueryReply reply;
   reply.cache_hit = r.get_u8() != 0;
   reply.matched = r.get_u32();

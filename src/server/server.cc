@@ -701,24 +701,21 @@ std::vector<std::uint8_t> NyqmondServer::handle_query(sto::ByteReader& reader) {
   if (!spec.has_value()) return error_frame("malformed QUERY payload");
   spec->validate();  // throws -> ERR via dispatch
   const qry::QueryResponse response = query_.run(*spec);
+  const bool want_explain = (flags & kQueryWantExplain) != 0;
   QueryExplainBlock explain;
-  if ((flags & kQueryWantExplain) != 0) {
+  if (want_explain) {
     explain.total_ns = response.total_ns;
     explain.stages.reserve(response.stages.size());
     for (const qry::QueryStageTiming& st : response.stages)
       explain.stages.push_back({st.stage, st.ns});
   }
-  auto payload = encode_query_reply(
-      *response.result, response.cache_hit, (flags & kQueryWantMatched) != 0,
-      (flags & kQueryWantExplain) != 0 ? &explain : nullptr);
-  // A reply must fit one frame: clients reject bodies over their cap, and
-  // past 4 GiB the u32 length prefix would wrap. Refuse rather than emit
-  // an undeliverable frame.
-  if (payload.size() >= config_.max_frame_bytes)
-    return error_frame(
-        "query result exceeds the frame cap; narrow the selector/range or "
-        "coarsen step_s");
-  return ok_frame(payload);
+  return capped_ok_frame(
+      encode_query_reply(*response.result, response.cache_hit,
+                         (flags & kQueryWantMatched) != 0,
+                         want_explain ? &explain : nullptr),
+      config_.max_frame_bytes,
+      "query result exceeds the frame cap; narrow the selector/range or "
+      "coarsen step_s");
 }
 
 std::vector<std::uint8_t> NyqmondServer::handle_stats() {
@@ -745,8 +742,7 @@ std::vector<std::uint8_t> NyqmondServer::handle_stats() {
       static_cast<unsigned long long>(protocol_errors_.load()),
       static_cast<unsigned long long>(samples_ingested_.load()),
       static_cast<unsigned long long>(connections_accepted_.load()));
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(json);
-  return ok_frame(std::span<const std::uint8_t>(bytes, std::strlen(json)));
+  return ok_frame(text_bytes(json));
 }
 
 std::vector<std::uint8_t> NyqmondServer::handle_checkpoint() {
@@ -766,31 +762,25 @@ std::vector<std::uint8_t> NyqmondServer::handle_checkpoint() {
 }
 
 std::vector<std::uint8_t> NyqmondServer::handle_metrics() {
-  const std::string text = obs::Registry::instance().render_prometheus();
-  if (text.size() >= config_.max_frame_bytes)
-    return error_frame("metrics exposition exceeds the frame cap");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(text.data());
-  return ok_frame(std::span<const std::uint8_t>(bytes, text.size()));
+  return capped_ok_frame(
+      text_bytes(obs::Registry::instance().render_prometheus()),
+      config_.max_frame_bytes, "metrics exposition exceeds the frame cap");
 }
 
 std::vector<std::uint8_t> NyqmondServer::handle_trace() {
   // Draining consumes the buffered events: two TRACE frames in a row
   // return disjoint windows of activity.
-  const std::string json = obs::TraceRecorder::instance().export_chrome_json();
-  if (json.size() >= config_.max_frame_bytes)
-    return error_frame("trace export exceeds the frame cap");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(json.data());
-  return ok_frame(std::span<const std::uint8_t>(bytes, json.size()));
+  return capped_ok_frame(
+      text_bytes(obs::TraceRecorder::instance().export_chrome_json()),
+      config_.max_frame_bytes, "trace export exceeds the frame cap");
 }
 
 std::vector<std::uint8_t> NyqmondServer::handle_logs() {
   // Consuming drain, like TRACE: two LOGS frames in a row return disjoint
   // batches of records.
-  const std::string text = obs::LogRecorder::instance().export_text();
-  if (text.size() >= config_.max_frame_bytes)
-    return error_frame("log export exceeds the frame cap");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(text.data());
-  return ok_frame(std::span<const std::uint8_t>(bytes, text.size()));
+  return capped_ok_frame(
+      text_bytes(obs::LogRecorder::instance().export_text()),
+      config_.max_frame_bytes, "log export exceeds the frame cap");
 }
 
 std::vector<std::uint8_t> NyqmondServer::handle_handoff(
@@ -840,15 +830,19 @@ std::vector<std::uint8_t> NyqmondServer::handle_handoff(
     }
     // All or nothing, atomically with respect to concurrent INGEST: an
     // import must not silently merge into streams this node already owns
-    // (that would double-count on a repeated handoff). The detail block
-    // names every conflict.
+    // (that would double-count on a repeated handoff). The message states
+    // how many streams conflict; the detail block names up to 255 of them.
     const std::vector<std::string> existing =
         store_.restore_streams(std::move(streams));
     if (!existing.empty()) {
       std::vector<ErrorDetail> conflicts;
       for (const std::string& name : existing)
         conflicts.push_back({name, "stream already exists"});
-      return error_frame_with_detail("handoff import refused", conflicts);
+      return error_frame_with_detail(
+          "handoff import refused: " + std::to_string(existing.size()) +
+              (existing.size() == 1 ? " stream already exists"
+                                    : " streams already exist"),
+          conflicts);
     }
     // restore_streams bypasses the ingest sink (it is the recovery path and
     // must not re-log), so durability comes from checkpointing through the

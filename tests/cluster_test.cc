@@ -33,6 +33,7 @@
 #include "cluster/router.h"
 #include "monitor/striped_store.h"
 #include "obs/trace.h"
+#include "query/builder.h"
 #include "query/merge.h"
 #include "query/selector.h"
 #include "server/client.h"
@@ -150,13 +151,12 @@ TEST(HashRing, AddingANodeMovesOnlyItsShare) {
 // ------------------------------------------------------------------- merge --
 
 qry::QuerySpec merge_spec(qry::Aggregation agg) {
-  qry::QuerySpec spec;
-  spec.selector = "*";
-  spec.t_begin = 0.0;
-  spec.t_end = 8.0;
-  spec.step_s = 1.0;
-  spec.aggregate = agg;
-  return spec;
+  return qry::QueryBuilder()
+      .select("*")
+      .range(0.0, 8.0)
+      .align(1.0)
+      .aggregate(agg)
+      .build();
 }
 
 qry::QuerySeries series_of(const std::string& label, double seed,
@@ -231,8 +231,10 @@ struct MiniFleet {
   std::vector<std::unique_ptr<srv::NyqmondServer>> backends;
   std::unique_ptr<clu::NyqmonRouter> router;
 
-  explicit MiniFleet(std::size_t n, std::uint32_t io_timeout_ms = 5000) {
+  explicit MiniFleet(std::size_t n, std::uint32_t io_timeout_ms = 5000,
+                     std::size_t front_frame_bytes = srv::kMaxFrameBytes) {
     clu::RouterConfig cfg;
+    cfg.max_frame_bytes = front_frame_bytes;
     for (std::size_t i = 0; i < n; ++i) {
       stores.push_back(std::make_unique<mon::StripedRetentionStore>());
       srv::ServerConfig backend_cfg;
@@ -285,14 +287,13 @@ std::vector<qry::QuerySpec> selector_suite() {
   std::size_t v = 0;
   for (const char* sel : selectors) {
     for (const auto agg : aggs) {
-      qry::QuerySpec spec;
-      spec.selector = sel;
-      spec.t_begin = 8.0;
-      spec.t_end = 200.0;
-      spec.step_s = 4.0;
-      spec.transform = transforms[v++ % 3];
-      spec.aggregate = agg;
-      suite.push_back(spec);
+      suite.push_back(qry::QueryBuilder()
+                          .select(sel)
+                          .range(8.0, 200.0)
+                          .align(4.0)
+                          .transform(transforms[v++ % 3])
+                          .aggregate(agg)
+                          .build());
     }
   }
   return suite;
@@ -375,17 +376,18 @@ TEST(Fleet, HandoffKeepsAnswersBitIdentical) {
   ingest_fixture(c1);
   ingest_fixture(c4);
 
-  // Move podA/cpu off its ring owner onto another node, driving the
-  // handoff through a standalone ClusterClient (the router's own cluster
-  // clients are leased to its reactor threads). The source keeps its copy
-  // (mid-handoff state): queries must dedupe, not double-count.
-  clu::ClusterConfig side;
-  side.nodes = four.router->ring().nodes();
-  clu::ClusterClient mover(side);
+  // Move podA/cpu off its ring owner onto another node the way the
+  // operator does (nyqmon_ctl handoff): EXPORT on the source backend,
+  // IMPORT on the destination, one client each, since the router refuses
+  // HANDOFF. The source keeps its copy (mid-handoff state): queries must
+  // dedupe, not double-count.
   const std::size_t from = four.router->ring().owner("podA/cpu");
   const std::size_t to = (from + 1) % 4;
+  srv::NyqmonClient source("127.0.0.1", four.backends[from]->port());
+  srv::NyqmonClient destination("127.0.0.1", four.backends[to]->port());
+  const srv::HandoffExportReply exported = source.handoff_export("podA/cpu");
   const srv::HandoffImportReply imported =
-      mover.handoff("podA/cpu", from, to);
+      destination.handoff_import(exported.segment);
   EXPECT_EQ(imported.streams, 1u);
   EXPECT_GT(imported.samples, 0u);
   EXPECT_TRUE(four.stores[to]->find_meta("podA/cpu").has_value());
@@ -395,12 +397,44 @@ TEST(Fleet, HandoffKeepsAnswersBitIdentical) {
 
   // Importing the same streams again is refused with per-stream detail.
   try {
-    mover.handoff("podA/cpu", from, to);
+    destination.handoff_import(source.handoff_export("podA/cpu").segment);
     FAIL() << "duplicate import must be refused";
   } catch (const srv::ServerError& e) {
     ASSERT_EQ(e.details().size(), 1u);
     EXPECT_EQ(e.details()[0].node, "podA/cpu");
   }
+}
+
+// The router refuses a reply that would not fit its front's frame cap
+// with an ERR naming the cap, and the connection keeps serving.
+TEST(Fleet, RouterRefusesOverCapRepliesAndServesOn) {
+  MiniFleet fleet(2, 5000, /*front_frame_bytes=*/4096);
+  srv::NyqmonClient client("127.0.0.1", fleet.router->port());
+  client.ingest("podA/cpu", 1.0, 0.0, wave(400, 0.3));
+  client.ingest("podB/cpu", 1.0, 0.0, wave(400, 0.9));
+
+  // Two merged series of 1000 grid points: 16000 bytes of values alone.
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("*/cpu")
+                                  .range(0.0, 400.0)
+                                  .align(0.4)
+                                  .build();
+  try {
+    (void)client.query(spec);
+    FAIL() << "an over-cap merged QUERY reply must be refused";
+  } catch (const srv::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("frame cap"), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)client.metrics_text(/*fleet=*/true);
+    FAIL() << "an over-cap fleet METRICS reply must be refused";
+  } catch (const srv::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("frame cap"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NE(client.stats_json().find("\"router\""), std::string::npos);
+  EXPECT_EQ(fleet.router->stats().partial_failures, 0u);
 }
 
 TEST(Fleet, ConcurrentQueriesAnswerLikeOneNodeBesideIngest) {
@@ -506,11 +540,11 @@ TEST(Fleet, KilledBackendAnswersErrWithDetailPromptly) {
   srv::NyqmonClient client("127.0.0.1", fleet.router->port());
   ingest_fixture(client);
 
-  qry::QuerySpec spec;
-  spec.selector = "*";
-  spec.t_begin = 0.0;
-  spec.t_end = 128.0;
-  spec.step_s = 2.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("*")
+                                  .range(0.0, 128.0)
+                                  .align(2.0)
+                                  .build();
 
   // Several connections query at once first, so the router's pool holds
   // warm backend connection sets, each with a socket to node1, when it dies.
@@ -637,11 +671,11 @@ TEST(Fleet, RouterExplainAttributesScatterAndMerge) {
   srv::NyqmonClient client("127.0.0.1", fleet.router->port());
   ingest_fixture(client);
 
-  qry::QuerySpec spec;
-  spec.selector = "*";
-  spec.t_begin = 8.0;
-  spec.t_end = 200.0;
-  spec.step_s = 2.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("*")
+                                  .range(8.0, 200.0)
+                                  .align(2.0)
+                                  .build();
   const srv::QueryReply reply =
       client.query(spec, /*want_matched=*/true, /*want_explain=*/true);
   ASSERT_TRUE(reply.explain.has_value());
@@ -750,11 +784,11 @@ TEST(Fleet, FleetTraceStitchesOneQueryTimeline) {
 
   rec.drain();  // discard the ingest round: capture only the traced query
   rec.set_enabled(true);
-  qry::QuerySpec spec;
-  spec.selector = "*";
-  spec.t_begin = 8.0;
-  spec.t_end = 200.0;
-  spec.step_s = 4.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("*")
+                                  .range(8.0, 200.0)
+                                  .align(4.0)
+                                  .build();
   (void)client.query(spec, /*want_matched=*/true);
   const std::string json = client.trace_json(/*fleet=*/true);
   rec.set_enabled(false);

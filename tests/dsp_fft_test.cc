@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "dsp/fft.h"
+#include "dsp/workspace.h"
 #include "signal/generators.h"
 #include "util/rng.h"
 
@@ -146,6 +148,28 @@ TEST(Rfft, HalfSpectrumMatchesFullAndInverts) {
     const auto back = irfft(half, n);
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(back[i], x[i], 1e-9);
   }
+}
+
+// A plan build inside rfft's half-size transform may flush the plan cache.
+// The 2^19-point plan leaves the cache just under its cap, so building the
+// 2^16-point plan (or, before it, the unpack table) overflows it during
+// the call; the unpack table must not be one the flush already freed.
+TEST(Rfft, PlanCacheFlushDuringCallKeepsOutputExact) {
+  auto& ws = nyqmon::dsp::this_thread_workspace();
+  ws.reset();
+  Rng rng(6);
+  (void)fft(random_complex(std::size_t{1} << 19, rng));
+  std::vector<double> x(std::size_t{1} << 17);
+  for (auto& v : x) v = rng.normal(0, 1);
+
+  const std::uint64_t flushes = ws.cache_flushes();
+  const auto cold = rfft(x);
+  EXPECT_EQ(ws.cache_flushes(), flushes + 1);
+  const auto warm = rfft(x);
+  ASSERT_EQ(cold.size(), warm.size());
+  EXPECT_EQ(std::memcmp(cold.data(), warm.data(),
+                        cold.size() * sizeof(cdouble)),
+            0);
 }
 
 TEST(Irfft, SizeMismatchThrows) {

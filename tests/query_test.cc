@@ -118,11 +118,6 @@ TEST(Builder, BuildValidates) {
                std::invalid_argument);
 }
 
-TEST(Builder, WireFlagBits) {
-  EXPECT_FALSE(qry::QueryBuilder().matched_wanted());
-  EXPECT_TRUE(qry::QueryBuilder().want_matched().matched_wanted());
-}
-
 TEST(Spec, CanonicalKeyDistinguishesStructure) {
   qry::QuerySpec a;
   a.selector = "*";
@@ -165,11 +160,11 @@ TEST(QueryEngine, AlignmentMatchesDirectStoreQuery) {
   auto store = make_store_with({{"dev/a", 1.0}}, 300);
   qry::QueryEngine qe(store);
 
-  qry::QuerySpec spec;
-  spec.selector = "dev/a";
-  spec.t_begin = 10.0;
-  spec.t_end = 200.0;
-  spec.step_s = 1.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/a")
+                                  .range(10.0, 200.0)
+                                  .align(1.0)
+                                  .build();
   const auto r = qe.run(spec);
   ASSERT_EQ(r.result->series.size(), 1u);
   const auto& got = r.result->series[0].series;
@@ -182,11 +177,11 @@ TEST(QueryEngine, AlignmentMatchesDirectStoreQuery) {
 TEST(QueryEngine, CoarserGridInterpolates) {
   auto store = make_store_with({{"dev/a", 1.0}}, 300);
   qry::QueryEngine qe(store);
-  qry::QuerySpec spec;
-  spec.selector = "dev/a";
-  spec.t_begin = 0.0;
-  spec.t_end = 100.0;
-  spec.step_s = 10.0;  // 10x coarser than collection
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/a")
+                                  .range(0.0, 100.0)
+                                  .align(10.0)  // 10x coarser than collection
+                                  .build();
   const auto r = qe.run(spec);
   ASSERT_EQ(r.result->series.size(), 1u);
   const auto& got = r.result->series[0].series;
@@ -211,14 +206,13 @@ mon::StripedRetentionStore make_constant_store(
   return store;
 }
 
-qry::QuerySpec agg_spec(qry::Aggregation agg) {
-  qry::QuerySpec spec;
-  spec.selector = std::string("*");
-  spec.t_begin = 0.0;
-  spec.t_end = 50.0;
-  spec.step_s = 1.0;
-  spec.aggregate = agg;
-  return spec;
+qry::QuerySpec agg_spec(qry::Aggregation agg, std::string selector = "*") {
+  return qry::QueryBuilder()
+      .select(std::move(selector))
+      .range(0.0, 50.0)
+      .align(1.0)
+      .aggregate(agg)
+      .build();
 }
 
 TEST(QueryEngine, AggregationValues) {
@@ -256,12 +250,12 @@ TEST(QueryEngine, RateTransformOfRamp) {
   store.append_series("dev/ctr", ramp);
 
   qry::QueryEngine qe(store);
-  qry::QuerySpec spec;
-  spec.selector = "dev/ctr";
-  spec.t_begin = 0.0;
-  spec.t_end = 100.0;
-  spec.step_s = 1.0;
-  spec.transform = qry::Transform::kRate;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/ctr")
+                                  .range(0.0, 100.0)
+                                  .align(1.0)
+                                  .transform(qry::Transform::kRate)
+                                  .build();
   const auto r = qe.run(spec);
   const auto& s = r.result->series[0].series;
   ASSERT_EQ(s.size(), 100u);
@@ -272,12 +266,12 @@ TEST(QueryEngine, RateTransformOfRamp) {
 TEST(QueryEngine, ZScoreTransform) {
   auto store = make_store_with({{"dev/a", 1.0}}, 300);
   qry::QueryEngine qe(store);
-  qry::QuerySpec spec;
-  spec.selector = "dev/a";
-  spec.t_begin = 0.0;
-  spec.t_end = 250.0;
-  spec.step_s = 1.0;
-  spec.transform = qry::Transform::kZScore;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/a")
+                                  .range(0.0, 250.0)
+                                  .align(1.0)
+                                  .transform(qry::Transform::kZScore)
+                                  .build();
   const auto r = qe.run(spec);
   const auto& v = r.result->series[0].series.values();
   double sum = 0.0, sq = 0.0;
@@ -292,10 +286,12 @@ TEST(QueryEngine, ZScoreTransform) {
   // A flat window has no scale: z-score is defined as all zeros.
   auto flat = make_constant_store({{"f/m", 5.0}});
   qry::QueryEngine qf(flat);
-  qry::QuerySpec fs = spec;
-  fs.selector = "f/m";
-  fs.t_end = 50.0;
-  const auto rf = qf.run(fs);
+  const auto rf = qf.run(qry::QueryBuilder()
+                             .select("f/m")
+                             .range(0.0, 50.0)
+                             .align(1.0)
+                             .transform(qry::Transform::kZScore)
+                             .build());
   for (const double x : rf.result->series[0].series.values())
     EXPECT_DOUBLE_EQ(x, 0.0);
 }
@@ -333,8 +329,7 @@ TEST(QueryEngine, CacheHitThenGenerationInvalidation) {
 TEST(QueryEngine, IngestOutsideSelectorKeepsCacheWarm) {
   auto store = make_constant_store({{"a/m", 1.0}, {"zz/other", 9.0}});
   qry::QueryEngine qe(store);
-  qry::QuerySpec spec = agg_spec(qry::Aggregation::kAvg);
-  spec.selector = "a/*";
+  const auto spec = agg_spec(qry::Aggregation::kAvg, "a/*");
   (void)qe.run(spec);
   // Not matched: the fingerprint is unchanged.
   store.append_series("zz/other", std::vector<double>{1.0});
@@ -372,8 +367,7 @@ TEST(ResultCache, LruEviction) {
 TEST(QueryEngine, UnmatchedSelectorIsEmptyNotError) {
   auto store = make_constant_store({{"a/m", 1.0}});
   qry::QueryEngine qe(store);
-  qry::QuerySpec spec = agg_spec(qry::Aggregation::kAvg);
-  spec.selector = "nothing/*";
+  const auto spec = agg_spec(qry::Aggregation::kAvg, "nothing/*");
   const auto r = qe.run(spec);
   EXPECT_TRUE(r.result->matched.empty());
   EXPECT_TRUE(r.result->series.empty());
@@ -411,10 +405,12 @@ TEST(QueryEngine, SubStepWindowHoldsSlowStreamValueNotZeros) {
   store.append_series("slow/m", std::vector<double>(40, 9.0));
 
   qry::QueryEngine qe(store);
-  qry::QuerySpec spec = agg_spec(qry::Aggregation::kMin);
-  spec.t_begin = 0.0;
-  spec.t_end = 60.0;
-  const auto r = qe.run(spec);
+  const auto r = qe.run(qry::QueryBuilder()
+                            .select("*")
+                            .range(0.0, 60.0)
+                            .align(1.0)
+                            .aggregate(qry::Aggregation::kMin)
+                            .build());
   EXPECT_EQ(r.result->reconstructed.size(), 2u);
   ASSERT_EQ(r.result->series.size(), 1u);
   for (const double v : r.result->series[0].series.values())
@@ -424,15 +420,13 @@ TEST(QueryEngine, SubStepWindowHoldsSlowStreamValueNotZeros) {
 TEST(QueryEngine, ExactSelectorFastPathSkipsFleetScan) {
   auto store = make_constant_store({{"a/m", 1.0}, {"b/m", 2.0}});
   qry::QueryEngine qe(store);
-  qry::QuerySpec spec = agg_spec(qry::Aggregation::kAvg);
-  spec.selector = "a/m";  // wildcard-free: direct stripe lookup
-  const auto r = qe.run(spec);
+  // Wildcard-free: a direct stripe lookup.
+  const auto r = qe.run(agg_spec(qry::Aggregation::kAvg, "a/m"));
   EXPECT_EQ(r.result->matched, (std::vector<std::string>{"a/m"}));
   EXPECT_EQ(qe.stats().streams_considered, 1u);  // not the fleet's 2
 
-  qry::QuerySpec missing = spec;
-  missing.selector = "nope/m";
-  EXPECT_TRUE(qe.run(missing).result->matched.empty());
+  const auto missing = qe.run(agg_spec(qry::Aggregation::kAvg, "nope/m"));
+  EXPECT_TRUE(missing.result->matched.empty());
 }
 
 TEST(QueryEngine, FleetScaleSelectorPruningAndDeterminism) {
@@ -454,12 +448,13 @@ TEST(QueryEngine, FleetScaleSelectorPruningAndDeterminism) {
   rt::StreamingRuntime runtime(fleet, clock, cfg);
   (void)runtime.run_to_completion();
 
-  qry::QuerySpec spec;
-  spec.selector = "*/" + tel::metric_name(tel::MetricKind::kTemperature);
-  spec.t_begin = 0.0;
-  spec.t_end = 3600.0;
-  spec.step_s = 60.0;
-  spec.aggregate = qry::Aggregation::kP95;
+  const qry::QuerySpec spec =
+      qry::QueryBuilder()
+          .select("*/" + tel::metric_name(tel::MetricKind::kTemperature))
+          .range(0.0, 3600.0)
+          .align(60.0)
+          .aggregate(qry::Aggregation::kP95)
+          .build();
 
   auto run_with_workers = [&](std::size_t workers) {
     qry::QueryEngineConfig qcfg;

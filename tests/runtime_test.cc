@@ -13,6 +13,7 @@
 
 #include "engine/engine.h"
 #include "monitor/striped_store.h"
+#include "query/builder.h"
 #include "query/spec.h"
 #include "runtime/clock.h"
 #include "runtime/runtime.h"
@@ -223,12 +224,13 @@ TEST(Runtime, FivehundredPairsBitIdenticalAtOneAndFourWorkers) {
   }
 
   // Query-engine results over the served store, bit for bit.
-  qry::QuerySpec spec;
-  spec.selector = "*/*";
-  spec.t_begin = 0.0;
-  spec.t_end = fleet_span_s(fleet, serial_cfg.engine);
-  spec.step_s = spec.t_end / 512.0;
-  spec.aggregate = qry::Aggregation::kP95;
+  const double span = fleet_span_s(fleet, serial_cfg.engine);
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("*/*")
+                                  .range(0.0, span)
+                                  .align(span / 512.0)
+                                  .aggregate(qry::Aggregation::kP95)
+                                  .build();
   const auto r_serial = serial.query_engine().run(spec);
   const auto r_parallel = parallel.query_engine().run(spec);
   ASSERT_EQ(r_serial.result->series.size(), r_parallel.result->series.size());
@@ -254,12 +256,13 @@ TEST(Runtime, ServesQueriesDuringIngestWithGenerationInvalidation) {
   runtime.step();
   ASSERT_FALSE(runtime.done());
 
-  qry::QuerySpec spec;
-  spec.selector = "*/*";
-  spec.t_begin = 0.0;
-  spec.t_end = fleet_span_s(fleet, cfg.engine);
-  spec.step_s = spec.t_end / 256.0;
-  spec.aggregate = qry::Aggregation::kAvg;
+  const double span = fleet_span_s(fleet, cfg.engine);
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("*/*")
+                                  .range(0.0, span)
+                                  .align(span / 256.0)
+                                  .aggregate(qry::Aggregation::kAvg)
+                                  .build();
 
   const auto early = runtime.query_engine().run(spec);
   ASSERT_FALSE(early.cache_hit);
@@ -301,12 +304,12 @@ TEST(Runtime, ConcurrentQueriesWhilePolling) {
   std::atomic<std::size_t> queries{0};
   const double span = fleet_span_s(fleet, cfg.engine);
   std::thread reader([&] {
-    qry::QuerySpec spec;
-    spec.selector = "*/*";
-    spec.t_begin = 0.0;
-    spec.t_end = span;
-    spec.step_s = span / 256.0;
-    spec.aggregate = qry::Aggregation::kMax;
+    const qry::QuerySpec spec = qry::QueryBuilder()
+                                    .select("*/*")
+                                    .range(0.0, span)
+                                    .align(span / 256.0)
+                                    .aggregate(qry::Aggregation::kMax)
+                                    .build();
     while (!stop.load()) {
       const auto r = runtime.query_engine().run(spec);
       ASSERT_NE(r.result, nullptr);

@@ -18,13 +18,17 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "monitor/striped_store.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/builder.h"
 #include "query/engine.h"
 #include "runtime/clock.h"
 #include "runtime/runtime.h"
@@ -109,11 +113,11 @@ TEST(Server, IngestThenQueryRoundTrip) {
                           std::span<const double>(values).subspan(100)),
             256u);
 
-  qry::QuerySpec spec;
-  spec.selector = "rack1/*";
-  spec.t_begin = 0.0;
-  spec.t_end = 256.0;
-  spec.step_s = 1.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("rack1/*")
+                                  .range(0.0, 256.0)
+                                  .align(1.0)
+                                  .build();
   const srv::QueryReply reply = client.query(spec);
   EXPECT_EQ(reply.matched, 1u);
   EXPECT_EQ(reply.reconstructed, 1u);
@@ -260,11 +264,11 @@ TEST(Server, ClientDisconnectMidQueryIsHarmless) {
     client.ingest("big/stream", 10.0, 0.0, values);
 
     // Fire a query whose reply is substantial, then vanish without reading.
-    qry::QuerySpec spec;
-    spec.selector = "big/*";
-    spec.t_begin = 0.0;
-    spec.t_end = 409.6;
-    spec.step_s = 0.1;
+    const qry::QuerySpec spec = qry::QueryBuilder()
+                                    .select("big/*")
+                                    .range(0.0, 409.6)
+                                    .align(0.1)
+                                    .build();
     srv::NyqmonClient dropper("127.0.0.1", server.port());
     dropper.send_raw(srv::request_frame(srv::Verb::kQuery,
                                         srv::encode_query(spec)));
@@ -301,12 +305,13 @@ TEST(Server, FourClientConcurrentIngestQueryIsDeterministic) {
                         std::span<const double>(values).subspan(b * kBatch,
                                                                 kBatch));
           // Interleave queries over everyone's streams while others ingest.
-          qry::QuerySpec spec;
-          spec.selector = "client*/metric";
-          spec.t_begin = 0.0;
-          spec.t_end = static_cast<double>(kBatches * kBatch);
-          spec.step_s = 4.0;
-          spec.aggregate = qry::Aggregation::kSum;
+          const qry::QuerySpec spec =
+              qry::QueryBuilder()
+                  .select("client*/metric")
+                  .range(0.0, static_cast<double>(kBatches * kBatch))
+                  .align(4.0)
+                  .aggregate(qry::Aggregation::kSum)
+                  .build();
           const auto reply = client.query(spec);
           if (reply.series.size() != 1) ++failures;
         }
@@ -320,12 +325,13 @@ TEST(Server, FourClientConcurrentIngestQueryIsDeterministic) {
 
   // Quiesced: every client's view of the same spec must now be identical,
   // and bit-identical to a local query engine over the server's store.
-  qry::QuerySpec spec;
-  spec.selector = "client*/metric";
-  spec.t_begin = 0.0;
-  spec.t_end = static_cast<double>(kBatches * kBatch);
-  spec.step_s = 2.0;
-  spec.aggregate = qry::Aggregation::kP95;
+  const qry::QuerySpec spec =
+      qry::QueryBuilder()
+          .select("client*/metric")
+          .range(0.0, static_cast<double>(kBatches * kBatch))
+          .align(2.0)
+          .aggregate(qry::Aggregation::kP95)
+          .build();
 
   srv::NyqmonClient a("127.0.0.1", server.port());
   srv::NyqmonClient b("127.0.0.1", server.port());
@@ -371,12 +377,12 @@ TEST(Server, ServesLiveStreamingRuntime) {
 
   // Query the fleet over the wire while the runtime ingests it.
   srv::NyqmonClient client("127.0.0.1", server.port());
-  qry::QuerySpec spec;
-  spec.selector = "*/*";
-  spec.t_begin = 0.0;
-  spec.t_end = 3600.0;
-  spec.step_s = 60.0;
-  spec.aggregate = qry::Aggregation::kAvg;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("*/*")
+                                  .range(0.0, 3600.0)
+                                  .align(60.0)
+                                  .aggregate(qry::Aggregation::kAvg)
+                                  .build();
   std::size_t queries = 0;
   while (!runtime.done() && queries < 50) {
     client.query(spec);
@@ -454,11 +460,11 @@ TEST(Server, MetricsVerbReturnsPrometheusText) {
 
   // Drive one ingest and one query so the layer metrics have activity.
   client.ingest("dev/metric", 2.0, 0.0, wave(600, 0.5));
-  qry::QuerySpec spec;
-  spec.selector = "dev/metric";
-  spec.t_begin = 0.0;
-  spec.t_end = 300.0;
-  spec.step_s = 10.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/metric")
+                                  .range(0.0, 300.0)
+                                  .align(10.0)
+                                  .build();
   (void)client.query(spec);
 
   const std::string text = client.metrics_text();
@@ -489,11 +495,11 @@ TEST(Server, TraceVerbDrainsChromeJson) {
   server.start();
   srv::NyqmonClient client("127.0.0.1", server.port());
   client.ingest("dev/metric", 2.0, 0.0, wave(400, 1.5));
-  qry::QuerySpec spec;
-  spec.selector = "dev/metric";
-  spec.t_begin = 0.0;
-  spec.t_end = 200.0;
-  spec.step_s = 10.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/metric")
+                                  .range(0.0, 200.0)
+                                  .align(10.0)
+                                  .build();
   (void)client.query(spec);
 
   const std::string json = client.trace_json();
@@ -546,11 +552,11 @@ TEST(Server, HandoffExportImportRoundTrip) {
   EXPECT_FALSE(imported.persisted);  // no durable tier attached
 
   // The destination answers the moved streams bit-identically.
-  qry::QuerySpec spec;
-  spec.selector = "podA/*";
-  spec.t_begin = 0.0;
-  spec.t_end = 350.0;
-  spec.step_s = 0.5;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("podA/*")
+                                  .range(0.0, 350.0)
+                                  .align(0.5)
+                                  .build();
   const srv::QueryReply a = src_client.query(spec);
   const srv::QueryReply b = dst_client.query(spec);
   ASSERT_EQ(a.series.size(), 2u);
@@ -575,6 +581,32 @@ TEST(Server, HandoffExportImportRoundTrip) {
   EXPECT_GE(dst.stats().handoff_frames, 2u);
   src.stop();
   dst.stop();
+}
+
+// An ERR detail block holds at most 255 entries, since its count is one
+// byte: a refusal with more conflicts sends the first 255, and its message
+// states the total.
+TEST(Server, HandoffImportRefusalCapsDetailsAndStatesTotal) {
+  mon::StripedRetentionStore store;
+  for (std::size_t i = 0; i < 300; ++i)
+    store.create_or_append("dev" + std::to_string(i) + "/metric", 1.0, 0.0,
+                           wave(64, 0.01 * static_cast<double>(i)));
+  srv::NyqmondServer server(store, nullptr);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+  const srv::HandoffExportReply exported = client.handoff_export("*");
+  ASSERT_EQ(exported.streams, 300u);
+  try {
+    client.handoff_import(exported.segment);
+    FAIL() << "importing streams the node already holds must be refused";
+  } catch (const srv::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("300 streams already exist"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.details().size(), 255u);
+  }
+  EXPECT_EQ(store.streams(), 300u);
+  server.stop();
 }
 
 TEST(Server, HandoffImportIsDurableWithStorage) {
@@ -625,11 +657,11 @@ TEST(Server, QueryWantMatchedReturnsLabels) {
   client.ingest("b/metric", 1.0, 0.0, wave(64, 0.1));
   client.ingest("a/metric", 1.0, 0.0, wave(64, 0.2));
 
-  qry::QuerySpec spec;
-  spec.selector = "*";
-  spec.t_begin = 0.0;
-  spec.t_end = 64.0;
-  spec.step_s = 1.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("*")
+                                  .range(0.0, 64.0)
+                                  .align(1.0)
+                                  .build();
 
   // Default: the flag is off and the reply stays in the pre-flag shape.
   EXPECT_TRUE(client.query(spec).matched_labels.empty());
@@ -660,11 +692,11 @@ TEST(Server, SlowClientIsBoundedAndEventuallyDropped) {
   // frame bound, the connection stalls (POLLIN suppressed — bounded
   // memory), and after slow_client_timeout_ms with no drain the client is
   // dropped.
-  qry::QuerySpec spec;
-  spec.selector = "big/*";
-  spec.t_begin = 0.0;
-  spec.t_end = 2000.0;
-  spec.step_s = 0.1;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("big/*")
+                                  .range(0.0, 2000.0)
+                                  .align(0.1)
+                                  .build();
   const auto request =
       srv::request_frame(srv::Verb::kQuery, srv::encode_query(spec));
   std::vector<std::uint8_t> burst;
@@ -712,11 +744,11 @@ TEST(Server, TraceContextTrailerIsPeeledOnEveryVerb) {
   ingest.stream = "dev/metric";
   ingest.rate_hz = 2.0;
   ingest.values = wave(64, 0.4);
-  qry::QuerySpec spec;
-  spec.selector = "dev/*";
-  spec.t_begin = 0.0;
-  spec.t_end = 16.0;
-  spec.step_s = 1.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/*")
+                                  .range(0.0, 16.0)
+                                  .align(1.0)
+                                  .build();
 
   const std::pair<srv::Verb, std::vector<std::uint8_t>> requests[] = {
       {srv::Verb::kIngest, srv::encode_ingest(ingest)},
@@ -749,11 +781,11 @@ TEST(Server, TruncatedOrCorruptTrailerIsJustPayloadBytes) {
   srv::NyqmonClient client("127.0.0.1", server.port());
   client.ingest("dev/metric", 2.0, 0.0, wave(64, 0.4));
 
-  qry::QuerySpec spec;
-  spec.selector = "dev/*";
-  spec.t_begin = 0.0;
-  spec.t_end = 16.0;
-  spec.step_s = 1.0;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/*")
+                                  .range(0.0, 16.0)
+                                  .align(1.0)
+                                  .build();
   const srv::TraceContext ctx{/*trace_id=*/1234, /*parent_span_id=*/5,
                               /*sampled=*/true};
 
@@ -855,11 +887,11 @@ TEST(Server, QueryExplainAttributesLatencyToStages) {
   srv::NyqmonClient client("127.0.0.1", server.port());
   client.ingest("dev/metric", 2.0, 0.0, wave(4096, 0.8));
 
-  qry::QuerySpec spec;
-  spec.selector = "dev/*";
-  spec.t_begin = 0.0;
-  spec.t_end = 2000.0;
-  spec.step_s = 0.5;
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/*")
+                                  .range(0.0, 2000.0)
+                                  .align(0.5)
+                                  .build();
 
   // Cold cache: the full pipeline breakdown.
   const srv::QueryReply reply = client.query(spec, false, /*want_explain=*/true);
@@ -895,52 +927,112 @@ TEST(Server, QueryExplainAttributesLatencyToStages) {
   server.stop();
 }
 
-// ------------------------------------------------- typed client surface ---
+// ----------------------------------------------------------- frame cap ---
 
-TEST(Server, TypedCallSurfaceRoundTripsOkAndErr) {
+// A reply that would not fit one frame is refused with an ERR naming the
+// frame cap, and the connection keeps serving.
+TEST(Server, OverCapRepliesAreRefusedAndConnectionServesOn) {
+  mon::StripedRetentionStore store;
+  srv::ServerConfig cfg;
+  cfg.max_frame_bytes = 4096;
+  srv::NyqmondServer server(store, nullptr, cfg);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+  client.ingest("dev/metric", 1.0, 0.0, wave(400, 0.3));
+
+  // 1000 grid points: 8000 bytes of values alone.
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/metric")
+                                  .range(0.0, 400.0)
+                                  .align(0.4)
+                                  .build();
+  try {
+    (void)client.query(spec);
+    FAIL() << "an over-cap QUERY reply must be refused";
+  } catch (const srv::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("frame cap"), std::string::npos)
+        << e.what();
+  }
+  ASSERT_GE(obs::Registry::instance().render_prometheus().size(), 4096u);
+  try {
+    (void)client.metrics_text();
+    FAIL() << "an over-cap METRICS exposition must be refused";
+  } catch (const srv::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("frame cap"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NE(client.stats_json().find("\"streams\":1"), std::string::npos);
+  server.stop();
+}
+
+// ------------------------------------------------------------- call_ok ---
+
+TEST(Server, CallOkRoundTripsOkAndErr) {
   mon::StripedRetentionStore store;
   srv::NyqmondServer server(store, nullptr);
   server.start();
   srv::NyqmonClient client("127.0.0.1", server.port());
 
-  // OK path: a verb with no payload through the typed surface.
-  srv::Request stats_req;
-  stats_req.verb = srv::Verb::kStats;
-  const srv::Response stats = client.call(stats_req);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(std::string(stats.payload.begin(), stats.payload.end())
-                .find("\"streams\""),
+  // OK path: the reply payload, here STATS's JSON.
+  const auto stats = client.call_ok(srv::Verb::kStats);
+  EXPECT_NE(std::string(stats.begin(), stats.end()).find("\"streams\""),
             std::string::npos);
 
-  // ERR is decoded into the Response, not thrown...
-  srv::Request bad;
-  bad.verb = srv::Verb::kQuery;  // empty payload = malformed QUERY
-  const srv::Response err = client.call(bad);
-  ASSERT_FALSE(err.ok());
-  EXPECT_FALSE(err.error_message.empty());
-  // ...while call_ok unwraps it into the usual ServerError.
-  EXPECT_THROW((void)client.call_ok(bad), srv::ServerError);
-
-  // The flags byte rides as the protocol's trailing u8: METRICS with the
-  // fleet bit against a plain nyqmond answers its own exposition.
-  srv::Request metrics;
-  metrics.verb = srv::Verb::kMetrics;
-  metrics.flags = srv::kMetricsFleet;
-  const auto exposition = client.call_ok(metrics);
-  EXPECT_FALSE(exposition.empty());
-
-  // The trace label prefixes transport errors only.
-  srv::Request traced;
-  traced.verb = srv::Verb::kStats;
-  traced.trace = "probe-7";
-  client.close();
-  try {
-    (void)client.call(traced);
-    FAIL() << "transport error expected after close()";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()).rfind("probe-7: ", 0), 0u) << e.what();
-  }
+  // ERR path: an empty payload is a malformed QUERY.
+  EXPECT_THROW((void)client.call_ok(srv::Verb::kQuery), srv::ServerError);
   server.stop();
+}
+
+// Each client method adds a flag byte only when a flag is set, so a request
+// without flags is byte-identical to one from a client that predates them.
+TEST(Server, ClientRequestsCarryFlagBytesOnlyWhenSet) {
+  std::mutex mu;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  srv::ServerConfig cfg;
+  cfg.intercept = [&](srv::Verb, sto::ByteReader& reader)
+      -> std::optional<std::vector<std::uint8_t>> {
+    sto::ByteReader copy = reader;  // the built-in handler reads `reader`
+    const auto rest = copy.get_bytes(copy.remaining());
+    const std::lock_guard<std::mutex> lock(mu);
+    payloads.emplace_back(rest.begin(), rest.end());
+    return std::nullopt;
+  };
+  mon::StripedRetentionStore store;
+  srv::NyqmondServer server(store, nullptr, cfg);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+  client.ingest("dev/metric", 1.0, 0.0, wave(16, 0.1));
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("dev/metric")
+                                  .range(0.0, 16.0)
+                                  .align(1.0)
+                                  .build();
+  (void)client.query(spec);
+  (void)client.query(spec, /*want_matched=*/true);
+  (void)client.query(spec, false, /*want_explain=*/true);
+  (void)client.metrics_text();
+  (void)client.metrics_text(/*fleet=*/true);
+  (void)client.trace_json();
+  (void)client.trace_json(/*fleet=*/true);
+  server.stop();
+
+  srv::IngestRequest ingest;
+  ingest.stream = "dev/metric";
+  ingest.rate_hz = 1.0;
+  ingest.values = wave(16, 0.1);
+  const std::vector<std::vector<std::uint8_t>> expected = {
+      srv::encode_ingest(ingest),
+      srv::encode_query(spec),
+      srv::encode_query(spec, srv::kQueryWantMatched),
+      srv::encode_query(spec, srv::kQueryWantExplain),
+      {},
+      {srv::kMetricsFleet},
+      {},
+      {srv::kTraceFleet}};
+  EXPECT_EQ(payloads, expected);
+  // No flag byte: u16 selector length + selector, three f64, two u8.
+  ASSERT_GE(payloads.size(), 2u);
+  EXPECT_EQ(payloads[1].size(), 2 + spec.selector.size() + 3 * 8 + 2);
 }
 
 // ----------------------------------------------------- multi-reactor ------

@@ -18,6 +18,7 @@
 #include "engine/engine.h"
 #include "monitor/store.h"
 #include "monitor/striped_store.h"
+#include "query/builder.h"
 #include "query/engine.h"
 #include "runtime/clock.h"
 #include "runtime/runtime.h"
@@ -824,20 +825,19 @@ TEST(StorageEngine, FivehundredPairColdStartIsBitIdentical) {
   std::vector<qry::QuerySpec> specs;
   for (const std::size_t pair_index : {std::size_t{0}, fleet.size() / 2}) {
     const auto& pair = fleet.pairs()[pair_index];
-    qry::QuerySpec spec;
-    spec.selector = tel::stream_id(pair);
-    spec.t_begin = 0.0;
-    spec.t_end = 64.0 * pair.metric.poll_interval_s;
-    spec.step_s = pair.metric.poll_interval_s;
-    specs.push_back(spec);
+    specs.push_back(qry::QueryBuilder()
+                        .select(tel::stream_id(pair))
+                        .range(0.0, 64.0 * pair.metric.poll_interval_s)
+                        .align(pair.metric.poll_interval_s)
+                        .build());
   }
-  qry::QuerySpec agg;
-  agg.selector = "*/" + tel::metric_name(tel::MetricKind::kTemperature);
-  agg.t_begin = 0.0;
-  agg.t_end = 1800.0;
-  agg.step_s = 30.0;
-  agg.aggregate = qry::Aggregation::kP95;
-  specs.push_back(agg);
+  specs.push_back(
+      qry::QueryBuilder()
+          .select("*/" + tel::metric_name(tel::MetricKind::kTemperature))
+          .range(0.0, 1800.0)
+          .align(30.0)
+          .aggregate(qry::Aggregation::kP95)
+          .build());
 
   for (const auto& spec : specs) {
     const auto live_resp = live_qe.run(spec);
