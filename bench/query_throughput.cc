@@ -9,14 +9,14 @@
 // Setup: each client-thread count gets its own virtual-clock fleet run
 // (the run is deterministic, so every row serves identical store contents
 // — a shared store would let the writer's appends accumulate across rows
-// and skew the comparison) and its runtime's fresh cold-cache QueryEngine. Clients claim
-// queries from a shared deterministic workload — exact streams, per-metric
-// globs, device-prefix globs and fleet-wide selectors, across several
-// windows/transforms/aggregations — while a writer thread keeps appending
-// to its own stream, so fleet-wide selectors keep invalidating and
-// narrower ones keep hitting. Per-query reconstruction fan-out is pinned
-// to 1 worker: the scaling under test is client concurrency, not nested
-// parallelism.
+// and skew the comparison) and a fresh cold-cache QueryEngine over that
+// run's store. Clients claim queries from a shared deterministic workload
+// — exact streams, per-metric globs, device-prefix globs and fleet-wide
+// selectors, across several windows/transforms/aggregations — while a
+// writer thread keeps appending to its own stream, so fleet-wide selectors
+// keep invalidating and narrower ones keep hitting. Per-query
+// reconstruction fan-out is pinned to 1 worker: the scaling under test is
+// client concurrency, not nested parallelism.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -107,7 +107,8 @@ int main(int argc, char** argv) {
   rt::RuntimeConfig cfg;
   cfg.engine.samples_per_window = 48;
   cfg.engine.windows_per_pair = 4;
-  cfg.query.workers = 1;  // per-query fan-out off: measure client concurrency
+  qry::QueryEngineConfig query_cfg;
+  query_cfg.workers = 1;  // per-query fan-out off: measure client concurrency
 
   // Workload selectors come from the (deterministic) stream population;
   // derive them from a throwaway run so every row sees the same specs.
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
     rt::StreamingRuntime runtime(fleet, clock, cfg);
     (void)runtime.run_to_completion();
     runtime.mutable_store().create_stream(kWriterStream, 1.0);
-    qry::QueryEngine& qe = runtime.query_engine();
+    qry::QueryEngine qe(runtime.store(), query_cfg);
 
     const std::size_t total = threads * queries_per_thread;
     std::atomic<std::size_t> next{0};

@@ -42,6 +42,7 @@
 #include "common.h"
 #include "obs/metrics.h"
 #include "query/builder.h"
+#include "query/engine.h"
 #include "query/spec.h"
 #include "runtime/clock.h"
 #include "runtime/runtime.h"
@@ -115,6 +116,7 @@ int main(int argc, char** argv) {
                                    qry::Aggregation::kAvg,
                                    qry::Aggregation::kMax};
   const double qwin = std::min(span, 600.0);
+  qry::QueryEngine qe(runtime.store());
 
   std::atomic<bool> stop{false};
   std::vector<std::vector<double>> latencies_ms(query_threads);
@@ -136,7 +138,7 @@ int main(int argc, char** argv) {
                 .build();
         ++i;
         const auto t0 = std::chrono::steady_clock::now();
-        const auto r = runtime.query_engine().run(spec);
+        const auto r = qe.run(spec);
         const auto t1 = std::chrono::steady_clock::now();
         if (r.result == nullptr) std::abort();
         lat.push_back(

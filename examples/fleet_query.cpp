@@ -4,7 +4,7 @@
 // Usage: fleet_query [persist_dir]
 //
 // Without arguments: a 400-pair fleet run fans into the striped retention
-// store; the runtime's QueryEngine session then answers fleet-style
+// store; a QueryEngine over that store then answers fleet-style
 // questions against it: average temperature across one rack's devices, p95 CPU across the
 // fleet, the rate of change of one counter — each reconstructed on demand
 // onto a common grid. The same query issued twice shows the sharded
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   std::printf("fleet run complete: %zu streams retained\n\n",
               runtime.store().streams());
 
-  qry::QueryEngine& qe = runtime.query_engine();
+  qry::QueryEngine qe(runtime.store());
 
   // Pod-level aggregate: every temperature stream in one pod ("podX"
   // prefix of the first pod-resident pair), averaged on a 60 s grid.

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "dsp/resample.h"
-#include "obs/metrics.h"
 
 namespace nyqmon::mon {
 
@@ -91,83 +91,6 @@ sig::RegularSeries reconstruct_range(double collection_rate_hz,
               t_last < data_t0 ? first : final_value);
   }
   return sig::RegularSeries(t_begin, dt, std::move(grid));
-}
-
-void EpochRegistry::publish_gauges_locked() const {
-  NYQMON_OBS_GAUGE_SET("nyqmon_store_epoch_active_depth",
-                       static_cast<std::int64_t>(active_.size()));
-  NYQMON_OBS_GAUGE_SET("nyqmon_store_epoch_retired_depth",
-                       static_cast<std::int64_t>(retired_.size()));
-}
-
-std::uint64_t EpochRegistry::pin() {
-  std::uint64_t epoch;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    epoch = ++epoch_;
-    ++active_[epoch];
-    publish_gauges_locked();
-  }
-  NYQMON_OBS_COUNT("nyqmon_store_epoch_pins_total", 1);
-  return epoch;
-}
-
-void EpochRegistry::release(std::uint64_t epoch) {
-  std::vector<SealedChunkRef> freed;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = active_.find(epoch);
-    if (it == active_.end()) return;  // double release: tolerated
-    if (--it->second == 0) active_.erase(it);
-    collect_locked(freed);
-    publish_gauges_locked();
-  }
-  if (!freed.empty())
-    NYQMON_OBS_COUNT("nyqmon_store_epoch_reclaimed_total", freed.size());
-  // `freed` destroys the final store-side references outside the lock.
-}
-
-void EpochRegistry::retire(SealedChunkRef chunk) {
-  std::vector<SealedChunkRef> freed;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    retired_.emplace_back(epoch_, std::move(chunk));
-    collect_locked(freed);
-    publish_gauges_locked();
-  }
-  if (!freed.empty())
-    NYQMON_OBS_COUNT("nyqmon_store_epoch_reclaimed_total", freed.size());
-}
-
-void EpochRegistry::collect_locked(std::vector<SealedChunkRef>& freed) {
-  // A parked chunk stays pinned while any live snapshot's epoch is <= its
-  // retire epoch: such a snapshot was acquired before the eviction and may
-  // hold (or be reading through) the reference. active_ is an ordered map,
-  // so its first key is the oldest live epoch.
-  const std::uint64_t oldest_live =
-      active_.empty() ? epoch_ + 1 : active_.begin()->first;
-  auto keep = retired_.begin();
-  for (auto it = retired_.begin(); it != retired_.end(); ++it) {
-    if (it->first >= oldest_live) {
-      if (keep != it) *keep = std::move(*it);
-      ++keep;
-    } else {
-      freed.push_back(std::move(it->second));
-    }
-  }
-  retired_.erase(keep, retired_.end());
-}
-
-std::size_t EpochRegistry::active_snapshots() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [epoch, pins] : active_) n += pins;
-  return n;
-}
-
-std::size_t EpochRegistry::retired_pending() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return retired_.size();
 }
 
 }  // namespace nyqmon::mon

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -40,10 +39,11 @@ struct StoreConfig {
   /// Rate headroom kept above the estimated Nyquist rate.
   double headroom = 1.5;
   /// In-memory retention cap: when a stream holds more than this many
-  /// sealed chunks, the oldest are evicted from memory (parked in the
-  /// epoch registry until no live snapshot can still reference them).
-  /// 0 = unbounded — the default, and required for bit-identical
-  /// cold-start recovery since evicted chunks cannot be re-exported.
+  /// sealed chunks, the store drops its reference to the oldest. A chunk
+  /// a live snapshot captured stays readable through that snapshot and is
+  /// freed with it. 0 = unbounded — the default, and required for
+  /// bit-identical cold-start recovery since evicted chunks cannot be
+  /// re-exported.
   std::size_t max_chunks_per_stream = 0;
   nyq::EstimatorConfig estimator;
 };
@@ -125,14 +125,6 @@ struct StoreRollup {
   }
 };
 
-/// One sealed chunk as the durable tier sees it: a regular grid (t0, dt)
-/// and the (possibly Nyquist-re-sampled) values.
-struct ChunkSnapshot {
-  double t0 = 0.0;
-  double dt = 0.0;
-  std::vector<double> values;
-};
-
 /// Full externalized state of one stream — the unit the storage tier
 /// flushes into segments and restores on recovery. `chunks` may be only a
 /// tail slice of the stream's sealed chunks (delta flush): `chunks_before`
@@ -144,7 +136,7 @@ struct StreamSnapshot {
   double hot_t0 = 0.0;
   std::uint64_t generation = 0;
   std::size_t chunks_before = 0;
-  std::vector<ChunkSnapshot> chunks;
+  std::vector<SealedChunk> chunks;
   std::vector<double> hot;  ///< unsealed tail, raw at the collection rate
   StreamStats stats;
 };
@@ -169,46 +161,22 @@ struct StreamView {
   StreamStats stats;
 };
 
-/// An immutable, epoch-stamped view over a set of streams, acquired from
+/// An immutable view over a set of streams, acquired from
 /// StripedRetentionStore::acquire_snapshot() — the store's only
 /// reconstructing read path. Capture is brief (per stripe: chunk refs + a
 /// hot-tail copy per stream, under the stripe lock); every read afterwards
 /// — query(), export_stream(), find_meta() — is lock-free and unaffected
 /// by concurrent ingest.
 ///
-/// The handle pins its epoch in the store's EpochRegistry: sealed chunks
-/// evicted by the retention cap while this snapshot is live are parked,
-/// not freed, until release()/destruction. Move-only; releasing twice is
-/// harmless.
+/// The captured chunk references are what keep those chunks alive: a
+/// chunk the retention cap evicts while this snapshot is live is freed
+/// when the snapshot is destroyed, and a chunk it never captured is not
+/// held at all.
 class ReadSnapshot {
  public:
   ReadSnapshot() = default;
-  ReadSnapshot(std::shared_ptr<EpochRegistry> registry, std::uint64_t epoch,
-               std::vector<StreamView> views)
-      : registry_(std::move(registry)), epoch_(epoch),
-        views_(std::move(views)) {}
-  ~ReadSnapshot() { release(); }
-
-  ReadSnapshot(const ReadSnapshot&) = delete;
-  ReadSnapshot& operator=(const ReadSnapshot&) = delete;
-  ReadSnapshot(ReadSnapshot&& other) noexcept
-      : registry_(std::move(other.registry_)), epoch_(other.epoch_),
-        views_(std::move(other.views_)) {
-    other.registry_.reset();
-  }
-  ReadSnapshot& operator=(ReadSnapshot&& other) noexcept {
-    if (this != &other) {
-      release();
-      registry_ = std::move(other.registry_);
-      epoch_ = other.epoch_;
-      views_ = std::move(other.views_);
-      other.registry_.reset();
-    }
-    return *this;
-  }
-
-  /// The epoch pinned at acquire time (0 for a default-constructed handle).
-  std::uint64_t epoch() const { return epoch_; }
+  explicit ReadSnapshot(std::vector<StreamView> views)
+      : views_(std::move(views)) {}
 
   std::size_t size() const { return views_.size(); }
 
@@ -245,13 +213,7 @@ class ReadSnapshot {
   StreamSnapshot export_stream(const std::string& name,
                                std::size_t skip_chunks = 0) const;
 
-  /// Drop the epoch pin and the captured state early (the destructor's
-  /// job, exposed for scope control). Idempotent.
-  void release();
-
  private:
-  std::shared_ptr<EpochRegistry> registry_;
-  std::uint64_t epoch_ = 0;
   std::vector<StreamView> views_;  ///< sorted by name
 };
 

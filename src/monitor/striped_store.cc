@@ -174,14 +174,13 @@ void StripedRetentionStore::seal_chunk(Stream& s) {
   s.hot.clear();
   s.chunks.push_back(std::make_shared<const SealedChunk>(std::move(chunk)));
 
-  // Retention cap: evict the oldest sealed chunks from memory, parking
-  // them in the epoch registry so a live snapshot acquired before this
-  // seal can still read through its captured references. The eviction is
+  // Retention cap: drop the store's reference to the oldest sealed
+  // chunks. A live snapshot that captured one keeps reading it through its
+  // own reference, and the last such snapshot frees it. The eviction is
   // memory-side only — the chunk stays durable in flushed segments and
   // stats keep their cumulative view.
   if (config_.max_chunks_per_stream > 0) {
     while (s.chunks.size() > config_.max_chunks_per_stream) {
-      epochs_->retire(std::move(s.chunks.front()));
       s.chunks.erase(s.chunks.begin());
       ++s.chunks_trimmed;
       NYQMON_OBS_COUNT("nyqmon_store_chunks_trimmed_total", 1);
@@ -347,8 +346,7 @@ std::vector<std::string> StripedRetentionStore::restore_streams(
     s.hot = std::move(snap.hot);
     s.chunks.reserve(snap.chunks.size());
     for (auto& c : snap.chunks)
-      s.chunks.push_back(std::make_shared<const SealedChunk>(
-          SealedChunk{c.t0, c.dt, std::move(c.values)}));
+      s.chunks.push_back(std::make_shared<const SealedChunk>(std::move(c)));
     s.stats = snap.stats;
     s.generation = snap.generation;
     stripe_of(name).streams.emplace(name, std::move(s));
@@ -357,9 +355,8 @@ std::vector<std::string> StripedRetentionStore::restore_streams(
 }
 
 ReadSnapshot StripedRetentionStore::acquire_snapshot() const {
-  // Capture per stripe under its lock (brief: chunk refs + hot copies),
-  // pin one epoch for the composed view. The merge keeps
-  // ReadSnapshot::find's binary-search invariant.
+  // Capture per stripe under its lock (brief: chunk refs + hot copies).
+  // The merge keeps ReadSnapshot::find's binary-search invariant.
   std::vector<StreamView> views;
   std::vector<std::size_t> bounds{0};
   for (const auto& stripe : stripes_) {
@@ -372,7 +369,7 @@ ReadSnapshot StripedRetentionStore::acquire_snapshot() const {
                     [](const StreamView& a, const StreamView& b) {
                       return a.name < b.name;
                     });
-  return ReadSnapshot(epochs_, epochs_->pin(), std::move(views));
+  return ReadSnapshot(std::move(views));
 }
 
 ReadSnapshot StripedRetentionStore::acquire_snapshot(
@@ -397,7 +394,7 @@ ReadSnapshot StripedRetentionStore::acquire_snapshot(
             [](const StreamView& a, const StreamView& b) {
               return a.name < b.name;
             });
-  return ReadSnapshot(epochs_, epochs_->pin(), std::move(views));
+  return ReadSnapshot(std::move(views));
 }
 
 // ---- ReadSnapshot ----
@@ -452,20 +449,10 @@ StreamSnapshot ReadSnapshot::export_stream(const std::string& name,
   snap.chunks.reserve(v->chunks_trimmed + v->chunks.size() - skip_chunks);
   for (std::size_t i = skip_chunks - v->chunks_trimmed; i < v->chunks.size();
        ++i)
-    snap.chunks.push_back(
-        {v->chunks[i]->t0, v->chunks[i]->dt, v->chunks[i]->values});
+    snap.chunks.push_back(*v->chunks[i]);
   snap.hot = v->hot;
   snap.stats = v->stats;
   return snap;
-}
-
-void ReadSnapshot::release() {
-  if (registry_) {
-    registry_->release(epoch_);
-    registry_.reset();
-  }
-  views_.clear();
-  views_.shrink_to_fit();
 }
 
 }  // namespace nyqmon::mon

@@ -90,25 +90,20 @@ class StripedRetentionStore {
   std::vector<std::string> restore_streams(
       std::map<std::string, StreamSnapshot> snapshots);
 
-  /// Acquire an immutable, epoch-stamped view over every stream (see
-  /// ReadSnapshot in monitor/store.h). Capture takes each stripe lock in
-  /// turn — per-stripe (not globally) atomic under concurrent ingest, the
-  /// same consistency list_meta() offers — and pins one epoch in the
-  /// store-wide registry; every read on the handle afterwards is
-  /// lock-free. This is the only way to reconstruct a stream: the query
-  /// engine, HANDOFF export and the storage flush all read through it, so
-  /// reconstruction never blocks ingest.
+  /// Acquire an immutable view over every stream (see ReadSnapshot in
+  /// monitor/store.h). Capture takes each stripe lock in turn — per-stripe
+  /// (not globally) atomic under concurrent ingest, the same consistency
+  /// list_meta() offers — and copies each stream's sealed-chunk
+  /// references, which keep those chunks alive for the handle's lifetime;
+  /// every read on the handle afterwards is lock-free. This is the only
+  /// way to reconstruct a stream: the query engine, HANDOFF export and the
+  /// storage flush all read through it, so reconstruction never blocks
+  /// ingest.
   ReadSnapshot acquire_snapshot() const;
 
   /// Snapshot covering only `names` (unknown names are skipped). Stripes
   /// that own none of the names are not locked at all.
   ReadSnapshot acquire_snapshot(std::span<const std::string> names) const;
-
-  /// The epoch registry shared by every stripe (snapshot lifetime and
-  /// deferred-reclamation introspection; tests and metrics).
-  const std::shared_ptr<EpochRegistry>& epoch_registry() const {
-    return epochs_;
-  }
 
  private:
   struct Stream {
@@ -149,8 +144,6 @@ class StripedRetentionStore {
 
   StoreConfig config_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  /// One registry across all stripes so a fleet snapshot pins one epoch.
-  std::shared_ptr<EpochRegistry> epochs_ = std::make_shared<EpochRegistry>();
 };
 
 }  // namespace nyqmon::mon

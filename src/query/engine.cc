@@ -152,7 +152,7 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(
 
   // Snapshot-isolated read: capture the surviving streams' state (chunk
   // refs + hot-tail copies, briefly under each owning stripe's lock) into
-  // one epoch-stamped handle. Reconstruction below never takes a stripe
+  // one immutable handle. Reconstruction below never takes a stripe
   // lock — a slow query no longer blocks ingest, and ingest no longer
   // stretches the query tail (ROADMAP item 2's 1000x p50/p99 split).
   const mon::ReadSnapshot snap = store_.acquire_snapshot(result->reconstructed);

@@ -80,8 +80,7 @@ StreamingRuntime::StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
     : fleet_(fleet),
       clock_(clock),
       config_(config),
-      store_(config.engine.store, config.engine.store_stripes),
-      query_(store_, config.query) {
+      store_(config.engine.store, config.engine.store_stripes) {
   NYQMON_CHECK(config_.engine.samples_per_window >= 2);
   NYQMON_CHECK(config_.engine.windows_per_pair >= 1);
   NYQMON_CHECK(config_.engine.max_speedup >= 1.0);
@@ -187,7 +186,7 @@ std::size_t StreamingRuntime::poll() {
     // Scheduler slip: how far past its deadline (in clock-domain seconds —
     // virtual when driven by a VirtualClock) a pair is picked up. A wall
     // clock that can't keep up shows here before quality degrades.
-    const double slip_s = now - deadlines_.top().first;
+    [[maybe_unused]] const double slip_s = now - deadlines_.top().first;
     NYQMON_OBS_RECORD("nyqmon_runtime_deadline_slip_ns",
                       slip_s > 0.0 ? slip_s * 1e9 : 0.0);
     due.push_back(deadlines_.top().second);
@@ -234,8 +233,8 @@ sto::FlushStats StreamingRuntime::checkpoint_locked() {
   // side INGEST is the server's responsibility — NyqmondServer parks every
   // reactor before invoking checkpoint() (run_quiesced), so no other
   // ingest path can land between the flush's store snapshot and the WAL
-  // swap. Concurrent queries are fine — the flush reads through an
-  // epoch-stamped ReadSnapshot and never blocks on readers.
+  // swap. Concurrent queries are fine — the flush reads through a
+  // ReadSnapshot and never blocks on readers.
   if (storage_ == nullptr) {
     sto::FlushStats skipped;
     skipped.skipped = true;

@@ -7,9 +7,10 @@
 // window as the dual-rate detector adjusts the pair's operating rate.
 // Finalized reconstruction slices flow into the shared
 // StripedRetentionStore immediately (chunks seal incrementally, the
-// StorageManager WAL records every batch), and a live QueryEngine serves
-// selector queries *during* ingest — per-stream write-generation counters
-// keep cached results correct as data keeps arriving.
+// StorageManager WAL records every batch), so a QueryEngine the caller
+// builds over store() serves selector queries *during* ingest — per-stream
+// write-generation counters keep cached results correct as data keeps
+// arriving.
 //
 // Time is pluggable (runtime/clock.h). Under a SteadyClock the runtime
 // paces the fleet in real time; under a VirtualClock the whole timeline
@@ -17,15 +18,17 @@
 // a VirtualClock and a StreamingRuntime and call run_to_completion().
 //
 // Ownership: the runtime borrows the fleet and the clock (both must
-// outlive it) and owns its store, query engine, pair pipelines and
-// optional durable tier.
+// outlive it) and owns its store, pair pipelines and optional durable
+// tier. It serves no queries itself: callers build a
+// qry::QueryEngine(runtime.store(), config) with the cache and fan-out
+// they want.
 //
 // Threading: poll()/step()/run_to_completion()/checkpoint() are the
 // scheduler's and must come from one thread at a time (they serialize on an
 // internal mutex); poll() itself fans due pairs out over worker threads
-// (parallel_claim; one worker runs inline on the calling thread). store(),
-// query_engine() and stats() may be used concurrently from any thread,
-// including while a poll is in flight — that is the point.
+// (parallel_claim; one worker runs inline on the calling thread). store()
+// (and any query engine over it) and stats() may be used concurrently from
+// any thread, including while a poll is in flight — that is the point.
 //
 // Determinism: under a VirtualClock a completed run is bit-identical for
 // any worker count. Every pair's noise seed is forked sequentially from the
@@ -48,7 +51,6 @@
 #include "engine/engine.h"
 #include "monitor/pipeline.h"
 #include "monitor/striped_store.h"
-#include "query/engine.h"
 #include "runtime/clock.h"
 #include "storage/manager.h"
 
@@ -61,8 +63,6 @@ struct RuntimeConfig {
   /// pair-windows, fleet-wide; 0 = only on explicit checkpoint() and at
   /// run completion. Meaningful only when engine.storage.dir is set.
   std::size_t checkpoint_interval_windows = 0;
-  /// The live serving session over the store.
-  qry::QueryEngineConfig query;
 };
 
 /// Live progress counters (readable from any thread, any time).
@@ -109,10 +109,6 @@ class StreamingRuntime {
   const mon::StripedRetentionStore& store() const { return store_; }
   mon::StripedRetentionStore& mutable_store() { return store_; }
 
-  /// The live serving session (selector queries over the store, cached
-  /// with generation-correct invalidation under concurrent ingest).
-  qry::QueryEngine& query_engine() { return query_; }
-
   /// Quiesced durable checkpoint: seal everything flushed so far into a
   /// segment and swap the WAL. Returns skipped=true when the runtime has
   /// no durable tier. Quiesces the runtime's own writers (the scheduler
@@ -149,7 +145,6 @@ class StreamingRuntime {
   RuntimeConfig config_;
   mon::StripedRetentionStore store_;
   std::unique_ptr<sto::StorageManager> storage_;
-  qry::QueryEngine query_;
   std::vector<tel::PairSchedule> schedules_;
   std::vector<PairTask> tasks_;
 

@@ -272,9 +272,12 @@ inline std::vector<std::uint8_t> ok_frame(
   return frame(static_cast<std::uint8_t>(Status::kOk), payload);
 }
 
+/// ERR carrying `message`. Like every string in an ERR payload, it is cut
+/// to the 65535 bytes a str16 field holds, so an ERR always encodes:
+/// dispatch's catch path reports whatever an exception says.
 inline std::vector<std::uint8_t> error_frame(const std::string& message) {
   std::vector<std::uint8_t> payload;
-  sto::put_string(payload, message);
+  sto::put_string(payload, message.substr(0, sto::kMaxStr16Bytes));
   return frame(static_cast<std::uint8_t>(Status::kError), payload);
 }
 
@@ -287,11 +290,12 @@ inline std::vector<std::uint8_t> error_frame_with_detail(
     const std::string& message, const std::vector<ErrorDetail>& details) {
   const std::size_t n = std::min<std::size_t>(details.size(), 255);
   std::vector<std::uint8_t> payload;
-  sto::put_string(payload, message);
+  sto::put_string(payload, message.substr(0, sto::kMaxStr16Bytes));
   sto::put_u8(payload, static_cast<std::uint8_t>(n));
   for (std::size_t i = 0; i < n; ++i) {
-    sto::put_string(payload, details[i].node);
-    sto::put_string(payload, details[i].error);
+    sto::put_string(payload, details[i].node.substr(0, sto::kMaxStr16Bytes));
+    sto::put_string(payload,
+                    details[i].error.substr(0, sto::kMaxStr16Bytes));
   }
   return frame(static_cast<std::uint8_t>(Status::kError), payload);
 }
@@ -437,7 +441,10 @@ inline std::optional<QueryReply> decode_query_reply(sto::ByteReader& r,
   reply.reconstructed = r.get_u32();
   const std::uint32_t n_series = r.get_u32();
   if (!r.ok()) return std::nullopt;
-  reply.series.reserve(n_series);
+  // The counts come off the wire: reserve no more than the remaining bytes
+  // can hold (a series takes at least str16 + f64 + f64 + u32 = 22 bytes,
+  // a matched label at least its 2-byte length).
+  reply.series.reserve(std::min<std::size_t>(n_series, r.remaining() / 22));
   for (std::uint32_t i = 0; i < n_series; ++i) {
     qry::QuerySeries s;
     s.label = r.get_string();
@@ -455,7 +462,8 @@ inline std::optional<QueryReply> decode_query_reply(sto::ByteReader& r,
   if ((flags & kQueryWantMatched) != 0 && r.remaining() > 0) {
     const std::uint32_t n_matched = r.get_u32();
     if (!r.ok()) return std::nullopt;
-    reply.matched_labels.reserve(n_matched);
+    reply.matched_labels.reserve(
+        std::min<std::size_t>(n_matched, r.remaining() / 2));
     for (std::uint32_t i = 0; i < n_matched; ++i) {
       reply.matched_labels.push_back(r.get_string());
       if (!r.ok()) return std::nullopt;

@@ -40,7 +40,7 @@ void set_nonblocking(int fd) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
 }
 
-const char* verb_name(Verb verb) {
+[[maybe_unused]] const char* verb_name(Verb verb) {
   switch (verb) {
     case Verb::kIngest: return "INGEST";
     case Verb::kQuery: return "QUERY";
@@ -274,7 +274,7 @@ sto::FlushStats NyqmondServer::run_quiesced(
     const std::function<sto::FlushStats()>& fn) {
   // Must run on a reactor thread: the barrier below waits for every
   // *other* reactor to park, counting this thread as already parked.
-  const auto t0 = std::chrono::steady_clock::now();
+  [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(quiesce_mu_);
   while (quiesce_requested_) {
     // Another reactor is already quiescing: park like any reactor so its
@@ -803,7 +803,7 @@ std::vector<std::uint8_t> NyqmondServer::handle_handoff(
     // operator retires it; mid-handoff duplicates are deduped at query
     // merge time (query/merge.h). One snapshot acquisition covers every
     // matched stream — the segment encoding below runs lock-free against
-    // the epoch-stamped view instead of re-locking per stream.
+    // the captured view instead of re-locking per stream.
     const mon::ReadSnapshot snap = store_.acquire_snapshot(names);
     sto::SegmentWriter writer;
     for (const std::string& name : names)

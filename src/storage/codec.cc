@@ -1,5 +1,6 @@
 #include "storage/codec.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -152,7 +153,9 @@ std::size_t xor_encoded_size(std::span<const double> values) {
 std::vector<double> xor_decode(std::span<const std::uint8_t> bytes,
                                std::size_t count) {
   std::vector<double> out;
-  out.reserve(count);
+  // Every value after the first costs at least one bit, so the stream's
+  // size bounds what a (possibly corrupt) count may reserve.
+  out.reserve(std::min(count, bytes.size() * 8));
   if (count == 0) return out;
   BitReader r(bytes);
   std::uint64_t prev = r.get(64);

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "util/check.h"
+
 namespace nyqmon::sto {
 
 // ------------------------------------------------------- payload building --
@@ -45,7 +47,14 @@ inline void put_bytes(std::vector<std::uint8_t>& b,
   b.insert(b.end(), bytes.begin(), bytes.end());
 }
 
+/// Longest string a str16 field (u16 length prefix) can carry.
+inline constexpr std::size_t kMaxStr16Bytes = 0xffff;
+
+/// Write `s` as a str16 field. Throws std::invalid_argument for strings
+/// over kMaxStr16Bytes rather than let the length prefix wrap.
 inline void put_string(std::vector<std::uint8_t>& b, const std::string& s) {
+  NYQMON_CHECK_MSG(s.size() <= kMaxStr16Bytes,
+                   "string exceeds the str16 length prefix");
   put_u16(b, static_cast<std::uint16_t>(s.size()));
   b.insert(b.end(), s.begin(), s.end());
 }

@@ -245,7 +245,7 @@ FlushStats StorageManager::flush(const mon::StripedRetentionStore& store) {
   FlushStats out;
   // One snapshot acquisition for the whole flush: stripe locks are held
   // only during the brief capture, and the (comparatively slow) segment
-  // encoding below runs against the immutable epoch-stamped view.
+  // encoding below runs against the immutable captured view.
   const mon::ReadSnapshot snapshot = store.acquire_snapshot();
   const std::vector<std::string> names = snapshot.stream_names();
   if (names.empty()) {

@@ -166,7 +166,7 @@ SegmentReadStats read_segment_bytes(
           ++stats.crc_skipped_blocks;
           break;
         }
-        mon::ChunkSnapshot chunk;
+        mon::SealedChunk chunk;
         chunk.t0 = r.get_f64();
         chunk.dt = r.get_f64();
         const std::uint32_t count = r.get_u32();

@@ -1,5 +1,6 @@
 #include "storage/wal.h"
 
+#include <algorithm>
 #include <filesystem>
 
 #include "obs/log.h"
@@ -131,7 +132,9 @@ WalReplayStats WriteAheadLog::replay(
       rec.t0 = r.get_f64();
     } else {
       const std::uint32_t count = r.get_u32();
-      rec.values.reserve(count);
+      // A CRC-valid record can still declare more values than it holds:
+      // reserve only what the payload can carry.
+      rec.values.reserve(std::min<std::size_t>(count, r.remaining() / 8));
       for (std::uint32_t i = 0; i < count && r.ok(); ++i)
         rec.values.push_back(r.get_f64());
       if (rec.values.size() != count) {

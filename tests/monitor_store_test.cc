@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -396,7 +399,8 @@ TEST(RatePriors, DirectObservations) {
 
 // A snapshot must be a frozen, bit-identical view: equal to a fresh read
 // at acquire time, and unchanged by any amount of later ingest, sealing,
-// cap eviction, and reclamation.
+// and cap eviction. Its captured references keep evicted chunks alive
+// until it is destroyed, and no longer.
 TEST(Snapshot, ReaderSurvivesSealEvictionAndReclaim) {
   StoreConfig cfg;
   cfg.chunk_samples = 64;
@@ -407,62 +411,94 @@ TEST(Snapshot, ReaderSurvivesSealEvictionAndReclaim) {
                         return std::sin(0.05 * i) + 0.01 * (i % 7);
                       }));
 
-  // 4 chunks sealed, the first 2 evicted by the cap (no snapshot was live,
-  // so they were freed immediately, not parked).
+  // 4 chunks sealed, the first 2 evicted by the cap.
   EXPECT_EQ(store.stats("s").chunks, 4u);  // cumulative seal count
-  EXPECT_EQ(store.epoch_registry()->retired_pending(), 0u);
 
   // Query the live window [sample 128, sample 300).
   const double t_begin = 128 * 0.5;
   const double t_end = 300 * 0.5;
   const sig::RegularSeries fresh =
       store.acquire_snapshot().query("s", t_begin, t_end);
-  mon::ReadSnapshot snap = store.acquire_snapshot();
-  const sig::RegularSeries at_acquire = snap.query("s", t_begin, t_end);
-  ASSERT_EQ(at_acquire.size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i)
-    EXPECT_EQ(at_acquire[i], fresh[i]) << i;  // bit-identical
+  std::weak_ptr<const mon::SealedChunk> captured;
+  {
+    const mon::ReadSnapshot snap = store.acquire_snapshot();
+    const sig::RegularSeries at_acquire = snap.query("s", t_begin, t_end);
+    ASSERT_EQ(at_acquire.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+      EXPECT_EQ(at_acquire[i], fresh[i]) << i;  // bit-identical
+    const mon::StreamView* view = snap.find("s");
+    ASSERT_NE(view, nullptr);
+    ASSERT_EQ(view->chunks_trimmed, 2u);
+    captured = view->chunks.front();  // sealed chunk #2
 
-  // Ingest on: more seals, more evictions. The evicted chunks are ones
-  // this snapshot holds references to, so they must be parked, not freed.
-  store.append_series(
-      "s", readings(300, [](int i) { return std::cos(0.03 * (300 + i)); }));
-  EXPECT_EQ(store.epoch_registry()->active_snapshots(), 1u);
-  EXPECT_GT(store.epoch_registry()->retired_pending(), 0u);
+    // Ingest on: more seals, more evictions, chunk #2 among them. The
+    // snapshot's own reference is all that keeps it alive now.
+    store.append_series(
+        "s", readings(300, [](int i) { return std::cos(0.03 * (300 + i)); }));
+    EXPECT_GT(store.acquire_snapshot().find("s")->chunks_trimmed, 2u);
+    EXPECT_FALSE(captured.expired());
 
-  // The snapshot still reads its frozen capture, bit-identically.
-  const sig::RegularSeries after_churn = snap.query("s", t_begin, t_end);
-  ASSERT_EQ(after_churn.size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i)
-    EXPECT_EQ(after_churn[i], fresh[i]) << i;
-
-  // Releasing the last snapshot at-or-before the retire epochs reclaims
-  // every parked chunk.
-  snap.release();
-  EXPECT_EQ(store.epoch_registry()->active_snapshots(), 0u);
-  EXPECT_EQ(store.epoch_registry()->retired_pending(), 0u);
+    // The snapshot still reads its frozen capture, bit-identically.
+    const sig::RegularSeries after_churn = snap.query("s", t_begin, t_end);
+    ASSERT_EQ(after_churn.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+      EXPECT_EQ(after_churn[i], fresh[i]) << i;
+  }
+  // Destroying the last snapshot that captured it frees the chunk.
+  EXPECT_TRUE(captured.expired());
 }
 
-// Snapshots pinned after an eviction never saw the evicted chunk and must
-// not delay its reclamation.
+// Snapshots acquired after an eviction never saw the evicted chunk and
+// must not delay its reclamation.
 TEST(Snapshot, LateSnapshotDoesNotDelayReclaim) {
   StoreConfig cfg;
   cfg.chunk_samples = 32;
   cfg.max_chunks_per_stream = 1;
   StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
+  store.append_series("s", ramp(40));  // one chunk sealed
 
-  mon::ReadSnapshot early = store.acquire_snapshot();
-  store.append_series("s", ramp(100));
-  EXPECT_GT(store.epoch_registry()->retired_pending(), 0u);
+  std::optional<mon::ReadSnapshot> early = store.acquire_snapshot();
+  const std::weak_ptr<const mon::SealedChunk> chunk =
+      early->find("s")->chunks.front();
+  store.append_series("s", ramp(100));  // evicts it
 
-  // A snapshot acquired now pins a later epoch; releasing `early` must
-  // reclaim everything even though `late` is still live.
+  // Only `early` holds the chunk: destroying it frees the chunk even
+  // though `late` is still live.
   const mon::ReadSnapshot late = store.acquire_snapshot();
-  EXPECT_GT(late.epoch(), early.epoch());
-  early.release();
-  EXPECT_EQ(store.epoch_registry()->retired_pending(), 0u);
-  EXPECT_EQ(store.epoch_registry()->active_snapshots(), 1u);
+  EXPECT_EQ(late.find("s")->chunks_trimmed, 3u);
+  EXPECT_FALSE(chunk.expired());
+  early.reset();
+  EXPECT_TRUE(chunk.expired());
+}
+
+// A snapshot holds only what it captured: a chunk evicted from another
+// stream is freed at once, however long the snapshot lives.
+TEST(Snapshot, SnapshotDoesNotDelayOtherStreamsEviction) {
+  StoreConfig cfg;
+  cfg.chunk_samples = 32;
+  cfg.max_chunks_per_stream = 1;
+  StripedRetentionStore store(cfg);
+  store.create_stream("a", 1.0);
+  store.create_stream("b", 1.0);
+  store.append_series("a", ramp(40));
+  store.append_series("b", ramp(40));  // one chunk sealed per stream
+
+  const mon::ReadSnapshot snap_a =
+      store.acquire_snapshot(std::vector<std::string>{"a"});
+  const sig::RegularSeries before = snap_a.query("a", 0.0, 40.0);
+  const std::weak_ptr<const mon::SealedChunk> b_chunk =
+      store.acquire_snapshot(std::vector<std::string>{"b"})
+          .find("b")
+          ->chunks.front();
+  ASSERT_FALSE(b_chunk.expired());
+
+  store.append_series("b", ramp(64));  // evicts b's first chunk
+  EXPECT_TRUE(b_chunk.expired());
+
+  // The live snapshot of `a` is untouched by b's eviction.
+  const sig::RegularSeries after = snap_a.query("a", 0.0, 40.0);
+  EXPECT_EQ(after.values(), before.values());
 }
 
 TEST(Snapshot, StripedSnapshotMatchesLockedReads) {
@@ -525,8 +561,8 @@ TEST(Snapshot, ExportAccountsForTrimmedChunks) {
   EXPECT_THROW((void)snap.export_stream("s", 1), std::invalid_argument);
 }
 
-// Writer vs. snapshot readers under TSan: concurrent seal/evict/reclaim
-// must never free a chunk a live snapshot still references.
+// Writer vs. snapshot readers under TSan: concurrent seal/evict must never
+// free a chunk a live snapshot still references.
 TEST(Snapshot, ConcurrentReadersNeverSeeReclaimedData) {
   StoreConfig cfg;
   cfg.chunk_samples = 32;
@@ -547,26 +583,45 @@ TEST(Snapshot, ConcurrentReadersNeverSeeReclaimedData) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
+      struct Read {
+        std::string name;
+        double t_begin;
+        double t_end;
+        std::vector<double> values;
+      };
       while (!stop.load()) {
         const mon::ReadSnapshot snap = store.acquire_snapshot();
+        std::vector<Read> reads;
         for (const mon::StreamView& view : snap.views()) {
           if (view.ingested < 8) continue;
           const double t_end =
               view.t0 + double(view.ingested) / view.collection_rate_hz;
+          const double t_begin = std::max(view.t0, t_end - 20.0);
           const sig::RegularSeries series =
-              snap.query(view.name, std::max(view.t0, t_end - 20.0), t_end);
+              snap.query(view.name, t_begin, t_end);
           for (const double v : series.values())
             ASSERT_TRUE(std::isfinite(v));
+          reads.push_back({view.name, t_begin, t_end, series.values()});
         }
+        // Let every captured stream seal again (the cap evicts what this
+        // snapshot captured), then re-read: the same bits as before.
+        const auto sealed_since_capture = [&] {
+          for (const mon::StreamView& view : snap.views())
+            if (store.stats(view.name).chunks <= view.stats.chunks)
+              return false;
+          return true;
+        };
+        while (!stop.load() && !sealed_since_capture())
+          std::this_thread::yield();
+        for (const Read& read : reads)
+          ASSERT_EQ(snap.query(read.name, read.t_begin, read.t_end).values(),
+                    read.values)
+              << read.name;
       }
     });
   }
   writer.join();
   for (auto& t : readers) t.join();
-
-  // Every snapshot released: nothing may stay parked.
-  EXPECT_EQ(store.epoch_registry()->active_snapshots(), 0u);
-  EXPECT_EQ(store.epoch_registry()->retired_pending(), 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "monitor/striped_store.h"
 #include "query/builder.h"
+#include "query/engine.h"
 #include "query/spec.h"
 #include "runtime/clock.h"
 #include "runtime/runtime.h"
@@ -231,8 +232,8 @@ TEST(Runtime, FivehundredPairsBitIdenticalAtOneAndFourWorkers) {
                                   .align(span / 512.0)
                                   .aggregate(qry::Aggregation::kP95)
                                   .build();
-  const auto r_serial = serial.query_engine().run(spec);
-  const auto r_parallel = parallel.query_engine().run(spec);
+  const auto r_serial = qry::QueryEngine(serial.store()).run(spec);
+  const auto r_parallel = qry::QueryEngine(parallel.store()).run(spec);
   ASSERT_EQ(r_serial.result->series.size(), r_parallel.result->series.size());
   for (std::size_t s = 0; s < r_serial.result->series.size(); ++s) {
     EXPECT_EQ(r_serial.result->series[s].label,
@@ -264,16 +265,17 @@ TEST(Runtime, ServesQueriesDuringIngestWithGenerationInvalidation) {
                                   .aggregate(qry::Aggregation::kAvg)
                                   .build();
 
-  const auto early = runtime.query_engine().run(spec);
+  qry::QueryEngine qe(runtime.store());
+  const auto early = qe.run(spec);
   ASSERT_FALSE(early.cache_hit);
-  const auto early_again = runtime.query_engine().run(spec);
+  const auto early_again = qe.run(spec);
   EXPECT_TRUE(early_again.cache_hit);  // nothing ingested in between
 
   // More ingest must invalidate the cached result (generation bump), and
   // the refreshed result must see the longer streams.
   std::size_t guard = 0;
   while (!runtime.done() && ++guard < 10'000) runtime.step();
-  const auto final_q = runtime.query_engine().run(spec);
+  const auto final_q = qe.run(spec);
   EXPECT_FALSE(final_q.cache_hit);
   ASSERT_FALSE(final_q.result->series.empty());
   ASSERT_FALSE(early.result->series.empty());
@@ -285,7 +287,7 @@ TEST(Runtime, ServesQueriesDuringIngestWithGenerationInvalidation) {
   rt::VirtualClock other_clock;
   rt::StreamingRuntime other(fleet, other_clock, cfg);
   other.run_to_completion();
-  const auto other_q = other.query_engine().run(spec);
+  const auto other_q = qry::QueryEngine(other.store()).run(spec);
   ASSERT_EQ(other_q.result->series.size(), final_q.result->series.size());
   for (std::size_t s = 0; s < other_q.result->series.size(); ++s) {
     EXPECT_TRUE(same_values(other_q.result->series[s].series.span(),
@@ -303,6 +305,7 @@ TEST(Runtime, ConcurrentQueriesWhilePolling) {
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> queries{0};
   const double span = fleet_span_s(fleet, cfg.engine);
+  qry::QueryEngine qe(runtime.store());
   std::thread reader([&] {
     const qry::QuerySpec spec = qry::QueryBuilder()
                                     .select("*/*")
@@ -311,7 +314,7 @@ TEST(Runtime, ConcurrentQueriesWhilePolling) {
                                     .aggregate(qry::Aggregation::kMax)
                                     .build();
     while (!stop.load()) {
-      const auto r = runtime.query_engine().run(spec);
+      const auto r = qe.run(spec);
       ASSERT_NE(r.result, nullptr);
       ++queries;
     }

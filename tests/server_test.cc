@@ -965,6 +965,53 @@ TEST(Server, OverCapRepliesAreRefusedAndConnectionServesOn) {
   server.stop();
 }
 
+// A QUERY whose aggregate label outgrows a str16 field (65534 '*' plus
+// "m" becomes "avg(<selector>)", 65540 bytes) is answered ERR instead of
+// with a wrapped length prefix, and the connection keeps serving.
+TEST(Server, OverlongStr16ReplyFieldAnswersErrorAndServesOn) {
+  mon::StripedRetentionStore store;
+  srv::NyqmondServer server(store, nullptr);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+  client.ingest("a/m", 1.0, 0.0, wave(64, 0.0));
+
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select(std::string(65534, '*') + "m")
+                                  .range(0.0, 64.0)
+                                  .align(1.0)
+                                  .aggregate(qry::Aggregation::kAvg)
+                                  .build();
+  EXPECT_THROW((void)client.query(spec), srv::ServerError);
+  EXPECT_NE(client.stats_json().find("\"streams\":1"), std::string::npos);
+  server.stop();
+}
+
+// Counts in a QUERY reply come off the wire: one that declares more
+// entries than the payload holds makes the reply malformed (nullopt), and
+// the decoder must not reserve memory for them first.
+TEST(Protocol, QueryReplyCountsBeyondThePayloadAreMalformed) {
+  // 13 bytes: cache_hit, matched, reconstructed, n_series = 2^32 - 1.
+  std::vector<std::uint8_t> series;
+  sto::put_u8(series, 0);
+  sto::put_u32(series, 0);
+  sto::put_u32(series, 0);
+  sto::put_u32(series, 0xffffffffu);
+  sto::ByteReader series_reader(series);
+  EXPECT_FALSE(srv::decode_query_reply(series_reader, 0).has_value());
+
+  // No series, then a matched-labels block declaring 2^32 - 1 labels.
+  std::vector<std::uint8_t> matched;
+  sto::put_u8(matched, 0);
+  sto::put_u32(matched, 0);
+  sto::put_u32(matched, 0);
+  sto::put_u32(matched, 0);
+  sto::put_u32(matched, 0xffffffffu);
+  sto::ByteReader matched_reader(matched);
+  EXPECT_FALSE(
+      srv::decode_query_reply(matched_reader, srv::kQueryWantMatched)
+          .has_value());
+}
+
 // ------------------------------------------------------------- call_ok ---
 
 TEST(Server, CallOkRoundTripsOkAndErr) {

@@ -133,6 +133,14 @@ TEST(XorCodec, DecodeOfTruncatedStreamThrows) {
   auto bytes = sto::xor_encode(values);
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(sto::xor_decode(bytes, values.size()), std::runtime_error);
+
+  // A count far beyond what the bytes can hold (a corrupt u32 count field,
+  // or any size_t) fails the same way, without first reserving for it.
+  const auto full = sto::xor_encode(values);
+  EXPECT_THROW(sto::xor_decode(full, 0xffffffffu), std::runtime_error);
+  EXPECT_THROW(
+      sto::xor_decode(full, std::numeric_limits<std::size_t>::max()),
+      std::runtime_error);
 }
 
 // -------------------------------------------------------------------- WAL --
@@ -196,6 +204,37 @@ TEST(Wal, TruncatedTailDropsOnlyLastRecordAndStaysAppendable) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].values, (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(seen[1].values, (std::vector<double>{5.0}));
+}
+
+// A CRC-valid append record that declares more values than it carries is
+// a torn tail: replay stops before it, without reserving for the count.
+TEST(Wal, RecordDeclaringMoreValuesThanItHoldsIsATornTail) {
+  TempDir dir("wal_overcount");
+  fs::create_directories(dir.path);
+  const std::string path = dir.path + "/wal-000001.log";
+  sto::WriteAheadLog::create(path);
+  {
+    sto::WriteAheadLog wal(path, 1);
+    wal.append_batch("s", std::vector<double>{1.0, 2.0});
+  }
+  std::vector<std::uint8_t> payload;
+  sto::put_string(payload, "s");
+  sto::put_u32(payload, 0xffffffffu);  // declares 2^32 - 1 values
+  sto::put_f64(payload, 3.0);          // holds one
+  std::vector<std::uint8_t> frame;
+  sto::put_u8(frame, 2);  // append record
+  sto::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  sto::put_u32(frame, sto::crc32(payload));
+  sto::put_bytes(frame, payload);
+  sto::File::append(path).write(frame);
+
+  std::vector<sto::WalRecord> seen;
+  const auto stats = sto::WriteAheadLog::replay(
+      path, [&](const sto::WalRecord& r) { seen.push_back(r); });
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].values, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(stats.records_replayed, 1u);
+  EXPECT_EQ(stats.records_truncated, 1u);
 }
 
 // --------------------------------------------------- flush/reopen fidelity --
@@ -817,9 +856,9 @@ TEST(StorageEngine, FivehundredPairColdStartIsBitIdentical) {
   EXPECT_EQ(live_rollup.bytes_raw, cold_rollup.bytes_raw);
   EXPECT_EQ(live_rollup.bytes_stored, cold_rollup.bytes_stored);
 
-  // QueryEngine over the reopened store answers bit-identically to the
-  // live serving session — exact streams and fleet-wide aggregates.
-  qry::QueryEngine& live_qe = runtime.query_engine();
+  // QueryEngine over the reopened store answers bit-identically to one
+  // over the live store — exact streams and fleet-wide aggregates.
+  qry::QueryEngine live_qe(runtime.store());
   qry::QueryEngine cold_qe(cold);
 
   std::vector<qry::QuerySpec> specs;
