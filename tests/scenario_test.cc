@@ -325,7 +325,11 @@ TEST(ScenarioBuild, CorrelatedStreamsShareAComponent) {
 
 TEST(ScenarioEngine, DigestBitIdenticalAcrossWorkerCounts) {
   // The acceptance gate: same spec + seed -> bit-identical run digest
-  // whatever the worker count (TSan-sized fleet).
+  // whatever the worker count (TSan-sized fleet). The serial digest is
+  // also pinned absolutely: tel::Fleet (the engine tests' digests) never
+  // builds an OutageGate, a LinearDrift or a scenario step train, so this
+  // pin is what catches an edit that changes those waveforms' bits.
+  constexpr std::uint64_t kDigest = 0x774b2d0254d03f44ull;
   scn::ScenarioSpec spec = scn::default_scenario(28, 99);
   const scn::BuiltScenario built = scn::build_scenario(spec);
 
@@ -339,6 +343,7 @@ TEST(ScenarioEngine, DigestBitIdenticalAcrossWorkerCounts) {
     return eng::run_digest(runtime.run_to_completion());
   };
   const std::uint64_t serial = digest_of(built.fleet, 1);
+  EXPECT_EQ(serial, kDigest) << std::hex << "got 0x" << serial;
   const std::uint64_t parallel = digest_of(built.fleet, 4);
   EXPECT_EQ(serial, parallel);
 
