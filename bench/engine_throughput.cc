@@ -2,9 +2,9 @@
 // to completion as the worker count grows, over a paper-scale (>= 500
 // pairs) fleet.
 //
-// Each worker-count run reports its own *delta* of the four per-pair stage
-// histograms (sample / fft / reconstruct / audit) — the table shows where
-// the scaling went, not just the ratio.
+// Each worker-count run reports its own *delta* of the five per-pair stage
+// histograms (sample, with its acquire and fft slices / reconstruct /
+// audit) — the table shows where the scaling went, not just the ratio.
 //
 // Also cross-checks the determinism contract: the per-pair aggregates must
 // be bit-identical whatever the worker count, so the scaling numbers
@@ -36,13 +36,14 @@ using namespace nyqmon;
 namespace {
 
 constexpr const char* kStageHistograms[] = {
-    "nyqmon_engine_stage_sample_ns", "nyqmon_engine_stage_fft_ns",
-    "nyqmon_engine_stage_reconstruct_ns", "nyqmon_engine_stage_audit_ns"};
-constexpr const char* kStageNames[] = {"sample", "fft", "reconstruct",
-                                       "audit"};
-constexpr std::size_t kStages = 4;
+    "nyqmon_engine_stage_sample_ns", "nyqmon_engine_stage_acquire_ns",
+    "nyqmon_engine_stage_fft_ns", "nyqmon_engine_stage_reconstruct_ns",
+    "nyqmon_engine_stage_audit_ns"};
+constexpr const char* kStageNames[] = {"sample", "acquire", "fft",
+                                       "reconstruct", "audit"};
+constexpr std::size_t kStages = 5;
 
-/// Snapshot of the four stage histograms (cumulative since process start).
+/// Snapshot of the stage histograms (cumulative since process start).
 struct StageSnapshot {
   obs::HistogramSnapshot stage[kStages];
   static StageSnapshot take() {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace nyqmon::nyq {
@@ -73,18 +74,6 @@ const AdaptiveStep& AdaptiveStepper::step_window(
   step.mode = mode_;
   step.rate_hz = rate;
 
-  // Acquire the primary stream at `rate`.
-  const std::size_t n_primary = std::max<std::size_t>(
-      8, static_cast<std::size_t>(std::floor(win * rate)));
-  const double dt = 1.0 / rate;
-  std::vector<double> primary(n_primary);
-  for (std::size_t i = 0; i < n_primary; ++i) {
-    const double ts = t + static_cast<double>(i) * dt;
-    primary[i] = measure(ts);
-    run_.collected.push(ts, primary[i]);
-  }
-  const sig::RegularSeries primary_series(t, dt, primary);
-
   // While probing (and periodically while tracking — "leverage temporal
   // stability to make adaptation less expensive"), acquire a faster
   // checker stream and run the Penny comparison (fast = ratio * rate vs
@@ -96,20 +85,40 @@ const AdaptiveStep& AdaptiveStepper::step_window(
       mode_ == SamplerMode::kProbe ||
       windows_since_check_ + 1 >= config_.recheck_interval_windows;
 
+  // Acquire the primary stream at `rate`, then the checker stream when it
+  // is due. Both loops run under one timer: the measurement closure's
+  // cost (ground truth, noise, quantizer), apart from the detection and
+  // estimation below.
+  const std::size_t n_primary = std::max<std::size_t>(
+      8, static_cast<std::size_t>(std::floor(win * rate)));
+  const double dt = 1.0 / rate;
+  std::vector<double> primary(n_primary);
+  const double fast_rate = rate * config_.detector.rate_ratio;
+  const double dtf = 1.0 / fast_rate;
+  std::vector<double> fast;
+  {
+    NYQMON_OBS_TIMER("nyqmon_engine_stage_acquire_ns");
+    for (std::size_t i = 0; i < n_primary; ++i) {
+      const double ts = t + static_cast<double>(i) * dt;
+      primary[i] = measure(ts);
+      run_.collected.push(ts, primary[i]);
+    }
+    if (check_this_window) {
+      fast.resize(std::max<std::size_t>(
+          8, static_cast<std::size_t>(std::floor(win * fast_rate))));
+      for (std::size_t i = 0; i < fast.size(); ++i)
+        fast[i] = measure(t + static_cast<double>(i) * dtf);
+    }
+  }
+  const sig::RegularSeries primary_series(t, dt, primary);
+
   DetectionResult det;
   step.samples_acquired = n_primary;
   if (check_this_window) {
     windows_since_check_ = 0;
-    const double fast_rate = rate * config_.detector.rate_ratio;
-    const std::size_t n_fast = std::max<std::size_t>(
-        8, static_cast<std::size_t>(std::floor(win * fast_rate)));
-    const double dtf = 1.0 / fast_rate;
-    std::vector<double> fast(n_fast);
-    for (std::size_t i = 0; i < n_fast; ++i)
-      fast[i] = measure(t + static_cast<double>(i) * dtf);
     const sig::RegularSeries fast_series(t, dtf, fast);
     det = detector_.detect(fast_series, primary_series);
-    step.samples_acquired += n_fast;
+    step.samples_acquired += fast.size();
     // Estimate the Nyquist rate from the checker stream — the widest
     // clean band available this window (Section 3.2's method).
     step.estimate = estimator_.estimate(fast_series);

@@ -63,12 +63,7 @@ eng::PairOutcome make_pair_outcome(std::size_t index,
   out.max_abs_error = result.max_abs_error;
   out.adaptive_samples = result.run.total_samples;
   out.baseline_samples = result.run.baseline_samples(sched.production_rate_hz);
-  {
-    // Last of the four per-pair stage timings (sample and reconstruct in
-    // monitor/pipeline.cc, FFT in nyquist/estimator.cc).
-    NYQMON_OBS_TIMER("nyqmon_engine_stage_audit_ns");
-    out.audit = nyq::audit_run(result.run);
-  }
+  out.audit = nyq::audit_run(result.run);
   NYQMON_OBS_COUNT("nyqmon_engine_pairs_total", 1);
   return out;
 }

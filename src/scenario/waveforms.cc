@@ -25,7 +25,9 @@ OutageGate::OutageGate(std::shared_ptr<const sig::ContinuousSignal> base,
     : base_(std::move(base)),
       outages_(std::move(outages)),
       edge_width_(edge_width_s),
-      floor_(floor) {
+      floor_(floor),
+      closed_is_floor_(std::isfinite(floor) &&
+                       !(floor == 0.0 && std::signbit(floor))) {
   NYQMON_CHECK(base_ != nullptr);
   NYQMON_CHECK(edge_width_ > 0.0);
   std::sort(outages_.begin(), outages_.end(),
@@ -62,7 +64,9 @@ double OutageGate::gate(double t) const {
 }
 
 double OutageGate::value(double t) const {
-  return floor_ + gate(t) * (base_->value(t) - floor_);
+  const double g = gate(t);
+  if (g == 0.0 && closed_is_floor_) return floor_;
+  return floor_ + g * (base_->value(t) - floor_);
 }
 
 double OutageGate::bandwidth_hz() const {

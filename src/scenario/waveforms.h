@@ -52,6 +52,13 @@ struct OutageWindow {
 ///   value(t) = floor + g(t) * (base(t) - floor),  g in [0, 1].
 /// Models devices that stop reporting real readings during an outage and
 /// return a stuck floor value instead.
+///
+/// Where the gate is fully closed (g == 0.0) value() returns the floor
+/// without evaluating the base: floor + 0.0 * (finite) is exactly the
+/// floor. That holds for every finite floor but -0.0 (-0.0 + +0.0 is
+/// +0.0), so such a floor, or a non-finite one, still evaluates the base.
+/// The one output this changes is a base that is inf or NaN at a fully
+/// closed t: it reads the stuck floor, as the model says, not NaN.
 class OutageGate final : public sig::ContinuousSignal {
  public:
   OutageGate(std::shared_ptr<const sig::ContinuousSignal> base,
@@ -69,6 +76,7 @@ class OutageGate final : public sig::ContinuousSignal {
   std::vector<OutageWindow> outages_;  // sorted, non-overlapping
   double edge_width_;
   double floor_;
+  bool closed_is_floor_;  // floor_ + 0.0 * (finite) is exactly floor_
 };
 
 /// Per-device clock skew and drift: value(t) = base(offset + (1+drift)*t).

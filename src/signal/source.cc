@@ -73,16 +73,38 @@ double GaussianBumpTrain::bandwidth_hz() const {
 
 SmoothStepTrain::SmoothStepTrain(std::vector<Step> steps, double width_s,
                                  double baseline)
-    : steps_(std::move(steps)), width_(width_s), baseline_(baseline) {
+    : steps_(std::move(steps)), width_(width_s) {
   NYQMON_CHECK(width_s > 0.0);
+  for (const auto& s : steps_)
+    NYQMON_CHECK(std::isfinite(s.center_s) && std::isfinite(s.amplitude));
   std::sort(steps_.begin(), steps_.end(),
             [](const Step& a, const Step& b) { return a.center_s < b.center_s; });
+  // value()'s own term with tanh = 1, added in value()'s order.
+  settled_.reserve(steps_.size() + 1);
+  settled_.push_back(baseline);
+  for (const auto& s : steps_)
+    settled_.push_back(settled_.back() + s.amplitude * 0.5 * (1.0 + 1.0));
 }
 
 double SmoothStepTrain::value(double t) const {
-  double v = baseline_;
-  for (const auto& s : steps_)
-    v += s.amplitude * 0.5 * (1.0 + std::tanh((t - s.center_s) / width_));
+  // x falls as the centre rises, so the steps split into three runs:
+  // settled (x >= kSaturation, tanh = 1), live, and pending
+  // (x <= -kSaturation, tanh = -1). A NaN t makes every step live.
+  const auto x = [&](const Step& s) { return (t - s.center_s) / width_; };
+  const auto term = [&](const Step& s) {
+    return s.amplitude * 0.5 * (1.0 + std::tanh(x(s)));
+  };
+  const auto lo = std::partition_point(
+      steps_.begin(), steps_.end(),
+      [&](const Step& s) { return x(s) >= kSaturation; });
+  const auto hi = std::partition_point(
+      lo, steps_.end(), [&](const Step& s) { return !(x(s) <= -kSaturation); });
+  double v = settled_[static_cast<std::size_t>(lo - steps_.begin())];
+  auto it = lo;
+  for (; it != hi; ++it) v += term(*it);
+  // Pending steps add ±0.0, which leaves every sum but -0.0 unchanged.
+  if (v == 0.0 && std::signbit(v))
+    for (; it != steps_.end(); ++it) v += term(*it);
   return v;
 }
 

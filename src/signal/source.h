@@ -81,6 +81,16 @@ class GaussianBumpTrain final : public ContinuousSignal {
 /// fail-stop / link-flap style regime changes with transition width w.
 /// The tanh edge's spectrum decays exponentially with f*w; bandwidth is
 /// reported at the 1e-6 point.
+///
+/// value() costs O(log n + k) for n steps, k of them less than kSaturation
+/// widths from t, and returns the bits of the plain baseline-first sum over
+/// all n steps in centre order. A step kSaturation or more widths behind t
+/// has tanh exactly 1 and adds exactly its amplitude: a prefix sum formed
+/// in the same order replays those additions. A step that far ahead has
+/// tanh exactly -1 and adds ±0.0, which can change only a sum of -0.0, so
+/// those steps are skipped unless the sum is -0.0. Amplitudes and centres
+/// must be finite (a non-finite amplitude makes even a skipped step's
+/// term NaN).
 class SmoothStepTrain final : public ContinuousSignal {
  public:
   struct Step {
@@ -93,10 +103,15 @@ class SmoothStepTrain final : public ContinuousSignal {
   double value(double t) const override;
   double bandwidth_hz() const override;
 
+  /// |x| from which tanh(x) is exactly ±1: 1 - tanh(20) ≈ 8.5e-18 is below
+  /// half an ulp of 1 (2^-54), so a correctly rounded tanh returns ±1 (glibc
+  /// saturates from 19.06). signal_source_test asserts it for this libm.
+  static constexpr double kSaturation = 20.0;
+
  private:
-  std::vector<Step> steps_;
+  std::vector<Step> steps_;      // sorted by centre
+  std::vector<double> settled_;  // [j]: baseline plus steps [0, j) at tanh = 1
   double width_;
-  double baseline_;
 };
 
 /// Weighted sum of other signals; bandwidth is the max of the parts.

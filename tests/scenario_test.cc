@@ -4,7 +4,11 @@
 // engine digest at 1 vs 4 workers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -49,6 +53,58 @@ TEST(Waveforms, OutageGateCollapsesToFloorInsideWindows) {
   EXPECT_NEAR(gated.gate(100.0), 1.0, 1e-9);
   // The gate widens the band limit by the edge's 1e-6 point.
   EXPECT_GT(gated.bandwidth_hz(), base->bandwidth_hz());
+}
+
+// A base that counts its evaluations and reads NaN inside [nan_from,
+// nan_to): a closed gate must neither call it nor let its NaN through.
+class CountingBase final : public sig::ContinuousSignal {
+ public:
+  CountingBase(double nan_from, double nan_to)
+      : nan_from_(nan_from), nan_to_(nan_to) {}
+  double value(double t) const override {
+    calls_.fetch_add(1);
+    if (t >= nan_from_ && t < nan_to_)
+      return std::numeric_limits<double>::quiet_NaN();
+    return 2.0 + std::sin(0.01 * t);
+  }
+  double bandwidth_hz() const override { return 0.01; }
+  std::size_t calls() const { return calls_.load(); }
+
+ private:
+  double nan_from_, nan_to_;
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Waveforms, ClosedOutageGateReturnsTheFloorWithoutTheBase) {
+  for (const double floor : {0.0, -5.0}) {
+    const auto base = std::make_shared<CountingBase>(1400.0, 1600.0);
+    const scn::OutageGate gated(base, {{1000.0, 2000.0}}, 10.0, floor);
+    for (const double t : {1300.0, 1500.0, 1700.0}) {
+      ASSERT_EQ(gated.gate(t), 0.0);
+      EXPECT_EQ(bits(gated.value(t)), bits(floor)) << "floor=" << floor;
+    }
+    EXPECT_EQ(base->calls(), 0u);
+    // Open and partly open: the full formula, bit for bit.
+    for (const double t : {100.0, 990.0, 1000.0, 1010.0, 1990.0, 2010.0,
+                           2500.0}) {
+      const double want = floor + gated.gate(t) * (base->value(t) - floor);
+      EXPECT_EQ(bits(gated.value(t)), bits(want)) << "t=" << t;
+    }
+  }
+}
+
+TEST(Waveforms, ClosedOutageGateWithNegativeZeroFloorEvaluatesTheBase) {
+  // -0.0 + 0.0 * (positive) is +0.0, not the floor: today's result stands.
+  const auto base = std::make_shared<CountingBase>(0.0, 0.0);  // never NaN
+  const scn::OutageGate gated(base, {{1000.0, 2000.0}}, 10.0, -0.0);
+  ASSERT_EQ(gated.gate(1500.0), 0.0);
+  const double want = -0.0 + 0.0 * (base->value(1500.0) - -0.0);
+  const std::size_t before = base->calls();
+  EXPECT_EQ(bits(gated.value(1500.0)), bits(want));
+  EXPECT_FALSE(std::signbit(gated.value(1500.0)));
+  EXPECT_GT(base->calls(), before);
 }
 
 TEST(Waveforms, OutageGateMergesOverlappingWindows) {

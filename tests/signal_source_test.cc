@@ -4,8 +4,13 @@
 // (verified spectrally).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "dsp/psd.h"
 #include "signal/generators.h"
@@ -83,6 +88,156 @@ TEST(SmoothStepTrain, SpectrallyBandlimited) {
   const double bw = steps.bandwidth_hz();
   const auto rs = steps.sample(0.0, 1.0 / (16.0 * bw), 8192);
   EXPECT_LT(energy_above(rs, bw), 1e-3);
+}
+
+// --------------------------------------- step train: bit-exact evaluation --
+
+constexpr double kSat = SmoothStepTrain::kSaturation;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The plain evaluation SmoothStepTrain::value() must reproduce bit for bit:
+// every step's tanh term, added to the baseline in centre order.
+struct ReferenceTrain {
+  ReferenceTrain(std::vector<SmoothStepTrain::Step> s, double w, double b)
+      : steps(std::move(s)), width(w), baseline(b) {
+    std::sort(steps.begin(), steps.end(), [](const auto& a, const auto& c) {
+      return a.center_s < c.center_s;
+    });
+  }
+  double value(double t) const {
+    double v = baseline;
+    for (const auto& s : steps)
+      v += s.amplitude * 0.5 * (1.0 + std::tanh((t - s.center_s) / width));
+    return v;
+  }
+  std::vector<SmoothStepTrain::Step> steps;
+  double width;
+  double baseline;
+};
+
+// The train and its reference evaluated at every probe time, compared as
+// bits (so ±0.0 and NaN payloads count).
+void expect_bitwise_equal(const std::vector<SmoothStepTrain::Step>& steps,
+                          double width, double baseline,
+                          const std::vector<double>& times) {
+  const SmoothStepTrain train(steps, width, baseline);
+  const ReferenceTrain ref(steps, width, baseline);
+  for (const double t : times)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(train.value(t)),
+              std::bit_cast<std::uint64_t>(ref.value(t)))
+        << "t=" << t << " width=" << width << " got " << train.value(t)
+        << " want " << ref.value(t);
+}
+
+// t at every centre, at ±kSat widths from it, one ulp either side of each
+// of those, before and after every step, on a dense sweep over the whole
+// train, and at the non-finite times.
+std::vector<double> probe_times(const std::vector<SmoothStepTrain::Step>& steps,
+                                double width) {
+  std::vector<double> times;
+  const auto with_ulps = [&](double t) {
+    times.push_back(t);
+    times.push_back(std::nextafter(t, -kInf));
+    times.push_back(std::nextafter(t, kInf));
+  };
+  double first = steps.front().center_s, last = first;
+  for (const auto& s : steps) {
+    with_ulps(s.center_s);
+    with_ulps(s.center_s + kSat * width);
+    with_ulps(s.center_s - kSat * width);
+    times.push_back(s.center_s - 0.5 * width);
+    times.push_back(s.center_s + 0.5 * width);
+    first = std::min(first, s.center_s);
+    last = std::max(last, s.center_s);
+  }
+  const double pad = 2.0 * kSat * width + 1.0;
+  for (int i = 0; i <= 2000; ++i)
+    times.push_back(first - pad + (last - first + 2.0 * pad) * i / 2000.0);
+  for (const double t : {-1e300, 1e300, -kInf, kInf,
+                         std::numeric_limits<double>::quiet_NaN()})
+    times.push_back(t);
+  return times;
+}
+
+// value() relies on tanh being exactly ±1 from kSat on; a libm that does
+// not saturate there fails here, not as a digest mismatch. volatile keeps
+// the compiler from folding the call, so this tests the libm the library
+// links, not the compiler's constant folder.
+double runtime_tanh(double x) {
+  volatile double v = x;
+  return std::tanh(v);
+}
+
+TEST(SmoothStepTrain, TanhIsExactlyOneFromTheSaturationCutoff) {
+  EXPECT_EQ(runtime_tanh(kSat), 1.0);
+  EXPECT_EQ(runtime_tanh(-kSat), -1.0);
+  double x = kSat;
+  for (int i = 0; i < 4096; ++i) {  // the first ulps above the cutoff
+    x = std::nextafter(x, kInf);
+    ASSERT_EQ(runtime_tanh(x), 1.0) << x;
+    ASSERT_EQ(runtime_tanh(-x), -1.0) << x;
+  }
+  for (x = kSat; x < 64.0; x += 1.0 / 1024.0) {  // dense sweep above it
+    ASSERT_EQ(runtime_tanh(x), 1.0) << x;
+    ASSERT_EQ(runtime_tanh(-x), -1.0) << x;
+  }
+  for (const double big : {1e3, 1e10, 1e300,
+                           std::numeric_limits<double>::max(), kInf}) {
+    EXPECT_EQ(runtime_tanh(big), 1.0) << big;
+    EXPECT_EQ(runtime_tanh(-big), -1.0) << big;
+  }
+}
+
+TEST(SmoothStepTrain, MatchesTheFullLoopBitForBitAcrossWidths) {
+  // ~10 s step spacing; widths from far below it to far above it, and
+  // amplitudes spanning 18 decades of both signs, so the prefix sums round
+  // at every step and any reordering of the additions shows.
+  Rng rng(2024);
+  std::vector<SmoothStepTrain::Step> steps;
+  double t = 0.0;
+  for (int i = 0; i < 120; ++i) {
+    t += rng.uniform(2.0, 18.0);
+    const double a = rng.log_uniform(1e-9, 1e9);
+    steps.push_back({t, rng.uniform(0.0, 1.0) < 0.5 ? -a : a});
+  }
+  for (const double width : {1e-4, 0.05, 1.0, 10.0, 300.0, 1e5})
+    expect_bitwise_equal(steps, width, 3.7, probe_times(steps, width));
+}
+
+TEST(SmoothStepTrain, MatchesTheFullLoopForASingleStep) {
+  const std::vector<SmoothStepTrain::Step> one = {{100.0, 4.0}};
+  for (const double width : {1e-3, 2.0, 1e4})
+    expect_bitwise_equal(one, width, 1.0, probe_times(one, width));
+}
+
+TEST(SmoothStepTrain, MatchesTheFullLoopWhenTheSumIsSignedZero) {
+  // Baseline -0.0: the ±0.0 terms of steps far ahead of t can flip the
+  // sum to +0.0, so value() must finish the loop there (and only there).
+  const std::vector<SmoothStepTrain::Step> mixed = {
+      {0.0, -1.0}, {10.0, 2.0}, {20.0, -0.0}, {30.0, 0.0}};
+  const std::vector<SmoothStepTrain::Step> negative = {
+      {0.0, -1.0}, {10.0, -0.0}, {20.0, -3.0}};
+  const std::vector<SmoothStepTrain::Step> settled_zero = {{0.0, -0.0},
+                                                           {100.0, 1.0}};
+  for (const double width : {0.1, 1.0}) {
+    expect_bitwise_equal(mixed, width, -0.0, probe_times(mixed, width));
+    expect_bitwise_equal(negative, width, -0.0, probe_times(negative, width));
+    expect_bitwise_equal(settled_zero, width, -0.0,
+                         probe_times(settled_zero, width));
+  }
+  // Before every step: the loop's -0.0 + -0.0 + +0.0 ... ends at +0.0.
+  EXPECT_FALSE(std::signbit(SmoothStepTrain(mixed, 1.0, -0.0).value(-1e6)));
+  EXPECT_TRUE(std::signbit(SmoothStepTrain(negative, 1.0, -0.0).value(-1e6)));
+  // A settled -0.0 amplitude keeps the sum at -0.0 until the pending +0.0.
+  EXPECT_FALSE(
+      std::signbit(SmoothStepTrain(settled_zero, 1.0, -0.0).value(50.0)));
+}
+
+TEST(SmoothStepTrain, NonFiniteStepsThrow) {
+  EXPECT_THROW(SmoothStepTrain({{1.0, kInf}}, 1.0), std::invalid_argument);
+  EXPECT_THROW(
+      SmoothStepTrain({{std::numeric_limits<double>::quiet_NaN(), 1.0}}, 1.0),
+      std::invalid_argument);
 }
 
 TEST(Composite, SumsPartsAndTakesMaxBandwidth) {
