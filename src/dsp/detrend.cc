@@ -1,16 +1,15 @@
 #include "dsp/detrend.h"
 
-#include "dsp/simd.h"
+#include "dsp/kernels.h"
 #include "util/check.h"
 
 namespace nyqmon::dsp {
 
 std::vector<double> remove_mean(std::span<const double> x) {
   NYQMON_CHECK(!x.empty());
-  const auto& k = simd::ops();
-  const double mean = k.sum(x.data(), x.size()) / static_cast<double>(x.size());
+  const double mean = sum(x.data(), x.size()) / static_cast<double>(x.size());
   std::vector<double> out(x.begin(), x.end());
-  k.sub_scalar_inplace(out.data(), mean, out.size());
+  sub_scalar_inplace(out.data(), mean, out.size());
   return out;
 }
 
@@ -19,17 +18,17 @@ LineFit fit_line(std::span<const double> x) {
   const double n = static_cast<double>(x.size());
   // Closed-form least squares with t = 0..n-1. The index sums have exact
   // integer closed forms (exact in double well past any window length);
-  // the data sums go through the dispatched reduction kernels.
+  // the data sums go through the striped reductions of dsp/kernels.h.
   const std::size_t sz = x.size();
   const double sum_t = static_cast<double>(sz * (sz - 1) / 2);
   const double sum_tt =
       static_cast<double>(sz * (sz - 1) / 2) * static_cast<double>(2 * sz - 1) /
       3.0;
-  const double sum_x = simd::ops().sum(x.data(), sz);
+  const double sum_x = sum(x.data(), sz);
   double sum_tx = 0.0;
   {
     // dot(x, ramp) without materializing the ramp: same striped
-    // 4-accumulator definition as the dispatched reductions.
+    // 4-accumulator definition as dsp::dot.
     double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
     const std::size_t n4 = sz - sz % 4;
     for (std::size_t i = 0; i < n4; i += 4) {

@@ -3,8 +3,8 @@
 // of frequencies cheaply, as an online system would.
 //
 // goertzel_power_multi evaluates a whole candidate list in batches of four
-// independent recurrences through the dsp::simd dispatch table — one pass
-// over the samples per four frequencies instead of per frequency.
+// independent recurrences — one pass over the samples per four frequencies
+// instead of per frequency.
 #pragma once
 
 #include <span>
@@ -18,8 +18,8 @@ double goertzel_power(std::span<const double> x, double sample_rate_hz,
                       double frequency_hz);
 
 /// goertzel_power for every frequency in `frequencies_hz` (same contract
-/// per element), batched four lanes at a time through the SIMD dispatch
-/// table. Bit-identical to calling goertzel_power per frequency.
+/// per element), batched four lanes at a time. Bit-identical to calling
+/// goertzel_power per frequency.
 std::vector<double> goertzel_power_multi(
     std::span<const double> x, double sample_rate_hz,
     std::span<const double> frequencies_hz);

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "dsp/fft.h"
-#include "dsp/simd.h"
+#include "dsp/kernels.h"
 #include "dsp/workspace.h"
 #include "util/check.h"
 
@@ -38,6 +38,15 @@ double Psd::cumulative_energy_frequency(double fraction) const {
 
 namespace {
 
+// out[i] = re(x[i])*re(x[i]) + im(x[i])*im(x[i]).
+void squared_magnitude(const cdouble* x, double* out, std::size_t n) {
+  const double* xd = reinterpret_cast<const double*>(x);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double re = xd[2 * i], im = xd[2 * i + 1];
+    out[i] = re * re + im * im;
+  }
+}
+
 // One-sided PSD from the half spectrum (rfft output) of a real block of
 // original length n.
 Psd one_sided(const std::vector<cdouble>& spectrum, std::size_t n, double fs,
@@ -48,7 +57,7 @@ Psd one_sided(const std::vector<cdouble>& spectrum, std::size_t n, double fs,
   psd.sample_rate_hz = fs;
   psd.frequency_hz.resize(half);
   psd.power.resize(half);
-  simd::ops().squared_magnitude(spectrum.data(), psd.power.data(), half);
+  squared_magnitude(spectrum.data(), psd.power.data(), half);
   for (std::size_t k = 0; k < half; ++k) {
     psd.frequency_hz[k] = static_cast<double>(k) * fs / static_cast<double>(n);
     double p = psd.power[k] / norm;
@@ -64,14 +73,13 @@ Psd one_sided(const std::vector<cdouble>& spectrum, std::size_t n, double fs,
 std::vector<double> preprocess(std::span<const double> x, bool remove_mean,
                                WindowType window) {
   std::vector<double> block(x.begin(), x.end());
-  const auto& k = simd::ops();
   if (remove_mean) {
     const double mean =
-        k.sum(block.data(), block.size()) / static_cast<double>(block.size());
-    k.sub_scalar_inplace(block.data(), mean, block.size());
+        sum(block.data(), block.size()) / static_cast<double>(block.size());
+    sub_scalar_inplace(block.data(), mean, block.size());
   }
   const auto& w = this_thread_workspace().window(window, block.size());
-  k.mul_inplace(block.data(), w.data(), block.size());
+  mul_inplace(block.data(), w.data(), block.size());
   return block;
 }
 

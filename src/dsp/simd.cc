@@ -23,7 +23,7 @@ inline const double* flat(const cdouble* p) {
 }
 
 // ------------------------------------------------------------- scalar ----
-// The reference implementations. Every SIMD variant below performs these
+// The reference implementations. The AVX2 variants below perform these
 // exact operations in this exact per-element order.
 
 void butterfly_scalar(cdouble* x, const cdouble* tw, std::size_t half) {
@@ -60,273 +60,39 @@ void complex_mul_inplace_scalar(cdouble* a, const cdouble* b, std::size_t n) {
   complex_mul_scalar(a, a, b, n);
 }
 
-void mul_inplace_scalar(double* x, const double* w, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= w[i];
-}
-
-void sub_scalar_inplace_scalar(double* x, double c, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] -= c;
-}
-
-void div_scalar_inplace_scalar(double* x, double c, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] /= c;
-}
-
 void div_scalar_complex_inplace_scalar(cdouble* x, double c, std::size_t n) {
-  div_scalar_inplace_scalar(flat(x), c, 2 * n);
-}
-
-// Reduction definition shared by every level: four striped accumulators
-// acc[j] += x[4i+j] over the 4-aligned prefix, combined as
-// (acc0+acc2) + (acc1+acc3), then the tail added sequentially.
-double sum_scalar(const double* x, std::size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t i = 0; i < n4; i += 4) {
-    a0 += x[i];
-    a1 += x[i + 1];
-    a2 += x[i + 2];
-    a3 += x[i + 3];
-  }
-  double total = (a0 + a2) + (a1 + a3);
-  for (std::size_t i = n4; i < n; ++i) total += x[i];
-  return total;
-}
-
-double dot_scalar(const double* x, const double* y, std::size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t i = 0; i < n4; i += 4) {
-    a0 += x[i] * y[i];
-    a1 += x[i + 1] * y[i + 1];
-    a2 += x[i + 2] * y[i + 2];
-    a3 += x[i + 3] * y[i + 3];
-  }
-  double total = (a0 + a2) + (a1 + a3);
-  for (std::size_t i = n4; i < n; ++i) total += x[i] * y[i];
-  return total;
-}
-
-void squared_magnitude_scalar(const cdouble* x, double* out, std::size_t n) {
-  const double* xd = flat(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = xd[2 * i], im = xd[2 * i + 1];
-    out[i] = re * re + im * im;
-  }
-}
-
-void axpy_scalar(double a, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-void goertzel4_scalar(const double* x, std::size_t n, const double coeff[4],
-                      double s1[4], double s2[4]) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = x[i];
-    for (int j = 0; j < 4; ++j) {
-      const double s = (v + coeff[j] * s1[j]) - s2[j];
-      s2[j] = s1[j];
-      s1[j] = s;
-    }
-  }
+  double* xd = flat(x);
+  for (std::size_t i = 0; i < 2 * n; ++i) xd[i] /= c;
 }
 
 constexpr Ops kScalarOps = {
     butterfly_scalar,
     complex_mul_inplace_scalar,
     complex_mul_scalar,
-    mul_inplace_scalar,
-    sub_scalar_inplace_scalar,
-    div_scalar_inplace_scalar,
     div_scalar_complex_inplace_scalar,
-    sum_scalar,
-    dot_scalar,
-    squared_magnitude_scalar,
-    axpy_scalar,
-    goertzel4_scalar,
     "scalar",
     Level::kScalar,
 };
 
 #if NYQMON_SIMD_X86
 
-// --------------------------------------------------------------- SSE2 ----
-// SSE2 is baseline on x86-64 (no target attribute needed). One complex (or
-// two doubles) per 128-bit vector. Subtractions stay real subtractions so
-// NaN sign propagation matches the scalar reference exactly.
-
-void butterfly_sse2(cdouble* x, const cdouble* tw, std::size_t half) {
-  double* xd = flat(x);
-  const double* twd = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const __m128d w = _mm_loadu_pd(twd + 2 * k);
-    const __m128d v = _mm_loadu_pd(xd + 2 * (k + half));
-    const __m128d u = _mm_loadu_pd(xd + 2 * k);
-    const __m128d wr = _mm_unpacklo_pd(w, w);             // [wr, wr]
-    const __m128d wi = _mm_unpackhi_pd(w, w);             // [wi, wi]
-    const __m128d vs = _mm_shuffle_pd(v, v, 0b01);        // [vi, vr]
-    const __m128d t1 = _mm_mul_pd(wr, v);                 // [wr*vr, wr*vi]
-    const __m128d t2 = _mm_mul_pd(wi, vs);                // [wi*vi, wi*vr]
-    const __m128d re = _mm_sub_pd(t1, t2);                // lane0 valid
-    const __m128d im = _mm_add_pd(t1, t2);                // lane1 valid
-    const __m128d wv = _mm_shuffle_pd(re, im, 0b10);      // [re0, im1]
-    _mm_storeu_pd(xd + 2 * k, _mm_add_pd(u, wv));
-    _mm_storeu_pd(xd + 2 * (k + half), _mm_sub_pd(u, wv));
-  }
-}
-
-void complex_mul_sse2(cdouble* out, const cdouble* a, const cdouble* b,
-                      std::size_t n) {
-  double* od = flat(out);
-  const double* ad = flat(a);
-  const double* bd = flat(b);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d av = _mm_loadu_pd(ad + 2 * i);
-    const __m128d bv = _mm_loadu_pd(bd + 2 * i);
-    const __m128d ar = _mm_unpacklo_pd(av, av);
-    const __m128d ai = _mm_unpackhi_pd(av, av);
-    const __m128d bs = _mm_shuffle_pd(bv, bv, 0b01);
-    const __m128d t1 = _mm_mul_pd(ar, bv);                // [ar*br, ar*bi]
-    const __m128d t2 = _mm_mul_pd(ai, bs);                // [ai*bi, ai*br]
-    const __m128d re = _mm_sub_pd(t1, t2);
-    const __m128d im = _mm_add_pd(t1, t2);
-    _mm_storeu_pd(od + 2 * i, _mm_shuffle_pd(re, im, 0b10));
-  }
-}
-
-void complex_mul_inplace_sse2(cdouble* a, const cdouble* b, std::size_t n) {
-  complex_mul_sse2(a, a, b, n);
-}
-
-void mul_inplace_sse2(double* x, const double* w, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    _mm_storeu_pd(x + i, _mm_mul_pd(_mm_loadu_pd(x + i), _mm_loadu_pd(w + i)));
-  for (; i < n; ++i) x[i] *= w[i];
-}
-
-void sub_scalar_inplace_sse2(double* x, double c, std::size_t n) {
-  const __m128d cv = _mm_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    _mm_storeu_pd(x + i, _mm_sub_pd(_mm_loadu_pd(x + i), cv));
-  for (; i < n; ++i) x[i] -= c;
-}
-
-void div_scalar_inplace_sse2(double* x, double c, std::size_t n) {
-  const __m128d cv = _mm_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    _mm_storeu_pd(x + i, _mm_div_pd(_mm_loadu_pd(x + i), cv));
-  for (; i < n; ++i) x[i] /= c;
-}
-
-void div_scalar_complex_inplace_sse2(cdouble* x, double c, std::size_t n) {
-  div_scalar_inplace_sse2(flat(x), c, 2 * n);
-}
-
-double sum_sse2(const double* x, std::size_t n) {
-  __m128d acc02 = _mm_setzero_pd();  // lanes [acc0, acc1]
-  __m128d acc13 = _mm_setzero_pd();  // lanes [acc2, acc3]
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t i = 0; i < n4; i += 4) {
-    acc02 = _mm_add_pd(acc02, _mm_loadu_pd(x + i));
-    acc13 = _mm_add_pd(acc13, _mm_loadu_pd(x + i + 2));
-  }
-  // [acc0+acc2, acc1+acc3], then (acc0+acc2) + (acc1+acc3).
-  const __m128d pair = _mm_add_pd(acc02, acc13);
-  double lanes[2];
-  _mm_storeu_pd(lanes, pair);
-  double total = lanes[0] + lanes[1];
-  for (std::size_t i = n4; i < n; ++i) total += x[i];
-  return total;
-}
-
-double dot_sse2(const double* x, const double* y, std::size_t n) {
-  __m128d acc02 = _mm_setzero_pd();
-  __m128d acc13 = _mm_setzero_pd();
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t i = 0; i < n4; i += 4) {
-    acc02 = _mm_add_pd(acc02,
-                       _mm_mul_pd(_mm_loadu_pd(x + i), _mm_loadu_pd(y + i)));
-    acc13 = _mm_add_pd(
-        acc13, _mm_mul_pd(_mm_loadu_pd(x + i + 2), _mm_loadu_pd(y + i + 2)));
-  }
-  const __m128d pair = _mm_add_pd(acc02, acc13);
-  double lanes[2];
-  _mm_storeu_pd(lanes, pair);
-  double total = lanes[0] + lanes[1];
-  for (std::size_t i = n4; i < n; ++i) total += x[i] * y[i];
-  return total;
-}
-
-void squared_magnitude_sse2(const cdouble* x, double* out, std::size_t n) {
-  const double* xd = flat(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d v = _mm_loadu_pd(xd + 2 * i);
-    const __m128d sq = _mm_mul_pd(v, v);                  // [re^2, im^2]
-    const __m128d s = _mm_add_sd(sq, _mm_unpackhi_pd(sq, sq));
-    _mm_store_sd(out + i, s);
-  }
-}
-
-void axpy_sse2(double a, const double* x, double* y, std::size_t n) {
-  const __m128d av = _mm_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d t = _mm_mul_pd(av, _mm_loadu_pd(x + i));
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i), t));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-void goertzel4_sse2(const double* x, std::size_t n, const double coeff[4],
-                    double s1[4], double s2[4]) {
-  const __m128d c_lo = _mm_loadu_pd(coeff);
-  const __m128d c_hi = _mm_loadu_pd(coeff + 2);
-  __m128d s1_lo = _mm_loadu_pd(s1), s1_hi = _mm_loadu_pd(s1 + 2);
-  __m128d s2_lo = _mm_loadu_pd(s2), s2_hi = _mm_loadu_pd(s2 + 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d v = _mm_set1_pd(x[i]);
-    const __m128d s_lo =
-        _mm_sub_pd(_mm_add_pd(v, _mm_mul_pd(c_lo, s1_lo)), s2_lo);
-    const __m128d s_hi =
-        _mm_sub_pd(_mm_add_pd(v, _mm_mul_pd(c_hi, s1_hi)), s2_hi);
-    s2_lo = s1_lo;
-    s2_hi = s1_hi;
-    s1_lo = s_lo;
-    s1_hi = s_hi;
-  }
-  _mm_storeu_pd(s1, s1_lo);
-  _mm_storeu_pd(s1 + 2, s1_hi);
-  _mm_storeu_pd(s2, s2_lo);
-  _mm_storeu_pd(s2 + 2, s2_hi);
-}
-
-constexpr Ops kSse2Ops = {
-    butterfly_sse2,
-    complex_mul_inplace_sse2,
-    complex_mul_sse2,
-    mul_inplace_sse2,
-    sub_scalar_inplace_sse2,
-    div_scalar_inplace_sse2,
-    div_scalar_complex_inplace_sse2,
-    sum_sse2,
-    dot_sse2,
-    squared_magnitude_sse2,
-    axpy_sse2,
-    goertzel4_sse2,
-    "sse2",
-    Level::kSSE2,
-};
-
 // --------------------------------------------------------------- AVX2 ----
 // Two complexes (or four doubles) per 256-bit vector, compiled via target
-// attributes so the baseline build still runs on SSE2-only hosts. No FMA:
-// multiplies and adds stay separate to match the scalar reference bits.
-// _mm256_addsub_pd performs a genuine subtract in even lanes and add in
-// odd lanes, which is exactly the complex-product combine the scalar
+// attributes so the baseline build still runs on hosts without AVX2. No
+// FMA: multiplies and adds stay separate to match the scalar reference
+// bits. _mm256_addsub_pd performs a genuine subtract in even lanes and add
+// in odd lanes, which is exactly the complex-product combine the scalar
 // reference performs.
+
+// One complex product w*v for the odd tails: [wr*vr - wi*vi, wr*vi + wi*vr].
+__attribute__((target("avx2"))) __m128d complex_mul1(__m128d w, __m128d v) {
+  const __m128d wr = _mm_unpacklo_pd(w, w);               // [wr, wr]
+  const __m128d wi = _mm_unpackhi_pd(w, w);               // [wi, wi]
+  const __m128d vs = _mm_shuffle_pd(v, v, 0b01);          // [vi, vr]
+  const __m128d t1 = _mm_mul_pd(wr, v);                   // [wr*vr, wr*vi]
+  const __m128d t2 = _mm_mul_pd(wi, vs);                  // [wi*vi, wi*vr]
+  return _mm_shuffle_pd(_mm_sub_pd(t1, t2), _mm_add_pd(t1, t2), 0b10);
+}
 
 __attribute__((target("avx2"))) void butterfly_avx2(cdouble* x,
                                                     const cdouble* tw,
@@ -347,17 +113,10 @@ __attribute__((target("avx2"))) void butterfly_avx2(cdouble* x,
     _mm256_storeu_pd(xd + 2 * k, _mm256_add_pd(u, wv));
     _mm256_storeu_pd(xd + 2 * (k + half), _mm256_sub_pd(u, wv));
   }
-  if (k < half) {  // odd tail: one complex, same combine as the SSE2 body
-    const __m128d w = _mm_loadu_pd(twd + 2 * k);
-    const __m128d v = _mm_loadu_pd(xd + 2 * (k + half));
+  if (k < half) {  // odd tail: one complex
     const __m128d u = _mm_loadu_pd(xd + 2 * k);
-    const __m128d wr = _mm_unpacklo_pd(w, w);
-    const __m128d wi = _mm_unpackhi_pd(w, w);
-    const __m128d vs = _mm_shuffle_pd(v, v, 0b01);
-    const __m128d t1 = _mm_mul_pd(wr, v);
-    const __m128d t2 = _mm_mul_pd(wi, vs);
-    const __m128d wv = _mm_shuffle_pd(_mm_sub_pd(t1, t2), _mm_add_pd(t1, t2),
-                                      0b10);
+    const __m128d wv = complex_mul1(_mm_loadu_pd(twd + 2 * k),
+                                    _mm_loadu_pd(xd + 2 * (k + half)));
     _mm_storeu_pd(xd + 2 * k, _mm_add_pd(u, wv));
     _mm_storeu_pd(xd + 2 * (k + half), _mm_sub_pd(u, wv));
   }
@@ -381,7 +140,9 @@ __attribute__((target("avx2"))) void complex_mul_avx2(cdouble* out,
     const __m256d t2 = _mm256_mul_pd(ai, bs);
     _mm256_storeu_pd(od + 2 * i, _mm256_addsub_pd(t1, t2));
   }
-  if (i < n) complex_mul_sse2(out + i, a + i, b + i, n - i);
+  if (i < n)  // odd tail: one complex
+    _mm_storeu_pd(od + 2 * i, complex_mul1(_mm_loadu_pd(ad + 2 * i),
+                                           _mm_loadu_pd(bd + 2 * i)));
 }
 
 __attribute__((target("avx2"))) void complex_mul_inplace_avx2(
@@ -389,135 +150,21 @@ __attribute__((target("avx2"))) void complex_mul_inplace_avx2(
   complex_mul_avx2(a, a, b, n);
 }
 
-__attribute__((target("avx2"))) void mul_inplace_avx2(double* x,
-                                                      const double* w,
-                                                      std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(
-        x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(w + i)));
-  for (; i < n; ++i) x[i] *= w[i];
-}
-
-__attribute__((target("avx2"))) void sub_scalar_inplace_avx2(double* x,
-                                                             double c,
-                                                             std::size_t n) {
-  const __m256d cv = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(x + i, _mm256_sub_pd(_mm256_loadu_pd(x + i), cv));
-  for (; i < n; ++i) x[i] -= c;
-}
-
-__attribute__((target("avx2"))) void div_scalar_inplace_avx2(double* x,
-                                                             double c,
-                                                             std::size_t n) {
-  const __m256d cv = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(x + i, _mm256_div_pd(_mm256_loadu_pd(x + i), cv));
-  for (; i < n; ++i) x[i] /= c;
-}
-
 __attribute__((target("avx2"))) void div_scalar_complex_inplace_avx2(
     cdouble* x, double c, std::size_t n) {
-  div_scalar_inplace_avx2(flat(x), c, 2 * n);
-}
-
-__attribute__((target("avx2"))) double sum_avx2(const double* x,
-                                                std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();  // lanes [acc0, acc1, acc2, acc3]
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t i = 0; i < n4; i += 4)
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-  // [acc0+acc2, acc1+acc3], then (acc0+acc2) + (acc1+acc3).
-  const __m128d pair =
-      _mm_add_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
-  double lanes[2];
-  _mm_storeu_pd(lanes, pair);
-  double total = lanes[0] + lanes[1];
-  for (std::size_t i = n4; i < n; ++i) total += x[i];
-  return total;
-}
-
-__attribute__((target("avx2"))) double dot_avx2(const double* x,
-                                                const double* y,
-                                                std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n - n % 4;
-  for (std::size_t i = 0; i < n4; i += 4)
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  const __m128d pair =
-      _mm_add_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
-  double lanes[2];
-  _mm_storeu_pd(lanes, pair);
-  double total = lanes[0] + lanes[1];
-  for (std::size_t i = n4; i < n; ++i) total += x[i] * y[i];
-  return total;
-}
-
-__attribute__((target("avx2"))) void squared_magnitude_avx2(const cdouble* x,
-                                                            double* out,
-                                                            std::size_t n) {
-  const double* xd = flat(x);
+  double* xd = flat(x);
+  const __m256d cv = _mm256_set1_pd(c);
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d v = _mm256_loadu_pd(xd + 2 * i);
-    const __m256d sq = _mm256_mul_pd(v, v);  // [r0²,i0²,r1²,i1²]
-    const __m128d lo = _mm256_castpd256_pd128(sq);
-    const __m128d hi = _mm256_extractf128_pd(sq, 1);
-    // re² + im² per complex, one genuine add each.
-    const __m128d s = _mm_add_pd(_mm_unpacklo_pd(lo, hi),   // [r0², r1²]
-                                 _mm_unpackhi_pd(lo, hi));  // [i0², i1²]
-    _mm_storeu_pd(out + i, s);
-  }
-  if (i < n) squared_magnitude_sse2(x + i, out + i, n - i);
-}
-
-__attribute__((target("avx2"))) void axpy_avx2(double a, const double* x,
-                                               double* y, std::size_t n) {
-  const __m256d av = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), t));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-__attribute__((target("avx2"))) void goertzel4_avx2(const double* x,
-                                                    std::size_t n,
-                                                    const double coeff[4],
-                                                    double s1[4],
-                                                    double s2[4]) {
-  const __m256d c = _mm256_loadu_pd(coeff);
-  __m256d s1v = _mm256_loadu_pd(s1);
-  __m256d s2v = _mm256_loadu_pd(s2);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m256d v = _mm256_set1_pd(x[i]);
-    const __m256d s =
-        _mm256_sub_pd(_mm256_add_pd(v, _mm256_mul_pd(c, s1v)), s2v);
-    s2v = s1v;
-    s1v = s;
-  }
-  _mm256_storeu_pd(s1, s1v);
-  _mm256_storeu_pd(s2, s2v);
+  for (; i + 4 <= 2 * n; i += 4)
+    _mm256_storeu_pd(xd + i, _mm256_div_pd(_mm256_loadu_pd(xd + i), cv));
+  for (; i < 2 * n; ++i) xd[i] /= c;
 }
 
 constexpr Ops kAvx2Ops = {
     butterfly_avx2,
     complex_mul_inplace_avx2,
     complex_mul_avx2,
-    mul_inplace_avx2,
-    sub_scalar_inplace_avx2,
-    div_scalar_inplace_avx2,
     div_scalar_complex_inplace_avx2,
-    sum_avx2,
-    dot_avx2,
-    squared_magnitude_avx2,
-    axpy_avx2,
-    goertzel4_avx2,
     "avx2",
     Level::kAVX2,
 };
@@ -532,7 +179,6 @@ Level env_level(Level fallback) {
   const char* env = std::getenv("NYQMON_SIMD");
   if (env == nullptr) return fallback;
   if (std::strcmp(env, "scalar") == 0) return Level::kScalar;
-  if (std::strcmp(env, "sse2") == 0) return Level::kSSE2;
   if (std::strcmp(env, "avx2") == 0) return Level::kAVX2;
   return fallback;  // unknown value: keep the detected level
 }
@@ -552,16 +198,13 @@ void ensure_init() {
 Level detected_level() {
 #if NYQMON_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
-  return Level::kSSE2;
-#else
-  return Level::kScalar;
 #endif
+  return Level::kScalar;
 }
 
 const char* level_name(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSSE2: return "sse2";
     case Level::kAVX2: return "avx2";
   }
   return "unknown";
@@ -569,17 +212,10 @@ const char* level_name(Level level) {
 
 const Ops* ops_for(Level level) {
   if (level > detected_level()) return nullptr;
-  switch (level) {
-    case Level::kScalar: return &kScalarOps;
 #if NYQMON_SIMD_X86
-    case Level::kSSE2: return &kSse2Ops;
-    case Level::kAVX2: return &kAvx2Ops;
-#else
-    case Level::kSSE2:
-    case Level::kAVX2: return nullptr;
+  if (level == Level::kAVX2) return &kAvx2Ops;
 #endif
-  }
-  return nullptr;
+  return &kScalarOps;
 }
 
 Level active_level() {
@@ -590,10 +226,7 @@ Level active_level() {
 Level set_level(Level level) {
   ensure_init();
   const Ops* ops = ops_for(level);
-  while (ops == nullptr && level > Level::kScalar) {
-    level = static_cast<Level>(static_cast<int>(level) - 1);
-    ops = ops_for(level);
-  }
+  if (ops == nullptr) ops = &kScalarOps;
   g_active.store(ops, std::memory_order_release);
   return ops->level;
 }

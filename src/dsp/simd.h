@@ -1,14 +1,15 @@
-// Runtime-dispatched SIMD kernels for the DSP hot loops.
+// Runtime-dispatched SIMD kernels for the FFT's inner loops.
 //
-// Every kernel has three implementations — scalar, SSE2, AVX2 — selected
-// once per process (CPU detection, overridable via the NYQMON_SIMD
-// environment variable or set_level(), both test hooks). The contract that
-// makes the dispatch invisible to the rest of the system:
+// Four kernels, the ones dsp/fft.cc calls, have two implementations —
+// scalar (the reference) and AVX2 — selected once per process (CPU
+// detection, overridable via the NYQMON_SIMD environment variable or
+// set_level(), both test hooks). The contract that makes the dispatch
+// invisible to the rest of the system:
 //
-//   Every level produces BIT-IDENTICAL results for every input — denormal,
+//   Both levels produce BIT-IDENTICAL results for every input — denormal,
 //   signed-zero and infinite values included — except that an element
 //   whose result is NaN may carry a different NaN payload/sign per level
-//   (it is NaN at every level, never finite at one and NaN at another).
+//   (it is NaN at both levels, never finite at one and NaN at the other).
 //
 // The NaN carve-out is forced, not chosen: when an operation has two NaN
 // operands (or creates NaN, e.g. inf*0 vs a propagated quiet NaN), IEEE-754
@@ -16,25 +17,34 @@
 // commute the scalar reference's adds — so no pair of implementations can
 // promise payload-exact NaN bits. Everything else holds by construction,
 // not by tolerance:
-//   * kernels perform the exact same IEEE-754 operations in the exact same
-//     per-element order at every level — no FMA contraction anywhere (the
-//     build compiles with -ffp-contract=off so the scalar reference cannot
-//     be silently fused either);
-//   * reductions (sum/dot) are DEFINED over four striped accumulators with
-//     a fixed combine order, and all three implementations realize that
-//     same definition (scalar with 4 locals, SSE2 with two 2-lane vectors,
-//     AVX2 with one 4-lane vector);
-//   * subtractions are real subtractions at every level (never the
-//     xor-sign-flip-then-add shortcut, whose NaN sign propagation differs).
+//   * the AVX2 kernels perform the exact same IEEE-754 operations in the
+//     exact same per-element order as the scalar ones — no FMA contraction
+//     anywhere (the build compiles with -ffp-contract=off, and -mno-fma on
+//     x86, so the scalar reference cannot be silently fused either);
+//   * subtractions are real subtractions (never the xor-sign-flip-then-add
+//     shortcut, whose NaN sign propagation differs).
 //
 // This is what lets the engine's 1-vs-N-worker determinism digests and the
 // storage layer's cold-start bit-identity guarantees hold unchanged
-// whatever the host CPU: scalar and SIMD fleets compute the same bits.
+// whatever the host CPU: scalar and AVX2 fleets compute the same bits.
+//
+// Why only the FFT kernels (bench_engine_throughput at one worker, 4-core
+// x86-64 host, gcc 12.2, 10 alternating pairs, each stage divided by the
+// acquire stage, which runs no kernel): forcing scalar raises the fft
+// stage by 25-28%, detect/estimate by 17% and reconstruct by 9-13%, and
+// AVX2 wins every pair. The other DSP loops (elementwise multiply and
+// subtract, striped sum and dot, squared magnitude, axpy, four-lane
+// Goertzel) are plain scalar code in their callers (dsp/kernels.h,
+// psd.cc, goertzel.cc, compressive.cc): AVX2 variants of them moved no
+// stage beyond the run-to-run spread (fft +0.2% to +4.4%, detect -0.3% to
+// +4.7%, reconstruct +0.4% to +1.4%) and tied on every perfbench
+// fleet_ingest metric. x86 hosts without AVX2 run the scalar kernels; a
+// 128-bit level measured within 8% of scalar on every DSP microbench.
 //
 // Complex data is std::complex<double> viewed as interleaved re,im pairs
 // (layout guaranteed by the standard). All kernels accept unaligned
-// pointers and arbitrary (including odd) lengths; tails run scalar code
-// that is part of each kernel's definition.
+// pointers and arbitrary (including odd) lengths; tails run scalar-width
+// code that is part of each kernel's definition.
 #pragma once
 
 #include <complex>
@@ -45,15 +55,16 @@ namespace nyqmon::dsp::simd {
 using cdouble = std::complex<double>;
 
 /// Instruction-set level of a kernel table. Order is ascending capability.
-enum class Level { kScalar = 0, kSSE2 = 1, kAVX2 = 2 };
+enum class Level { kScalar = 0, kAVX2 = 1 };
 
-/// Highest level this CPU supports (kSSE2 is baseline on x86-64; kScalar
-/// on other architectures).
+/// Highest level this CPU supports (kAVX2 on x86 CPUs that have it,
+/// kScalar everywhere else).
 Level detected_level();
 
 /// The level the process is currently dispatching to. Defaults to
 /// detected_level() clamped by the NYQMON_SIMD environment variable
-/// ("scalar" | "sse2" | "avx2"), read once on first use.
+/// ("scalar" | "avx2"; any other value keeps the detected level), read
+/// once on first use.
 Level active_level();
 
 /// Force the dispatch level (clamped to detected_level()). Returns the
@@ -61,7 +72,7 @@ Level active_level();
 /// force both dispatch paths.
 Level set_level(Level level);
 
-/// Human-readable level name ("scalar", "sse2", "avx2").
+/// Human-readable level name ("scalar", "avx2").
 const char* level_name(Level level);
 
 /// One kernel table. ops_for() exposes each level's table directly so the
@@ -79,27 +90,9 @@ struct Ops {
   // out[i] = a[i] * b[i], same product definition.
   void (*complex_mul)(cdouble* out, const cdouble* a, const cdouble* b,
                       std::size_t n);
-  // x[i] *= w[i] (windowing).
-  void (*mul_inplace)(double* x, const double* w, std::size_t n);
-  // x[i] -= c (mean removal).
-  void (*sub_scalar_inplace)(double* x, double c, std::size_t n);
-  // x[i] /= c (FFT 1/N and PSD normalization keep true division).
-  void (*div_scalar_inplace)(double* x, double c, std::size_t n);
-  // Component-wise z[i] /= c for complex data.
+  // Component-wise z[i] /= c for complex data (the inverse FFT's 1/N keeps
+  // true division).
   void (*div_scalar_complex_inplace)(cdouble* x, double c, std::size_t n);
-  // Striped 4-accumulator reduction; see file comment for the definition.
-  double (*sum)(const double* x, std::size_t n);
-  // Striped 4-accumulator inner product: acc[j] += x[4i+j] * y[4i+j].
-  double (*dot)(const double* x, const double* y, std::size_t n);
-  // out[i] = re(x[i])*re(x[i]) + im(x[i])*im(x[i]).
-  void (*squared_magnitude)(const cdouble* x, double* out, std::size_t n);
-  // y[i] += a * x[i].
-  void (*axpy)(double a, const double* x, double* y, std::size_t n);
-  // Four independent Goertzel recurrences (lane j tracks coeff[j]):
-  //   s = x[i] + coeff[j]*s1[j] - s2[j]; s2[j] = s1[j]; s1[j] = s;
-  // evaluated as ((x[i] + coeff[j]*s1[j]) - s2[j]) in every lane.
-  void (*goertzel4)(const double* x, std::size_t n, const double coeff[4],
-                    double s1[4], double s2[4]);
 
   const char* name;
   Level level;

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "dsp/simd.h"
+#include "dsp/kernels.h"
 #include "dsp/workspace.h"
 #include "util/check.h"
 
@@ -61,7 +61,7 @@ std::vector<double> make_window(WindowType type, std::size_t n,
 std::vector<double> apply_window(std::span<const double> x, WindowType type) {
   const auto& w = this_thread_workspace().window(type, x.size());
   std::vector<double> out(x.begin(), x.end());
-  simd::ops().mul_inplace(out.data(), w.data(), out.size());
+  mul_inplace(out.data(), w.data(), out.size());
   return out;
 }
 

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "dsp/goertzel.h"
-#include "dsp/simd.h"
+#include "dsp/kernels.h"
 #include "util/check.h"
 
 namespace nyqmon::nyq {
@@ -59,7 +59,7 @@ TargetedDetection TargetedAliasingDetector::probe(
   // candidate actually present" floor — a candidate carrying a negligible
   // share of the stream's energy cannot indict the slow rate.
   double fast_variance =
-      dsp::simd::ops().dot(fast.data(), fast.data(), fast.size()) /
+      dsp::dot(fast.data(), fast.data(), fast.size()) /
       static_cast<double>(fast.size());
   if (fast_variance <= 0.0) return out;
 

@@ -21,39 +21,32 @@
 
 namespace nyqmon::qry {
 
-namespace {
-
-// Contiguous stage marks for the EXPLAIN breakdown: every mark() closes
-// the stage that started at the previous mark, so stage durations
-// partition the elapsed time with only call-overhead gaps between them.
-class StageClock {
+// Contiguous stage marks for the EXPLAIN breakdown, one clock per query:
+// every mark() closes the stage that started at the previous mark (the
+// first at construction), and each is measured as the difference of two
+// offsets from the start, so the stages sum to elapsed_ns() exactly.
+class QueryEngine::StageClock {
  public:
   explicit StageClock(std::vector<QueryStageTiming>& stages)
-      : stages_(stages), last_(std::chrono::steady_clock::now()) {}
+      : stages_(stages), start_(std::chrono::steady_clock::now()) {}
 
   void mark(const char* stage) {
-    const auto now = std::chrono::steady_clock::now();
-    stages_.push_back(
-        {stage, static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        now - last_)
-                        .count())});
-    last_ = now;
+    const auto now_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+    stages_.push_back({stage, now_ns - last_ns_});
+    last_ns_ = now_ns;
   }
+
+  /// Start to the last mark.
+  std::uint64_t elapsed_ns() const { return last_ns_; }
 
  private:
   std::vector<QueryStageTiming>& stages_;
-  std::chrono::steady_clock::time_point last_;
+  const std::chrono::steady_clock::time_point start_;
+  std::uint64_t last_ns_ = 0;
 };
-
-std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-}  // namespace
 
 QueryEngine::QueryEngine(const mon::StripedRetentionStore& store,
                          QueryEngineConfig config)
@@ -70,7 +63,6 @@ QueryResponse QueryEngine::run(const QuerySpec& spec) {
   queries_.fetch_add(1, std::memory_order_relaxed);
 
   QueryResponse resp;
-  const auto t_start = std::chrono::steady_clock::now();
   StageClock clock(resp.stages);
 
   // Metadata pass: selector match + invalidation fingerprint, no
@@ -103,7 +95,7 @@ QueryResponse QueryEngine::run(const QuerySpec& spec) {
       clock.mark("cache");
       resp.result = std::move(hit);
       resp.cache_hit = true;
-      resp.total_ns = ns_since(t_start);
+      resp.total_ns = clock.elapsed_ns();
       return resp;
     }
     NYQMON_OBS_COUNT("nyqmon_query_cache_misses_total", 1);
@@ -111,20 +103,18 @@ QueryResponse QueryEngine::run(const QuerySpec& spec) {
   clock.mark("cache");
 
   streams_considered_.fetch_add(considered, std::memory_order_relaxed);
-  auto result = execute(spec, matched_meta, resp.stages);
-  StageClock store_clock(resp.stages);
+  auto result = execute(spec, matched_meta, clock);
   if (config_.cache_enabled) cache_.insert(key, fp.value(), result);
-  store_clock.mark("cache_store");
+  clock.mark("cache_store");
   resp.result = std::move(result);
-  resp.total_ns = ns_since(t_start);
+  resp.total_ns = clock.elapsed_ns();
   return resp;
 }
 
 std::shared_ptr<const QueryResult> QueryEngine::execute(
     const QuerySpec& spec,
     const std::vector<std::pair<std::string, mon::StreamMeta>>& matched_meta,
-    std::vector<QueryStageTiming>& stages) {
-  StageClock clock(stages);
+    StageClock& clock) {
   auto result = std::make_shared<QueryResult>();
   result->spec = spec;
 

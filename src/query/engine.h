@@ -69,10 +69,12 @@ class QueryEngine {
   const QueryEngineConfig& config() const { return config_; }
 
  private:
+  class StageClock;
+
   std::shared_ptr<const QueryResult> execute(
       const QuerySpec& spec,
       const std::vector<std::pair<std::string, mon::StreamMeta>>& matched_meta,
-      std::vector<QueryStageTiming>& stages);
+      StageClock& clock);
 
   const mon::StripedRetentionStore& store_;
   QueryEngineConfig config_;

@@ -95,8 +95,9 @@ struct QueryStageTiming {
 /// What QueryEngine::run() hands back: the (possibly cached) result plus
 /// whether this call was served from the cache, and the per-call stage
 /// breakdown backing the wire-level query EXPLAIN. Stages are timed with
-/// contiguous clock marks, so their sum accounts for ~all of total_ns;
-/// they describe *this call* (a cache hit reports just match + cache),
+/// contiguous marks of one clock started with the call, and total_ns is
+/// the time of its last mark, so the stages sum to total_ns exactly; they
+/// describe *this call* (a cache hit reports just match + cache),
 /// never the cached result's original execution.
 struct QueryResponse {
   std::shared_ptr<const QueryResult> result;

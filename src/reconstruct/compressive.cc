@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "dsp/simd.h"
+#include "dsp/kernels.h"
 #include "dsp/workspace.h"
 #include "util/check.h"
 
@@ -40,6 +40,11 @@ std::vector<double> solve_dense(std::vector<std::vector<double>> a,
     x[row] = acc / a[row][row];
   }
   return x;
+}
+
+// y[i] += a * x[i].
+void axpy(double a, const double* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
 }  // namespace
@@ -78,18 +83,17 @@ CompressiveModel compressive_recover(const sig::TimeSeries& samples,
     y[i] = samples[i].v;
   }
 
-  const auto& kn = dsp::simd::ops();
   auto& ws = dsp::this_thread_workspace();
   auto frame = ws.frame();
 
   CompressiveModel model;
   // DC first (always in the model).
-  const double mean = kn.sum(y.data(), n) / static_cast<double>(n);
+  const double mean = dsp::sum(y.data(), n) / static_cast<double>(n);
   model.dc = mean;
 
   std::vector<double> residual(y);
-  kn.sub_scalar_inplace(residual.data(), mean, n);
-  const double input_energy = kn.dot(residual.data(), residual.data(), n);
+  dsp::sub_scalar_inplace(residual.data(), mean, n);
+  const double input_energy = dsp::dot(residual.data(), residual.data(), n);
   if (input_energy == 0.0) {
     model.residual_energy_fraction = 0.0;
     return model;
@@ -97,9 +101,8 @@ CompressiveModel compressive_recover(const sig::TimeSeries& samples,
 
   // Scratch for one candidate's cos/sin columns (greedy scoring) and for
   // the design matrix columns of the joint solve. Two passes per
-  // candidate: scalar trig fills the columns, then the dispatched dot
-  // kernels compute every correlation — the reductions are where the
-  // vector lanes pay off.
+  // candidate: trig fills the columns, then dsp::dot computes every
+  // correlation.
   double* cand_c = frame.doubles(n);
   double* cand_s = frame.doubles(n);
   const std::size_t max_dims = 1 + 2 * config.sparsity;
@@ -125,10 +128,10 @@ CompressiveModel compressive_recover(const sig::TimeSeries& samples,
         cand_c[i] = std::cos(arg);
         cand_s[i] = std::sin(arg);
       }
-      const double rc = kn.dot(residual.data(), cand_c, n);
-      const double rs = kn.dot(residual.data(), cand_s, n);
-      const double cc = kn.dot(cand_c, cand_c, n);
-      const double ss = kn.dot(cand_s, cand_s, n);
+      const double rc = dsp::dot(residual.data(), cand_c, n);
+      const double rs = dsp::dot(residual.data(), cand_s, n);
+      const double cc = dsp::dot(cand_c, cand_c, n);
+      const double ss = dsp::dot(cand_s, cand_s, n);
       double score = 0.0;
       if (cc > 0.0) score += rc * rc / cc;
       if (ss > 0.0) score += rs * rs / ss;
@@ -158,9 +161,9 @@ CompressiveModel compressive_recover(const sig::TimeSeries& samples,
     std::vector<double> rhs(dims, 0.0);
     for (std::size_t a = 0; a < dims; ++a) {
       const double* col_a = columns + a * n;
-      rhs[a] = kn.dot(col_a, y.data(), n);
+      rhs[a] = dsp::dot(col_a, y.data(), n);
       for (std::size_t b = a; b < dims; ++b)
-        gram[a][b] = kn.dot(col_a, columns + b * n, n);
+        gram[a][b] = dsp::dot(col_a, columns + b * n, n);
     }
     for (std::size_t a = 0; a < dims; ++a)
       for (std::size_t b = 0; b < a; ++b) gram[a][b] = gram[b][a];
@@ -179,10 +182,10 @@ CompressiveModel compressive_recover(const sig::TimeSeries& samples,
     // Update the residual (y minus the fitted columns — axpy over the
     // already-materialized design matrix) and test the stopping rule.
     std::copy(y.begin(), y.end(), residual.begin());
-    kn.sub_scalar_inplace(residual.data(), coeff[0], n);
+    dsp::sub_scalar_inplace(residual.data(), coeff[0], n);
     for (std::size_t d = 1; d < dims; ++d)
-      kn.axpy(-coeff[d], columns + d * n, residual.data(), n);
-    const double res_energy = kn.dot(residual.data(), residual.data(), n);
+      axpy(-coeff[d], columns + d * n, residual.data(), n);
+    const double res_energy = dsp::dot(residual.data(), residual.data(), n);
     model.residual_energy_fraction = res_energy / input_energy;
     if (model.residual_energy_fraction < config.residual_tolerance) break;
   }

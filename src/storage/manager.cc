@@ -55,19 +55,9 @@ StorageManager::StorageManager(StorageConfig config)
     // Attach mode: the WAL may have a torn tail and the segments unknown
     // contents — recover() must run before any ingest or flush.
   }
-  if (config_.background_compaction)
-    compactor_ = std::thread([this] { compaction_loop(); });
 }
 
 StorageManager::~StorageManager() {
-  if (compactor_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(manifest_mu_);
-      stopping_ = true;
-    }
-    compact_cv_.notify_all();
-    compactor_.join();
-  }
   try {
     sync();
   } catch (...) {
@@ -312,14 +302,8 @@ FlushStats StorageManager::flush(const mon::StripedRetentionStore& store) {
   NYQMON_OBS_RECORD("nyqmon_storage_flush_ns", out.seconds * 1e9);
   NYQMON_OBS_COUNT("nyqmon_storage_flush_bytes_total", out.bytes_written);
 
-  if (manifest_.segments.size() > config_.compact_min_segments) {
-    if (config_.background_compaction) {
-      compact_kick_ = true;
-      compact_cv_.notify_one();
-    } else {
-      compact_locked();
-    }
-  }
+  if (manifest_.segments.size() > config_.compact_min_segments)
+    compact_locked();
   return out;
 }
 
@@ -458,17 +442,6 @@ std::size_t StorageManager::compact_locked() {
 std::size_t StorageManager::compact() {
   std::lock_guard<std::mutex> lock(manifest_mu_);
   return compact_locked();
-}
-
-void StorageManager::compaction_loop() {
-  std::unique_lock<std::mutex> lock(manifest_mu_);
-  while (true) {
-    compact_cv_.wait(lock, [this] { return stopping_ || compact_kick_; });
-    if (stopping_) return;
-    compact_kick_ = false;
-    if (manifest_.segments.size() > config_.compact_min_segments)
-      compact_locked();
-  }
 }
 
 StorageStats StorageManager::stats() const {

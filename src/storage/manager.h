@@ -24,20 +24,18 @@
 //     is deterministic, so the result is bit-identical to the live store at
 //     the equivalent point. The torn tail, if any, is truncated so the log
 //     can continue appending. Generation counters resume monotonically.
-//   * Compaction folds all live segments into one (chunk order preserved);
-//     opportunistically after flush once `compact_min_segments` accumulate,
-//     on a background thread when `background_compaction` is set.
+//   * Compaction folds all live segments into one (chunk order preserved),
+//     inline at the end of a flush that leaves more than
+//     `compact_min_segments` live.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "monitor/store.h"
@@ -57,8 +55,6 @@ struct StorageConfig {
   std::size_t wal_sync_interval_batches = 64;
   /// Fold segments into one when a flush leaves more than this many live.
   std::size_t compact_min_segments = 8;
-  /// Run compaction on a background thread instead of inline after flush().
-  bool background_compaction = false;
 };
 
 /// Store geometry recorded in the manifest (at manager attach via
@@ -208,7 +204,6 @@ class StorageManager final : public mon::IngestSink {
   void init_fresh_layout();
   void remove_orphans_locked();
   std::size_t compact_locked();
-  void compaction_loop();
 
   StorageConfig config_;
 
@@ -226,11 +221,6 @@ class StorageManager final : public mon::IngestSink {
 
   mutable std::mutex wal_mu_;
   std::unique_ptr<WriteAheadLog> wal_;
-
-  std::condition_variable compact_cv_;
-  bool compact_kick_ = false;
-  bool stopping_ = false;
-  std::thread compactor_;
 };
 
 }  // namespace nyqmon::sto

@@ -1,12 +1,11 @@
-// Monitor layer: cost model arithmetic, collector accounting, the fleet
-// audit plumbing on a small fleet, and the adaptive monitoring pipeline's
-// cost/quality outputs.
+// Monitor layer: cost model arithmetic, the fleet audit plumbing on a
+// small fleet, and the adaptive monitoring pipeline's cost/quality
+// outputs.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "monitor/audit.h"
-#include "monitor/collector.h"
 #include "monitor/cost_model.h"
 #include "monitor/pipeline.h"
 #include "signal/generators.h"
@@ -16,7 +15,6 @@ namespace {
 using namespace nyqmon;
 using mon::AuditConfig;
 using mon::AuditResult;
-using mon::Collector;
 using mon::Cost;
 using mon::cost_of_samples;
 using mon::CostModel;
@@ -50,31 +48,6 @@ TEST(CostModel, AccumulateAdds) {
 TEST(CostModel, ToStringMentionsSamples) {
   const auto text = to_string(cost_of_samples(1234));
   EXPECT_NE(text.find("1234"), std::string::npos);
-}
-
-TEST(Collector, IngestsAndAccounts) {
-  Collector collector;
-  sig::TimeSeries trace;
-  for (int i = 0; i < 50; ++i) trace.push(i, 1.0);
-  collector.ingest("dev1/temp", trace);
-  collector.ingest("dev2/temp", trace);
-  EXPECT_EQ(collector.streams(), 2u);
-  EXPECT_EQ(collector.total_cost().samples, 100u);
-  EXPECT_TRUE(collector.has("dev1/temp"));
-  EXPECT_FALSE(collector.has("dev3/temp"));
-  EXPECT_EQ(collector.trace("dev1/temp").size(), 50u);
-  EXPECT_THROW((void)collector.trace("nope"), std::invalid_argument);
-}
-
-TEST(Collector, AppendsToExistingStream) {
-  Collector collector;
-  sig::TimeSeries a, b;
-  a.push(0.0, 1.0);
-  b.push(1.0, 2.0);
-  collector.ingest("s", a);
-  collector.ingest("s", b);
-  EXPECT_EQ(collector.streams(), 1u);
-  EXPECT_EQ(collector.trace("s").size(), 2u);
 }
 
 class SmallAudit : public ::testing::Test {

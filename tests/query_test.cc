@@ -347,6 +347,32 @@ TEST(QueryEngine, CacheDisabled) {
   EXPECT_EQ(qe.stats().cache.hits, 0u);
 }
 
+TEST(QueryEngine, ExplainStagesSumToTotal) {
+  // One clock times the whole call, so EXPLAIN's stages account for every
+  // nanosecond of total_ns, on a miss and on a hit alike.
+  auto store = make_constant_store({{"a/m", 1.0}, {"b/m", 2.0}});
+  qry::QueryEngine qe(store);
+  const auto spec = agg_spec(qry::Aggregation::kAvg);
+  const auto stage_sum = [](const qry::QueryResponse& r) {
+    std::uint64_t ns = 0;
+    for (const auto& s : r.stages) ns += s.ns;
+    return ns;
+  };
+
+  const auto miss = qe.run(spec);
+  ASSERT_FALSE(miss.cache_hit);
+  ASSERT_EQ(miss.stages.size(), 7u);
+  EXPECT_STREQ(miss.stages.front().stage, "match");
+  EXPECT_STREQ(miss.stages.back().stage, "cache_store");
+  EXPECT_EQ(stage_sum(miss), miss.total_ns);
+
+  const auto hit = qe.run(spec);
+  ASSERT_TRUE(hit.cache_hit);
+  ASSERT_EQ(hit.stages.size(), 2u);
+  EXPECT_STREQ(hit.stages.back().stage, "cache");
+  EXPECT_EQ(stage_sum(hit), hit.total_ns);
+}
+
 TEST(ResultCache, LruEviction) {
   qry::ShardedResultCache cache(/*capacity=*/2, /*shards=*/1);
   auto value = std::make_shared<const qry::QueryResult>();
