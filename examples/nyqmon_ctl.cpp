@@ -20,13 +20,13 @@
 // the source node once the import reports persisted.
 //
 // `metrics` prints the server's Prometheus text exposition (metric catalog:
-// docs/OBSERVABILITY.md). `trace` drains the server's trace ring buffers to
+// docs/OBSERVABILITY.md). `trace` drains the server's trace ring to
 // chrome://tracing JSON — load the file via chrome://tracing or
 // https://ui.perfetto.dev; without an output path the JSON goes to stdout.
 // Against a router, `--fleet` widens both to the whole fleet: metrics come
 // back as one `# == node <name> ==` section per node, and trace stitches
 // every node's spans into a single timeline sharing the propagated trace
-// ids. `logs` drains the server's structured log rings (consuming, like
+// ids. `logs` drains the server's structured log ring (consuming, like
 // trace). `query --explain` appends the server's own per-stage latency
 // breakdown; a router reports scatter/merge plus per-backend gather rows.
 //

@@ -83,7 +83,7 @@ std::uint64_t ClusterClient::ingest(const std::string& stream, double rate_hz,
   if (obs::TraceRecorder::instance().enabled() && tctx.trace_id != 0)
     srv::append_trace_context(
         payload, srv::TraceContext{tctx.trace_id, tctx.span_id, 1});
-  return srv::retry_with_backoff(config_.retry, [&] {
+  return srv::retry_with_backoff(srv::RetryPolicy{}, [&] {
     try {
       const auto body = node(owner).call_ok(srv::Verb::kIngest, payload);
       sto::ByteReader reader(body);

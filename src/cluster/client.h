@@ -63,8 +63,6 @@ struct ClusterConfig {
   /// routed single-node requests). 0 = wait forever.
   std::uint32_t io_timeout_ms = 5000;
   std::size_t max_frame_bytes = srv::kMaxFrameBytes;
-  /// Reconnect schedule for ring-routed ingest.
-  srv::RetryPolicy retry;
 };
 
 /// Per-node outcome of one scatter round: `payloads[i]` holds node i's OK
@@ -114,7 +112,8 @@ class ClusterClient {
   ClusterClient& operator=(const ClusterClient&) = delete;
 
   /// Route one ingest batch to the stream's ring owner (reconnecting with
-  /// the retry policy). Returns the stream's total after the append.
+  /// the default srv::RetryPolicy). Returns the stream's total after the
+  /// append.
   std::uint64_t ingest(const std::string& stream, double rate_hz, double t0,
                        std::span<const double> values);
 

@@ -67,9 +67,6 @@ void NyqmonRouter::start() {
   front.bind_address = config_.bind_address;
   front.port = config_.port;
   front.max_frame_bytes = config_.max_frame_bytes;
-  front.max_reply_queue_bytes = config_.max_reply_queue_bytes;
-  front.max_reply_queue_frames = config_.max_reply_queue_frames;
-  front.slow_client_timeout_ms = config_.slow_client_timeout_ms;
   front.node_name = config_.node_name;
   front.intercept = [this](srv::Verb verb, sto::ByteReader& reader) {
     return intercept(verb, reader);
@@ -110,7 +107,7 @@ std::optional<std::vector<std::uint8_t>> NyqmonRouter::intercept(
       return srv::error_frame(
           "HANDOFF addresses a backend node directly, not the router");
     case srv::Verb::kLogs:
-      // The router's own structured-log rings: built-in handler.
+      // The router's own structured-log ring: built-in handler.
       return std::nullopt;
     case srv::Verb::kMetrics: {
       if (reader.remaining() == 0)
@@ -127,7 +124,7 @@ std::optional<std::vector<std::uint8_t>> NyqmonRouter::intercept(
     }
     case srv::Verb::kTrace: {
       if (reader.remaining() == 0)
-        return std::nullopt;  // router's own rings: built-in handler
+        return std::nullopt;  // router's own ring: built-in handler
       const std::uint8_t flags = reader.get_u8();
       if (!reader.ok() || reader.remaining() != 0)
         return srv::error_frame("malformed TRACE payload");
@@ -263,7 +260,7 @@ std::vector<std::uint8_t> NyqmonRouter::scatter_checkpoint() {
 
 std::vector<std::uint8_t> NyqmonRouter::fleet_trace_json() {
   // Scatter first: the fan-out spans of this very TRACE round settle
-  // before the router drains its own rings, so they make the stitch too.
+  // before the router drains its own ring, so they make the stitch too.
   // Stitching is best-effort — an unreachable backend just contributes no
   // spans (its failure is still counted) rather than failing the drain.
   ScatterOutcome scattered = lease()->scatter(srv::Verb::kTrace, {});

@@ -18,8 +18,8 @@
 //                 nyqmon_router_* and per-backend cluster series); with
 //                 the kMetricsFleet flag, every backend's exposition too,
 //                 concatenated as `# == node <name> ==` sections
-//   TRACE       → the router process's own trace rings; with the
-//                 kTraceFleet flag, every backend's rings are drained too
+//   TRACE       → the router process's own trace ring; with the
+//                 kTraceFleet flag, every backend's ring is drained too
 //                 and stitched (merge_chrome_json) into one fleet-wide
 //                 chrome://tracing timeline sharing the propagated
 //                 trace ids
@@ -64,10 +64,6 @@ struct RouterConfig {
   /// 0 = ephemeral; read back with port().
   std::uint16_t port = 0;
   std::size_t max_frame_bytes = srv::kMaxFrameBytes;
-  /// Reply-queue bounds for front-side clients (see ServerConfig).
-  std::size_t max_reply_queue_bytes = 0;
-  std::size_t max_reply_queue_frames = 64;
-  std::uint32_t slow_client_timeout_ms = 0;
   /// The router's fleet identity: tags its spans and log records, and
   /// names its section in stitched timelines / fleet metrics.
   std::string node_name = "router";
@@ -129,7 +125,7 @@ class NyqmonRouter {
   std::vector<std::uint8_t> scatter_query(sto::ByteReader& reader);
   std::vector<std::uint8_t> fleet_stats_json();
   std::vector<std::uint8_t> scatter_checkpoint();
-  /// kTraceFleet: drain + stitch every node's rings (router's included).
+  /// kTraceFleet: drain + stitch every node's ring (router's included).
   std::vector<std::uint8_t> fleet_trace_json();
   /// kMetricsFleet: every node's exposition as `# == node <name> ==`
   /// sections (router's first).

@@ -124,7 +124,7 @@ std::size_t StreamingPairPipeline::emit_ready(double horizon_s) {
   }
 
   const double quant = config_.quantization_step;
-  const bool requant = config_.requantize_reconstruction && quant > 0.0;
+  const bool requant = quant > 0.0;
   const dsp::Quantizer quantizer(requant ? quant : 1.0);
   std::size_t emitted = 0;
   for (std::size_t i = recon_.size();
@@ -185,7 +185,7 @@ PipelineResult StreamingPairPipeline::finish() {
     clean.interp = sig::InterpKind::kLinear;
     sig::RegularSeries fallback = sig::regularize(dense_, clean);
     const double quant = config_.quantization_step;
-    if (config_.requantize_reconstruction && quant > 0.0) {
+    if (quant > 0.0) {
       const dsp::Quantizer q(quant);
       for (auto& v : fallback.mutable_values()) v = q.apply(v);
     }

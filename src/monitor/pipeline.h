@@ -22,11 +22,11 @@ namespace nyqmon::mon {
 struct PipelineConfig {
   nyq::AdaptiveConfig sampler;
   CostModel cost;
-  /// Measurement imperfections applied to every acquisition.
+  /// Measurement imperfections applied to every acquisition. A positive
+  /// quantization step is re-applied to the reconstruction too
+  /// (Section 4.3).
   double noise_stddev = 0.0;
   double quantization_step = 0.0;
-  /// Re-apply the quantizer to the reconstruction (Section 4.3).
-  bool requantize_reconstruction = true;
 };
 
 struct PipelineResult {

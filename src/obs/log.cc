@@ -1,6 +1,5 @@
 #include "obs/log.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "obs/metrics.h"
@@ -21,11 +20,7 @@ const char* to_string(LogLevel level) noexcept {
 }
 
 LogRecorder::LogRecorder(std::size_t ring_capacity)
-    : epoch_(std::chrono::steady_clock::now()),
-      capacity_(std::max<std::size_t>(1, ring_capacity)) {
-  static std::atomic<std::uint64_t> next_uid{1};
-  uid_ = next_uid.fetch_add(1, std::memory_order_relaxed);
-}
+    : epoch_(std::chrono::steady_clock::now()), ring_(ring_capacity) {}
 
 LogRecorder& LogRecorder::instance() {
   static LogRecorder recorder;
@@ -38,19 +33,6 @@ std::uint64_t LogRecorder::now_ns() const {
       std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
 }
 
-LogRecorder::Ring& LogRecorder::local_ring() {
-  thread_local std::uint64_t cached_uid = 0;
-  thread_local Ring* cached_ring = nullptr;
-  if (cached_uid == uid_) return *cached_ring;
-
-  std::lock_guard<std::mutex> lock(rings_mu_);
-  rings_.push_back(std::make_unique<Ring>(
-      capacity_, static_cast<std::uint32_t>(rings_.size() + 1)));
-  cached_uid = uid_;
-  cached_ring = rings_.back().get();
-  return *cached_ring;
-}
-
 void LogRecorder::log(LogLevel level, const char* event, std::string detail) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
   NYQMON_OBS_COUNT("nyqmon_obs_log_records_total", 1);
@@ -59,41 +41,15 @@ void LogRecorder::log(LogLevel level, const char* event, std::string detail) {
   rec.level = level;
   rec.event = event;
   rec.node = thread_trace_context().node;
+  rec.tid = static_cast<std::uint32_t>(thread_slot() + 1);
   rec.detail = std::move(detail);
-
-  Ring& ring = local_ring();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  rec.tid = ring.tid;
-  if (ring.written >= ring.slots.size()) {
+  if (ring_.push(std::move(rec))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     NYQMON_OBS_COUNT("nyqmon_obs_log_dropped_total", 1);
   }
-  ring.slots[ring.head] = std::move(rec);
-  ring.head = (ring.head + 1) % ring.slots.size();
-  ++ring.written;
 }
 
-std::vector<LogRecord> LogRecorder::drain() {
-  std::lock_guard<std::mutex> drain_lock(drain_mu_);
-  std::vector<LogRecord> out;
-  std::lock_guard<std::mutex> rings_lock(rings_mu_);
-  for (const auto& ring : rings_) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    const std::size_t cap = ring->slots.size();
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(ring->written, cap));
-    const std::size_t start = ring->written > cap ? ring->head : 0;
-    for (std::size_t i = 0; i < n; ++i)
-      out.push_back(std::move(ring->slots[(start + i) % cap]));
-    ring->head = 0;
-    ring->written = 0;
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const LogRecord& a, const LogRecord& b) {
-                     return a.ts_ns < b.ts_ns;
-                   });
-  return out;
-}
+std::vector<LogRecord> LogRecorder::drain() { return ring_.drain(); }
 
 std::string LogRecorder::export_text() {
   const std::vector<LogRecord> records = drain();

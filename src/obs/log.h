@@ -1,21 +1,22 @@
-// Bounded structured logging: leveled key=value records in per-thread
-// rings with drop accounting — trace.cc's ring design applied to the
+// Bounded structured logging: leveled key=value records in one EventRing
+// (obs/ring.h) with drop accounting — the tracer's ring applied to the
 // warn/error paths that previously only bumped a counter.
 //
 // Every record carries a literal *event name* (dotted, e.g.
 // "server.slow_client_dropped" — the greppable identity, catalogued in
 // docs/OBSERVABILITY.md and cross-checked by tools/check_metrics_doc.py),
-// a level, the recording thread's node tag (shared with the tracer), and
-// a free-form `key=value` detail string. Rings overwrite oldest on
-// overflow and count the drop, so logging is bounded on long runs and on
-// log storms alike.
+// a level, the recording thread's node tag and tid (both shared with the
+// tracer: tid is thread_slot() + 1), and a free-form `key=value` detail
+// string. The ring holds 8192 records by default across all threads; it
+// overwrites the oldest on overflow and counts the drop, so logging is
+// bounded on long runs and on log storms alike.
 //
 // The LogRecorder is always armed: the call sites are rare failure paths
 // (a slow client dropped, a WAL fsync failure, a backend deadline miss),
-// so the small per-record cost (one uncontended mutex + one string move)
-// is irrelevant, and there is no arming step to forget before the one
-// crash you needed logs for. drain() is consuming and serialized, exactly
-// like trace rings; the LOGS(8) wire verb serves export_text().
+// so the small per-record cost (one mutex + one string move) is
+// irrelevant, and there is no arming step to forget before the one crash
+// you needed logs for. drain() is consuming and atomic, exactly like the
+// tracer's; the LOGS(8) wire verb serves export_text().
 //
 // Call sites use the NYQMON_LOG_{INFO,WARN,ERROR} macros, compiled out
 // under -DNYQMON_OBS_NOOP with the rest of the obs layer.
@@ -24,10 +25,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace nyqmon::obs {
 
@@ -40,13 +41,13 @@ struct LogRecord {
   LogLevel level = LogLevel::kInfo;
   const char* event = nullptr;  ///< literal dotted event name
   const char* node = nullptr;   ///< interned node tag; nullptr = unnamed
-  std::uint32_t tid = 0;        ///< dense per-recorder writer-thread id
+  std::uint32_t tid = 0;        ///< writer's thread_slot() + 1
   std::string detail;           ///< free-form `key=value ...` text
 };
 
 class LogRecorder {
  public:
-  static constexpr std::size_t kDefaultRingCapacity = 1024;
+  static constexpr std::size_t kDefaultRingCapacity = 8192;
 
   explicit LogRecorder(std::size_t ring_capacity = kDefaultRingCapacity);
 
@@ -56,12 +57,12 @@ class LogRecorder {
   /// Nanoseconds since this recorder's epoch (its construction).
   std::uint64_t now_ns() const;
 
-  /// Append one record to the calling thread's ring (overwriting the
-  /// oldest, counted as a drop, when full). `event` must be a literal.
+  /// Append one record to the ring (overwriting the oldest, counted as a
+  /// drop, when full). `event` must be a literal.
   void log(LogLevel level, const char* event, std::string detail);
 
-  /// Move every buffered record out (rings empty afterwards), merged in
-  /// timestamp order. Consuming and serialized like TraceRecorder::drain.
+  /// Move every buffered record out (the ring is empty afterwards), in
+  /// timestamp order. Consuming and atomic like TraceRecorder::drain.
   std::vector<LogRecord> drain();
 
   /// Records overwritten before any drain could see them (cumulative).
@@ -79,27 +80,10 @@ class LogRecorder {
   std::string export_text();
 
  private:
-  struct Ring {
-    explicit Ring(std::size_t capacity, std::uint32_t tid)
-        : slots(capacity), tid(tid) {}
-    std::mutex mu;
-    std::vector<LogRecord> slots;
-    std::size_t head = 0;
-    std::uint64_t written = 0;
-    std::uint32_t tid;
-  };
-
-  Ring& local_ring();
-
   std::chrono::steady_clock::time_point epoch_;
-  std::size_t capacity_;
-  std::uint64_t uid_;  ///< same stale-cache defense as TraceRecorder
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> recorded_{0};
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
-  std::mutex drain_mu_;
+  EventRing<LogRecord> ring_;
 };
 
 }  // namespace nyqmon::obs

@@ -50,8 +50,10 @@
 
 namespace nyqmon::obs {
 
-/// Small dense thread id used to stripe counter cells: assigned once per
-/// thread on first use, monotonically increasing from 0.
+/// Small dense process-wide thread id: assigned once per thread on first
+/// use, monotonically increasing from 0. It stripes counter cells, and
+/// thread_slot() + 1 is the `tid` of every trace event and log record the
+/// thread writes, so one thread's spans and logs share one id.
 std::size_t thread_slot();
 
 /// Monotonic counter, striped to keep concurrent writers off each other's

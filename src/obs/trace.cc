@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
+
+#include "obs/metrics.h"
 
 namespace nyqmon::obs {
 
@@ -71,11 +75,7 @@ std::uint64_t next_span_id() noexcept {
 }
 
 TraceRecorder::TraceRecorder(std::size_t ring_capacity)
-    : epoch_(std::chrono::steady_clock::now()),
-      capacity_(std::max<std::size_t>(1, ring_capacity)) {
-  static std::atomic<std::uint64_t> next_uid{1};
-  uid_ = next_uid.fetch_add(1, std::memory_order_relaxed);
-}
+    : epoch_(std::chrono::steady_clock::now()), ring_(ring_capacity) {}
 
 TraceRecorder& TraceRecorder::instance() {
   static TraceRecorder recorder;
@@ -88,62 +88,18 @@ std::uint64_t TraceRecorder::now_ns() const {
       std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
 }
 
-TraceRecorder::Ring& TraceRecorder::local_ring() {
-  // One ring per (thread, recorder); the common case — one process-wide
-  // recorder — hits the two cached thread-locals and never takes rings_mu_.
-  thread_local std::uint64_t cached_uid = 0;
-  thread_local Ring* cached_ring = nullptr;
-  if (cached_uid == uid_) return *cached_ring;
-
-  std::lock_guard<std::mutex> lock(rings_mu_);
-  rings_.push_back(std::make_unique<Ring>(
-      capacity_, static_cast<std::uint32_t>(rings_.size() + 1)));
-  cached_uid = uid_;
-  cached_ring = rings_.back().get();
-  return *cached_ring;
-}
-
 void TraceRecorder::record(const char* name, const char* category,
                            std::uint64_t ts_ns, std::uint64_t dur_ns,
                            std::uint64_t trace_id, std::uint64_t span_id,
                            std::uint64_t parent_span_id, const char* node) {
   if (!enabled()) return;
-  Ring& ring = local_ring();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  if (ring.written >= ring.slots.size())
+  const auto tid = static_cast<std::uint32_t>(thread_slot() + 1);
+  if (ring_.push(TraceEvent{name, category, ts_ns, dur_ns, tid, trace_id,
+                            span_id, parent_span_id, node}))
     dropped_.fetch_add(1, std::memory_order_relaxed);
-  ring.slots[ring.head] = TraceEvent{name,     category, ts_ns,
-                                     dur_ns,   ring.tid, trace_id,
-                                     span_id,  parent_span_id, node};
-  ring.head = (ring.head + 1) % ring.slots.size();
-  ++ring.written;
 }
 
-std::vector<TraceEvent> TraceRecorder::drain() {
-  // Serialize whole drains: two concurrent `nyqmon_ctl trace` calls must
-  // each see a complete disjoint batch, never interleaved partial rings.
-  std::lock_guard<std::mutex> drain_lock(drain_mu_);
-  std::vector<TraceEvent> out;
-  std::lock_guard<std::mutex> rings_lock(rings_mu_);
-  for (const auto& ring : rings_) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    const std::size_t cap = ring->slots.size();
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(ring->written, cap));
-    // Oldest-first: a wrapped ring starts at head (the next overwrite
-    // target is the oldest survivor), an unwrapped one at slot 0.
-    const std::size_t start = ring->written > cap ? ring->head : 0;
-    for (std::size_t i = 0; i < n; ++i)
-      out.push_back(ring->slots[(start + i) % cap]);
-    ring->head = 0;
-    ring->written = 0;
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts_ns < b.ts_ns;
-                   });
-  return out;
-}
+std::vector<TraceEvent> TraceRecorder::drain() { return ring_.drain(); }
 
 std::string TraceRecorder::export_chrome_json() {
   const std::vector<TraceEvent> events = drain();

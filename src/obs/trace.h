@@ -1,12 +1,15 @@
 // Bounded in-process trace capture with a chrome://tracing exporter and
 // distributed-tracing context propagation.
 //
-// A TraceRecorder keeps one fixed-capacity ring of TraceEvents per writing
-// thread. Writers append complete spans ('X' phase in the Trace Event
-// Format): the ScopedSpan RAII helper timestamps construction and records
-// name/category/start/duration on destruction. When a ring is full the
-// oldest event is overwritten and a drop is counted — tracing is a bounded
-// window onto recent activity, never a memory hazard on long runs.
+// A TraceRecorder keeps one EventRing (obs/ring.h) of TraceEvents shared
+// by every writing thread: 65536 events by default, about 4.7 MB at most,
+// however many threads ever recorded. Writers append complete spans ('X'
+// phase in the Trace Event Format): the ScopedSpan RAII helper timestamps
+// construction and records name/category/start/duration on destruction.
+// When the ring is full the oldest event is overwritten and a drop is
+// counted — tracing is a bounded window onto recent activity, never a
+// memory hazard on long runs. Each event's tid is the writer's
+// thread_slot() + 1 (obs/metrics.h), the same id its log records carry.
 //
 // Distributed tracing: every thread carries a ThreadTraceContext
 // {trace_id, span_id, node}. ScopedSpan draws a fresh span id, parents
@@ -21,14 +24,12 @@
 // pointers.
 //
 // Capture is off by default; set_enabled(true) arms it (nyqmond does this
-// at startup). Disarmed spans cost one relaxed atomic load. Each ring has
-// its own mutex so a writer and a drain() from another thread never race
-// on the slots; writers almost always find their ring uncontended.
+// at startup). Disarmed spans cost one relaxed atomic load; an armed span
+// takes the ring's mutex once.
 //
-// drain() snapshots and clears every ring, returning events merged in
-// timestamp order. Draining is *consuming* and serialized: concurrent
-// drains queue on a dedicated mutex, so two `nyqmon_ctl trace` calls each
-// get a complete, disjoint batch instead of interleaved partial drains.
+// drain() empties the ring in one atomic step and returns its events in
+// timestamp order. Draining is *consuming*: two concurrent `nyqmon_ctl
+// trace` calls each get a complete, disjoint batch.
 // export_chrome_json() wraps a drain in the JSON object format
 // ({"traceEvents":[...]}) that chrome://tracing and Perfetto load
 // directly; events carry their trace/span/parent ids as args and are
@@ -43,10 +44,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace nyqmon::obs {
 
@@ -55,7 +56,7 @@ struct TraceEvent {
   const char* category = nullptr;  ///< literal; layer ("engine", "storage", …)
   std::uint64_t ts_ns = 0;         ///< span start, recorder-epoch-relative
   std::uint64_t dur_ns = 0;
-  std::uint32_t tid = 0;  ///< dense per-recorder writer-thread id, from 1
+  std::uint32_t tid = 0;  ///< writer's thread_slot() + 1
   std::uint64_t trace_id = 0;        ///< 0 = not part of a distributed trace
   std::uint64_t span_id = 0;         ///< 0 = recorded before span ids existed
   std::uint64_t parent_span_id = 0;  ///< 0 = root span of its trace/thread
@@ -88,7 +89,7 @@ std::uint64_t next_span_id() noexcept;
 
 class TraceRecorder {
  public:
-  static constexpr std::size_t kDefaultRingCapacity = 4096;
+  static constexpr std::size_t kDefaultRingCapacity = 65536;
 
   explicit TraceRecorder(std::size_t ring_capacity = kDefaultRingCapacity);
 
@@ -105,19 +106,18 @@ class TraceRecorder {
   /// Nanoseconds since this recorder's epoch (its construction).
   std::uint64_t now_ns() const;
 
-  /// Append one complete span to the calling thread's ring (overwriting
-  /// the oldest event, counted as a drop, when full). No-op when disabled.
+  /// Append one complete span to the ring (overwriting the oldest event,
+  /// counted as a drop, when full). No-op when disabled.
   /// The trailing id/node fields default to "not distributed".
   void record(const char* name, const char* category, std::uint64_t ts_ns,
               std::uint64_t dur_ns, std::uint64_t trace_id = 0,
               std::uint64_t span_id = 0, std::uint64_t parent_span_id = 0,
               const char* node = nullptr);
 
-  /// Move every buffered event out (rings empty afterwards), merged in
-  /// start-timestamp order. Consuming and serialized: concurrent drains
-  /// are mutually exclusive, each returning a complete disjoint batch.
-  /// Safe concurrently with writers: events recorded during the drain
-  /// land in the next one.
+  /// Move every buffered event out (the ring is empty afterwards), in
+  /// start-timestamp order. Consuming and atomic: concurrent drains each
+  /// return a complete disjoint batch. Safe concurrently with writers:
+  /// events recorded during the drain land in the next one.
   std::vector<TraceEvent> drain();
 
   /// Events overwritten before any drain could see them.
@@ -132,30 +132,10 @@ class TraceRecorder {
   std::string export_chrome_json();
 
  private:
-  struct Ring {
-    explicit Ring(std::size_t capacity, std::uint32_t tid)
-        : slots(capacity), tid(tid) {}
-    std::mutex mu;
-    std::vector<TraceEvent> slots;
-    std::size_t head = 0;      ///< next write position
-    std::uint64_t written = 0;  ///< total events ever recorded here
-    std::uint32_t tid;
-  };
-
-  Ring& local_ring();
-
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
-  std::size_t capacity_;
-  /// Process-unique recorder id: the thread-local ring cache keys on this
-  /// instead of `this`, so a recorder reallocated at a dead one's address
-  /// (stack-local recorders in tests) can never hit a stale cache entry.
-  std::uint64_t uid_;
   std::atomic<std::uint64_t> dropped_{0};
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;  ///< one per writer thread
-  std::mutex drain_mu_;  ///< serializes the consuming drains
+  EventRing<TraceEvent> ring_;
 };
 
 /// Splice several export_chrome_json() outputs (e.g. one per fleet node)

@@ -15,9 +15,9 @@
 #include "util/hash.h"
 #include "util/parallel.h"
 
-// The per-stream transform and the cross-stream column reduction live in
-// query/merge.cc — shared with the cluster layer's scatter-gather merge so
-// a sharded fleet reduces with byte-identical FP semantics.
+// The per-stream transform and the cross-stream reduction live in
+// query/merge.{h,cc} — shared with the cluster layer's scatter-gather
+// merge so a sharded fleet reduces with byte-identical FP semantics.
 
 namespace nyqmon::qry {
 
@@ -52,7 +52,7 @@ QueryEngine::QueryEngine(const mon::StripedRetentionStore& store,
                          QueryEngineConfig config)
     : store_(store),
       config_(config),
-      cache_(config.cache_capacity, config.cache_shards) {}
+      cache_(/*capacity=*/256, /*shards=*/8) {}
 
 QueryResponse QueryEngine::run(const QuerySpec& spec) {
   spec.validate();
@@ -158,9 +158,9 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(
   // Fan-out: each stream reconstructs into its pre-allocated slot; slot
   // order is the lexicographic stream order, so results are independent of
   // the worker count.
-  std::vector<std::vector<double>> slots(result->reconstructed.size());
+  std::vector<QuerySeries> streams(result->reconstructed.size());
   parallel_claim(
-      slots.size(), config_.workers, [&](std::size_t i) {
+      streams.size(), config_.workers, [&](std::size_t i) {
         auto base =
             snap.query(result->reconstructed[i], spec.t_begin, spec.t_end);
         if (base.empty()) {
@@ -173,36 +173,18 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(
               result->reconstructed[i], spec.t_begin,
               spec.t_begin + 1.0 / kept_meta[i].collection_rate_hz);
         }
-        slots[i] = base.empty()
-                       ? std::vector<double>(n_out, 0.0)
-                       : dsp::interp_linear(base.values(),
-                                            base.sample_rate_hz(), rel_times);
-        apply_transform(spec.transform, spec.step_s, slots[i]);
+        std::vector<double> values =
+            base.empty() ? std::vector<double>(n_out, 0.0)
+                         : dsp::interp_linear(base.values(),
+                                              base.sample_rate_hz(), rel_times);
+        apply_transform(spec.transform, spec.step_s, values);
+        streams[i] = {result->reconstructed[i],
+                      sig::RegularSeries(spec.t_begin, spec.step_s,
+                                         std::move(values))};
       });
   clock.mark("reconstruct");
 
-  if (spec.aggregate == Aggregation::kNone) {
-    result->series.reserve(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i)
-      result->series.push_back(
-          {result->reconstructed[i],
-           sig::RegularSeries(spec.t_begin, spec.step_s,
-                              std::move(slots[i]))});
-    clock.mark("aggregate");
-    return result;
-  }
-
-  // Cross-stream reduction per output timestamp, iterating streams in
-  // lexicographic order (deterministic FP accumulation).
-  std::vector<double> reduced(n_out, 0.0);
-  std::vector<double> column(slots.size());
-  for (std::size_t t = 0; t < n_out; ++t) {
-    for (std::size_t i = 0; i < slots.size(); ++i) column[i] = slots[i][t];
-    reduced[t] = aggregate_column(spec.aggregate, column);
-  }
-  result->series.push_back(
-      {std::string(to_string(spec.aggregate)) + "(" + spec.selector + ")",
-       sig::RegularSeries(spec.t_begin, spec.step_s, std::move(reduced))});
+  result->series = reduce_streams(spec, std::move(streams));
   clock.mark("aggregate");
   return result;
 }

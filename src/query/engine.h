@@ -35,9 +35,6 @@ struct QueryEngineConfig {
   /// fans out over matched streams with this many workers.
   std::size_t workers = 0;
   bool cache_enabled = true;
-  /// Total cached results and the lock-sharding of the cache.
-  std::size_t cache_capacity = 256;
-  std::size_t cache_shards = 8;
 };
 
 /// Monotonic serving counters (aggregated over the engine's lifetime).

@@ -19,6 +19,26 @@ void sorted_union(std::vector<ShardSlice>& slices,
 
 }  // namespace
 
+std::vector<QuerySeries> reduce_streams(const QuerySpec& spec,
+                                        std::vector<QuerySeries> streams) {
+  if (streams.empty() || spec.aggregate == Aggregation::kNone) return streams;
+  // Cross-stream reduction per output timestamp, iterating streams in
+  // lexicographic order (deterministic FP accumulation).
+  const std::size_t n_out = spec.grid_points();
+  std::vector<double> reduced(n_out, 0.0);
+  std::vector<double> column(streams.size());
+  for (std::size_t t = 0; t < n_out; ++t) {
+    for (std::size_t i = 0; i < streams.size(); ++i)
+      column[i] = streams[i].series[t];
+    reduced[t] = aggregate_column(spec.aggregate, column);
+  }
+  std::vector<QuerySeries> out;
+  out.push_back(
+      {std::string(to_string(spec.aggregate)) + "(" + spec.selector + ")",
+       sig::RegularSeries(spec.t_begin, spec.step_s, std::move(reduced))});
+  return out;
+}
+
 MergedQuery merge_shard_slices(const QuerySpec& spec,
                                std::vector<ShardSlice> slices) {
   MergedQuery merged;
@@ -56,25 +76,7 @@ MergedQuery merge_shard_slices(const QuerySpec& spec,
           std::to_string(qs.series.size()) + " points, spec grid has " +
           std::to_string(n_out) + " — shards answered different specs");
 
-  if (streams.empty()) return merged;  // series stays empty, like the engine
-
-  if (spec.aggregate == Aggregation::kNone) {
-    merged.series = std::move(streams);
-    return merged;
-  }
-
-  // Cross-stream reduction per output timestamp, streams in lexicographic
-  // order — byte-for-byte the engine's own reduction loop.
-  std::vector<double> reduced(n_out, 0.0);
-  std::vector<double> column(streams.size());
-  for (std::size_t t = 0; t < n_out; ++t) {
-    for (std::size_t i = 0; i < streams.size(); ++i)
-      column[i] = streams[i].series[t];
-    reduced[t] = aggregate_column(spec.aggregate, column);
-  }
-  merged.series.push_back(
-      {std::string(to_string(spec.aggregate)) + "(" + spec.selector + ")",
-       sig::RegularSeries(spec.t_begin, spec.step_s, std::move(reduced))});
+  merged.series = reduce_streams(spec, std::move(streams));
   return merged;
 }
 

@@ -7,10 +7,10 @@
 // slices back into the single-node answer: per-stream series are merged
 // in lexicographic stream-ID order (the same order QueryEngine::execute
 // processes them), duplicates from a segment handoff are dropped
-// deterministically, and the cross-stream aggregation runs here with the
-// *same* column-reduction code the engine uses — so a 1-node and an
-// N-node fleet produce bit-identical QueryResult bytes, whatever the
-// sharding.
+// deterministically, and the cross-stream aggregation runs through
+// reduce_streams(), the function the engine answers with too — so a
+// 1-node and an N-node fleet produce bit-identical QueryResult bytes,
+// whatever the sharding.
 //
 // The transform/aggregation primitives live here (not in engine.cc) for
 // exactly that reason: one definition, two call sites, no drift.
@@ -88,6 +88,13 @@ inline double aggregate_column(Aggregation agg,
   }
   return 0.0;
 }
+
+/// The client-facing series for `streams` (per-stream series on `spec`'s
+/// grid, lexicographic by label): the streams themselves for kNone,
+/// otherwise one "<agg>(<selector>)" series that reduces them column by
+/// column in that order. No streams, no series.
+std::vector<QuerySeries> reduce_streams(const QuerySpec& spec,
+                                        std::vector<QuerySeries> streams);
 
 /// What one shard contributed to a scattered query: its matched stream
 /// IDs (lexicographic) and its per-stream series (Aggregation::kNone,

@@ -103,13 +103,13 @@ class NyqmonClient {
   /// answers its own exposition).
   std::string metrics_text(bool fleet = false);
 
-  /// Drain the server's trace rings as chrome://tracing JSON, verbatim.
+  /// Drain the server's trace ring as chrome://tracing JSON, verbatim.
   /// Consuming: consecutive calls return disjoint windows of activity.
   /// With `fleet`, a router drains every backend too and stitches all the
   /// timelines (its own included) into one JSON document.
   std::string trace_json(bool fleet = false);
 
-  /// Drain the server's structured log rings as `nyqlog v1` text
+  /// Drain the server's structured log ring as `nyqlog v1` text
   /// (src/obs/log.h). Consuming, like trace_json().
   std::string logs_text();
 

@@ -41,9 +41,9 @@
 //                   stitches them with its own into one timeline)
 //                   → OK: the rest of the payload is UTF-8 JSON in the
 //                     chrome://tracing Trace Event Format, draining the
-//                     in-process trace rings (empty traceEvents list when
+//                     in-process trace ring (empty traceEvents list when
 //                     capture is disabled server-side). The drain is
-//                     consuming and serialized: concurrent TRACE requests
+//                     consuming and atomic: concurrent TRACE requests
 //                     each get a complete, disjoint batch.
 //   HANDOFF (7)     u8 direction, then
 //                     direction 0 (EXPORT): u16 sel_len|selector
@@ -61,7 +61,7 @@
 //   LOGS (8)        (empty)
 //                   → OK: the rest of the payload is UTF-8 `nyqlog v1`
 //                     text — a consuming drain of the structured log
-//                     rings (src/obs/log.h; schema: docs/OBSERVABILITY.md)
+//                     ring (src/obs/log.h; schema: docs/OBSERVABILITY.md)
 //
 // Extensions (all optional, absent bytes mean "off" — a pre-cluster peer
 // interoperates unchanged):

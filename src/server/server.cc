@@ -129,7 +129,7 @@ void NyqmondServer::start() {
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
         0)
       throw_errno("bind");
-    if (::listen(listen_fd_, static_cast<int>(config_.listen_backlog)) < 0)
+    if (::listen(listen_fd_, /*backlog=*/64) < 0)
       throw_errno("listen");
 
     socklen_t len = sizeof(addr);

@@ -5,7 +5,7 @@
 // streams (created on first ingest), QUERY runs a selector + spec through a
 // QueryEngine, STATS reports a JSON counter snapshot, CHECKPOINT seals the
 // durable tier, METRICS exposes the process metric registry as Prometheus
-// text, and TRACE drains the in-process trace rings as chrome://tracing
+// text, and TRACE drains the in-process trace ring as chrome://tracing
 // JSON.
 //
 // Threading model (multi-reactor): one accept thread owns the listening
@@ -59,14 +59,13 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back with port().
   std::uint16_t port = 0;
+  /// Largest frame body read or answered. Also the per-connection reply
+  /// queue bound in bytes: once a client's undelivered replies reach it,
+  /// the server stops reading (and dispatching) that connection until it
+  /// drains.
   std::size_t max_frame_bytes = kMaxFrameBytes;
-  std::size_t listen_backlog = 64;
-  /// Per-connection reply queue bound in bytes; once a client's undelivered
-  /// replies reach the bound, the server stops reading (and dispatching)
-  /// that connection until it drains. 0 = default to max_frame_bytes.
-  std::size_t max_reply_queue_bytes = 0;
-  /// Same bound in whole queued reply frames — catches a pipelining client
-  /// whose tiny replies would never trip the byte bound.
+  /// The same bound in whole queued reply frames — catches a pipelining
+  /// client whose tiny replies would never trip the byte bound.
   std::size_t max_reply_queue_frames = 64;
   /// Drop (close) a connection whose bounded reply queue makes no send
   /// progress for this long — a stuck client must not hold its replies in
@@ -211,14 +210,9 @@ class NyqmondServer {
   std::vector<std::uint8_t> handle_handoff(sto::ByteReader& reader);
   std::vector<std::uint8_t> handle_logs();
 
-  /// Effective reply-queue byte bound (config default resolution).
-  std::size_t reply_queue_bytes_limit() const {
-    return config_.max_reply_queue_bytes != 0 ? config_.max_reply_queue_bytes
-                                              : config_.max_frame_bytes;
-  }
   /// True when this connection's undelivered replies are at their bound.
   bool reply_queue_full(const Connection& conn) const {
-    return conn.out.size() - conn.out_sent >= reply_queue_bytes_limit() ||
+    return conn.out.size() - conn.out_sent >= config_.max_frame_bytes ||
            conn.out_frames >= config_.max_reply_queue_frames;
   }
 

@@ -9,21 +9,21 @@ namespace nyqmon::sig {
 
 TimeSeries::TimeSeries(std::vector<Sample> samples)
     : samples_(std::move(samples)) {
-  sort();
+  std::stable_sort(samples_.begin(), samples_.end(),
+                   [](const Sample& a, const Sample& b) { return a.t < b.t; });
 }
 
 void TimeSeries::push(double t, double v) {
-  if (!samples_.empty() && t < samples_.back().t) {
+  if (samples_.empty() || !(t < samples_.back().t)) {
     samples_.push_back({t, v});
-    sort();
-  } else {
-    samples_.push_back({t, v});
+    return;
   }
-}
-
-void TimeSeries::sort() {
-  std::stable_sort(samples_.begin(), samples_.end(),
-                   [](const Sample& a, const Sample& b) { return a.t < b.t; });
+  // Out of order: insert after every sample at or before t, the place a
+  // stable sort of the appended series would give it.
+  const auto at = std::upper_bound(
+      samples_.begin(), samples_.end(), t,
+      [](double key, const Sample& s) { return key < s.t; });
+  samples_.insert(at, {t, v});
 }
 
 double TimeSeries::start_time() const {

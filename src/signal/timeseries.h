@@ -49,7 +49,6 @@ class TimeSeries {
   std::vector<double> times() const;
 
  private:
-  void sort();
   std::vector<Sample> samples_;
 };
 

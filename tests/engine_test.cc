@@ -112,9 +112,8 @@ TEST(Engine, DeterminismStressAcrossWorkersAndSimd) {
   const tel::Fleet fleet(fleet_cfg);
   ASSERT_GE(fleet.size(), 500u);
 
-  // Scalar reference plus the widest level this CPU has (the levels in
-  // between share their kernels' definitions, and the kernel-equivalence
-  // suite covers all of them element-wise).
+  // Both dispatch levels: the scalar reference, plus AVX2 when this CPU
+  // has it (the kernel-equivalence suite compares the two element-wise).
   std::vector<dsp::simd::Level> levels = {dsp::simd::Level::kScalar};
   if (dsp::simd::detected_level() != dsp::simd::Level::kScalar)
     levels.push_back(dsp::simd::detected_level());

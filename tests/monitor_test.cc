@@ -169,7 +169,6 @@ TEST(Pipeline, RequantizationMatchesSourceLattice) {
   cfg.sampler.initial_rate_hz = 0.02;
   cfg.sampler.window_duration_s = 20000.0;
   cfg.quantization_step = 1.0;
-  cfg.requantize_reconstruction = true;
   const auto r = mon::AdaptiveMonitoringPipeline(cfg).run(tone, 0.0,
                                                           200000.0, 0.02);
   for (double v : r.reconstruction.values())

@@ -228,6 +228,21 @@ TEST(Trace, DrainConsumesAndMergesAcrossThreads) {
   EXPECT_TRUE(rec.drain().empty());
 }
 
+TEST(Trace, ShortLivedWritersShareOneBoundedRing) {
+  // One short-lived thread per event, as the runtime starts fresh workers
+  // on every poll: they share the recorder's one ring, so it keeps only
+  // the newest 8 events and counts the rest as drops.
+  obs::TraceRecorder rec(/*ring_capacity=*/8);
+  rec.set_enabled(true);
+  for (std::uint64_t i = 0; i < 64; ++i)
+    std::thread([&rec, i] { rec.record("ev", "test", i, 1); }).join();
+  EXPECT_EQ(rec.dropped(), 56u);
+  const std::vector<obs::TraceEvent> events = rec.drain();
+  ASSERT_EQ(events.size(), 8u);
+  for (std::size_t i = 0; i < events.size(); ++i)
+    EXPECT_EQ(events[i].ts_ns, 56 + i);
+}
+
 TEST(Trace, DisabledRecordsNothing) {
   obs::TraceRecorder rec(8);
   rec.record("ev", "test", 1, 1);
@@ -298,6 +313,41 @@ TEST(Log, RingOverflowKeepsNewestAndCountsDrops) {
   for (int i = 0; i < 4; ++i)
     EXPECT_EQ(records[static_cast<std::size_t>(i)].detail,
               "i=" + std::to_string(6 + i));
+}
+
+TEST(Log, ShortLivedWritersShareOneBoundedRing) {
+  obs::LogRecorder rec(/*ring_capacity=*/4);
+  for (int i = 0; i < 64; ++i)
+    std::thread([&rec, i] {
+      rec.log(obs::LogLevel::kInfo, "test.short_lived",
+              "i=" + std::to_string(i));
+    }).join();
+  EXPECT_EQ(rec.dropped(), 60u);
+  EXPECT_EQ(rec.recorded(), 64u);
+  const std::vector<obs::LogRecord> records = rec.drain();
+  ASSERT_EQ(records.size(), 4u);
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(records[static_cast<std::size_t>(i)].detail,
+              "i=" + std::to_string(60 + i));
+}
+
+TEST(Log, RecordTidMatchesTheThreadsTraceTid) {
+  // The other thread is the second to trace but the first to log: its log
+  // record still carries its trace tid, not an id of the log's own.
+  obs::TraceRecorder traces(8);
+  traces.set_enabled(true);
+  obs::LogRecorder logs(8);
+  traces.record("main", "test", 1, 1);
+  std::thread([&] {
+    traces.record("other", "test", 2, 1);
+    logs.log(obs::LogLevel::kInfo, "test.tid", "");
+  }).join();
+  const std::vector<obs::TraceEvent> events = traces.drain();
+  const std::vector<obs::LogRecord> records = logs.drain();
+  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].tid, events[1].tid);
+  EXPECT_NE(records[0].tid, events[0].tid);
 }
 
 TEST(Log, LevelNames) {
@@ -382,14 +432,14 @@ TEST(Concurrent, TraceRecordVersusDrain) {
 }
 
 TEST(Concurrent, TraceDrainsAreSerializedAndDisjoint) {
-  // Two drainers race three writers. Whole drains are serialized
-  // (drain_mu_), so concurrent batches are disjoint and their union
+  // Two drainers race three writers. Each drain empties the ring in one
+  // atomic step, so concurrent batches are disjoint and their union
   // accounts for every event exactly once — unique per-event timestamps
   // make any duplication or loss detectable.
-  obs::TraceRecorder rec(8192);
+  obs::TraceRecorder rec(16384);
   rec.set_enabled(true);
   constexpr int kWriters = 3;
-  constexpr int kIters = 4000;  // < per-thread ring capacity: no drops
+  constexpr int kIters = 4000;  // all writers' events fit the ring: no drops
   std::atomic<bool> stop{false};
   std::mutex mu;
   std::vector<std::uint64_t> seen;

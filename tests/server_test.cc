@@ -1213,7 +1213,8 @@ TEST(Server, MultiReactorCheckpointQuiescesConcurrentIngest) {
   const auto rec = manager.recover(recovered);
   EXPECT_EQ(rec.crc_skipped_blocks, 0u);
   for (std::size_t c = 0; c < 6; ++c) {
-    const std::string stream = "q" + std::to_string(c) + "/metric";
+    const std::string stream =
+        std::string("q").append(std::to_string(c)).append("/metric");
     EXPECT_EQ(recovered.find_meta(stream).value().ingested_samples, 12u * 32u)
         << stream;
   }

@@ -42,6 +42,18 @@ TEST(TimeSeries, StableSortPreservesDuplicateOrder) {
   EXPECT_EQ(ts[1].v, 20.0);
 }
 
+TEST(TimeSeries, PushOutOfOrderKeepsArrivalOrderAmongEqualTimes) {
+  // Out-of-order pushes with repeated timestamps land where a stable sort
+  // of the whole arrival sequence puts them: by time, ties in arrival
+  // order (sig::regularize averages duplicates in that order).
+  const std::vector<Sample> arrivals = {
+      {2.0, 1.0}, {3.0, 2.0}, {1.0, 3.0}, {2.0, 4.0}, {2.0, 5.0},
+      {1.0, 6.0}, {3.0, 7.0}, {0.5, 8.0}, {2.0, 9.0}, {1.0, 10.0}};
+  TimeSeries pushed;
+  for (const Sample& s : arrivals) pushed.push(s.t, s.v);
+  EXPECT_EQ(pushed.samples(), TimeSeries(arrivals).samples());
+}
+
 TEST(TimeSeries, MedianIntervalRobustToJitterAndGaps) {
   TimeSeries ts;
   // Nominal 10 s cadence with one big gap.
