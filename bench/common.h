@@ -31,10 +31,20 @@ inline mon::AuditResult run_paper_audit() {
   return mon::run_audit(fleet, cfg);
 }
 
-/// Directory for CSV results (created on demand): ./bench_results/.
+/// bench_results/ beside the running executable (created on demand): a
+/// bench writes under its build tree from whatever directory it runs, and
+/// never over the checked-in baselines in the source tree's bench_results/.
+inline std::filesystem::path results_dir() {
+  const auto dir =
+      std::filesystem::read_symlink("/proc/self/exe").parent_path() /
+      "bench_results";
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Path of the CSV result file `name`.csv in results_dir().
 inline std::string csv_path(const std::string& name) {
-  std::filesystem::create_directories("bench_results");
-  return "bench_results/" + name + ".csv";
+  return (results_dir() / (name + ".csv")).string();
 }
 
 /// Append one printf-formatted value to a comma-joined JSON array body
@@ -47,12 +57,12 @@ inline void json_append(std::string& list, const char* fmt, T value) {
   list += cell;
 }
 
-/// Persist one machine-readable JSON line to bench_results/BENCH_<name>.json
-/// and echo it to stdout — the hook the perf trajectory tooling scrapes for
-/// regression tracking. Callers pass a complete JSON object literal.
+/// Persist one machine-readable JSON line to BENCH_<name>.json in
+/// results_dir() and echo it to stdout — the hook the perf trajectory
+/// tooling scrapes for regression tracking. Callers pass a complete JSON
+/// object literal.
 inline void write_json_line(const std::string& name, const std::string& json) {
-  std::filesystem::create_directories("bench_results");
-  std::ofstream out("bench_results/BENCH_" + name + ".json");
+  std::ofstream out(results_dir() / ("BENCH_" + name + ".json"));
   out << json << "\n";
   std::printf("%s\n", json.c_str());
 }

@@ -32,21 +32,18 @@ void bit_reverse_permute(cdouble* x, std::size_t n) {
 std::vector<cdouble> bluestein(std::span<const cdouble> x, bool inverse) {
   const std::size_t n = x.size();
   NYQMON_ENSURE(n >= 1);
-  auto& ws = this_thread_workspace();
-  const auto& plan = ws.bluestein_plan(n, inverse);
+  const auto& plan = this_thread_workspace().bluestein_plan(n, inverse);
   const auto& k = simd::ops();
 
-  auto frame = ws.frame();
-  cdouble* a = frame.cdoubles(plan.m);
-  k.complex_mul(a, x.data(), plan.chirp.data(), n);
-  std::fill(a + n, a + plan.m, cdouble(0, 0));
+  std::vector<cdouble> a(plan.m);  // zero padding past n
+  k.complex_mul(a.data(), x.data(), plan.chirp.data(), n);
 
-  fft_radix2_run(a, plan.m, /*inverse=*/false);
-  k.complex_mul_inplace(a, plan.b_fft.data(), plan.m);
-  fft_radix2_run(a, plan.m, /*inverse=*/true);
+  fft_radix2_run(a.data(), plan.m, /*inverse=*/false);
+  k.complex_mul_inplace(a.data(), plan.b_fft.data(), plan.m);
+  fft_radix2_run(a.data(), plan.m, /*inverse=*/true);
 
   std::vector<cdouble> out(n);
-  k.complex_mul(out.data(), a, plan.chirp.data(), n);
+  k.complex_mul(out.data(), a.data(), plan.chirp.data(), n);
   if (inverse)
     k.div_scalar_complex_inplace(out.data(), static_cast<double>(n), n);
   return out;
@@ -92,10 +89,6 @@ void fft_radix2_run(cdouble* x, std::size_t n, bool inverse) {
   if (inverse) k.div_scalar_complex_inplace(x, static_cast<double>(n), n);
 }
 
-void fft_radix2_inplace(std::vector<cdouble>& x, bool inverse) {
-  fft_radix2_run(x.data(), x.size(), inverse);
-}
-
 std::vector<cdouble> fft(std::span<const cdouble> x) {
   return transform(x, /*inverse=*/false);
 }
@@ -118,30 +111,23 @@ std::vector<cdouble> rfft(std::span<const double> x) {
   // with the split formula — half the work of the generic complex path.
   if (n >= 4 && n % 2 == 0) {
     const std::size_t half = n / 2;
-    auto& ws = this_thread_workspace();
-    auto frame = ws.frame();
-    cdouble* z = frame.cdoubles(half);
+    std::vector<cdouble> z(half);
     for (std::size_t k = 0; k < half; ++k)
       z[k] = cdouble(x[2 * k], x[2 * k + 1]);
-    std::vector<cdouble> zf_store;
-    const cdouble* zf = z;
-    if (is_power_of_two(half)) {
-      fft_radix2_run(z, half, /*inverse=*/false);
-    } else {
-      zf_store = bluestein(std::span<const cdouble>(z, half),
-                           /*inverse=*/false);
-      zf = zf_store.data();
-    }
+    if (is_power_of_two(half))
+      fft_radix2_run(z.data(), half, /*inverse=*/false);
+    else
+      z = bluestein(z, /*inverse=*/false);
 
     // Fetched after the transform: a plan build inside it may flush the
     // plan cache, which would free a table taken before.
-    const auto& tw = ws.rfft_unpack_table(n);
+    const auto& tw = this_thread_workspace().rfft_unpack_table(n);
     std::vector<cdouble> out(half + 1);
     for (std::size_t k = 0; k <= half; ++k) {
       const std::size_t k1 = k % half;
       const std::size_t k2 = (half - k1) % half;
-      const double ar = zf[k1].real(), ai = zf[k1].imag();
-      const double br = zf[k2].real(), bi = -zf[k2].imag();  // conj
+      const double ar = z[k1].real(), ai = z[k1].imag();
+      const double br = z[k2].real(), bi = -z[k2].imag();  // conj
       // Even/odd halves of the original sequence's spectrum:
       // even = (a + b)/2, odd = -i/2 * (a - b), out = even + tw[k] * odd.
       const double er = 0.5 * (ar + br), ei = 0.5 * (ai + bi);
@@ -161,21 +147,16 @@ std::vector<double> irfft(std::span<const cdouble> half, std::size_t n) {
   NYQMON_CHECK(n >= 1);
   NYQMON_CHECK_MSG(half.size() == n / 2 + 1,
                    "irfft: half-spectrum size mismatch");
-  auto& ws = this_thread_workspace();
-  auto frame = ws.frame();
-  cdouble* full = frame.cdoubles(n);
+  std::vector<cdouble> full(n);
   for (std::size_t k = 0; k < half.size(); ++k) full[k] = half[k];
   for (std::size_t k = half.size(); k < n; ++k)
     full[k] = std::conj(full[n - k]);
+  if (is_power_of_two(n))
+    fft_radix2_run(full.data(), n, /*inverse=*/true);
+  else
+    full = bluestein(full, /*inverse=*/true);
   std::vector<double> out(n);
-  if (is_power_of_two(n)) {
-    fft_radix2_run(full, n, /*inverse=*/true);
-    for (std::size_t i = 0; i < n; ++i) out[i] = full[i].real();
-  } else {
-    const auto time =
-        bluestein(std::span<const cdouble>(full, n), /*inverse=*/true);
-    for (std::size_t i = 0; i < n; ++i) out[i] = time[i].real();
-  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = full[i].real();
   return out;
 }
 

@@ -26,14 +26,10 @@ bool is_power_of_two(std::size_t n);
 /// Smallest power of two >= n (n >= 1).
 std::size_t next_power_of_two(std::size_t n);
 
-/// In-place radix-2 FFT; `x.size()` must be a power of two.
-/// `inverse` applies the conjugate kernel and the 1/N scaling.
-void fft_radix2_inplace(std::vector<cdouble>& x, bool inverse);
-
-/// Raw-pointer form of the radix-2 FFT (n must be a power of two); lets
-/// callers transform workspace scratch buffers without a vector copy.
-/// Twiddle factors come from the calling thread's Workspace plan cache and
-/// the butterflies run through the dsp::simd dispatch table.
+/// In-place radix-2 FFT of x[0, n); n must be a power of two. `inverse`
+/// applies the conjugate kernel and the 1/N scaling. Twiddle factors come
+/// from the calling thread's Workspace plan cache and the butterflies run
+/// through the dsp::simd dispatch table.
 void fft_radix2_run(cdouble* x, std::size_t n, bool inverse);
 
 /// Forward DFT of arbitrary length (radix-2 when possible, Bluestein

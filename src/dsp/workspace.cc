@@ -1,7 +1,6 @@
 #include "dsp/workspace.h"
 
 #include <cmath>
-#include <cstring>
 #include <numbers>
 
 #include "dsp/fft.h"
@@ -12,31 +11,13 @@ namespace nyqmon::dsp {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
-constexpr std::size_t kAlign = 64;                       // cache line
-constexpr std::size_t kFirstBlockBytes = 256 * 1024;
-constexpr std::size_t kScratchShrinkBytes = 64ull << 20;  // retain below this
 constexpr std::size_t kPlanCacheCapBytes = 16ull << 20;
-
-#ifndef NDEBUG
-constexpr std::uint64_t kCanary = 0xC0DEC0DECAFEF00Dull;
-constexpr std::byte kPoison{0xA5};
-// Debug allocation layout: [64B header: size][payload][8B canary].
-constexpr std::size_t kDebugHeader = kAlign;
-constexpr std::size_t kDebugTrailer = sizeof(std::uint64_t);
-#endif
-
-std::size_t align_up(std::size_t v) {
-  return (v + (kAlign - 1)) & ~(kAlign - 1);
-}
 
 std::size_t vec_bytes_cd(const std::vector<cdouble>& v) {
   return v.size() * sizeof(cdouble);
 }
 
 }  // namespace
-
-Workspace::Workspace() = default;
-Workspace::~Workspace() = default;
 
 // ---------------------------------------------------------------- plans ----
 
@@ -92,7 +73,7 @@ const Workspace::BluesteinPlan& Workspace::bluestein_plan(std::size_t n,
   b[0] = std::conj(plan.chirp[0]);
   for (std::size_t k = 1; k < n; ++k)
     b[k] = b[plan.m - k] = std::conj(plan.chirp[k]);
-  fft_radix2_inplace(b, /*inverse=*/false);
+  fft_radix2_run(b.data(), plan.m, /*inverse=*/false);
   plan.b_fft = std::move(b);
 
   ++plan_builds_;
@@ -145,126 +126,17 @@ double Workspace::window_energy(WindowType type, std::size_t n,
 }
 
 void Workspace::reset() {
-  NYQMON_CHECK_MSG(frame_depth_ == 0,
-                   "Workspace::reset() with a scratch frame open");
   radix2_.clear();
   bluestein_.clear();
   rfft_unpack_.clear();
   windows_.clear();
   plan_cache_bytes_ = 0;
-  blocks_.clear();
-  cur_block_ = 0;
-  cur_off_ = 0;
 }
 
 void Workspace::maybe_flush_plans() {
   if (plan_cache_bytes_ <= kPlanCacheCapBytes) return;
-  radix2_.clear();
-  bluestein_.clear();
-  rfft_unpack_.clear();
-  windows_.clear();
-  plan_cache_bytes_ = 0;
+  reset();
   ++cache_flushes_;
-}
-
-// -------------------------------------------------------------- scratch ----
-
-std::size_t Workspace::scratch_capacity_bytes() const {
-  std::size_t total = 0;
-  for (const auto& b : blocks_) total += b.capacity;
-  return total;
-}
-
-std::byte* Workspace::scratch_alloc(std::size_t bytes) {
-#ifndef NDEBUG
-  const std::size_t need = kDebugHeader + bytes + kDebugTrailer;
-#else
-  const std::size_t need = bytes;
-#endif
-  std::size_t off = align_up(cur_off_);
-  while (cur_block_ < blocks_.size() &&
-         off + need > blocks_[cur_block_].capacity) {
-    blocks_[cur_block_].used = cur_off_;
-    ++cur_block_;
-    if (cur_block_ < blocks_.size()) blocks_[cur_block_].used = 0;
-    cur_off_ = 0;
-    off = 0;
-  }
-  if (cur_block_ == blocks_.size()) {
-    std::size_t cap = blocks_.empty() ? kFirstBlockBytes
-                                      : 2 * blocks_.back().capacity;
-    if (cap < need) cap = align_up(need);
-    Block block;
-    block.data = std::make_unique<std::byte[]>(cap);
-    block.capacity = cap;
-    blocks_.push_back(std::move(block));
-    ++scratch_block_allocs_;
-    cur_off_ = 0;
-    off = 0;
-  }
-  Block& block = blocks_[cur_block_];
-  std::byte* base = block.data.get() + off;
-#ifndef NDEBUG
-  std::memcpy(base, &bytes, sizeof(bytes));
-  std::uint64_t canary = kCanary;
-  std::memcpy(base + kDebugHeader + bytes, &canary, sizeof(canary));
-  cur_off_ = off + need;
-  block.used = cur_off_;
-  return base + kDebugHeader;
-#else
-  cur_off_ = off + need;
-  block.used = cur_off_;
-  return base;
-#endif
-}
-
-Workspace::Frame::Frame(Workspace& ws)
-    : ws_(ws), block_(ws.cur_block_), offset_(ws.cur_off_) {
-  ++ws_.frame_depth_;
-}
-
-Workspace::Frame::~Frame() {
-#ifndef NDEBUG
-  // Walk every allocation made inside this frame: verify its trailing
-  // canary, then poison the payload so stale prior-pair samples can never
-  // masquerade as live data.
-  for (std::size_t bi = block_;
-       bi < ws_.blocks_.size() && bi <= ws_.cur_block_; ++bi) {
-    const Block& block = ws_.blocks_[bi];
-    const std::size_t end = bi == ws_.cur_block_ ? ws_.cur_off_ : block.used;
-    std::size_t pos = bi == block_ ? offset_ : 0;
-    while (align_up(pos) < end) {
-      pos = align_up(pos);
-      std::byte* base = block.data.get() + pos;
-      std::size_t bytes = 0;
-      std::memcpy(&bytes, base, sizeof(bytes));
-      std::uint64_t canary = 0;
-      std::memcpy(&canary, base + kDebugHeader + bytes, sizeof(canary));
-      NYQMON_CHECK_MSG(canary == kCanary,
-                       "workspace scratch canary smashed (buffer overrun)");
-      std::memset(base + kDebugHeader, static_cast<int>(kPoison), bytes);
-      pos += kDebugHeader + bytes + kDebugTrailer;
-    }
-  }
-#endif
-  for (std::size_t bi = block_ + 1; bi < ws_.blocks_.size(); ++bi)
-    ws_.blocks_[bi].used = 0;
-  ws_.cur_block_ = block_;
-  ws_.cur_off_ = offset_;
-  if (!ws_.blocks_.empty()) ws_.blocks_[block_].used = offset_;
-  --ws_.frame_depth_;
-  if (ws_.frame_depth_ == 0 &&
-      ws_.scratch_capacity_bytes() > kScratchShrinkBytes) {
-    ws_.blocks_.resize(1);  // keep the first block; regrow on demand
-  }
-}
-
-double* Workspace::Frame::doubles(std::size_t n) {
-  return reinterpret_cast<double*>(ws_.scratch_alloc(n * sizeof(double)));
-}
-
-cdouble* Workspace::Frame::cdoubles(std::size_t n) {
-  return reinterpret_cast<cdouble*>(ws_.scratch_alloc(n * sizeof(cdouble)));
 }
 
 Workspace& this_thread_workspace() {

@@ -1,8 +1,8 @@
-// Per-thread DSP workspace: plan caches + a frame-based scratch stack.
+// Per-thread DSP workspace: the plan caches behind the FFT and windowing.
 //
 // A fleet run processes hundreds of thousands of windows, and
 // before this existed every FFT call recomputed its twiddle factors (67% of
-// fleet CPU went to fft_radix2_inplace alone), every Bluestein transform
+// fleet CPU went to the radix-2 FFT alone), every Bluestein transform
 // rebuilt its chirp and re-transformed the b sequence, and every
 // periodogram regenerated its window with a cos() per coefficient. The
 // workspace makes all of that a once-per-shape cost:
@@ -18,17 +18,9 @@
 // dispatch level — the bit-identity contract in simd.h is between levels,
 // and every plan is built by shared scalar code.
 //
-// The scratch stack is a block-chained bump allocator with RAII frames:
-//
-//   auto frame = ws.frame();
-//   double* buf = frame.doubles(n);   // freed when `frame` pops
-//
-// Steady-state window processing allocates nothing: blocks are retained
-// across frames, so after warmup heap_allocations() stops moving — that
-// counter is what the zero-allocation test (tests/arena_test.cc) watches.
-// Debug builds poison-fill popped frames (0xA5) and place a canary after
-// every allocation, so cross-pair reuse of stale samples or a buffer
-// overrun aborts loudly instead of corrupting a digest.
+// The workspace holds plans only. Transient DSP buffers are plain vectors
+// owned by the call that needs them: each DSP call already returns a fresh
+// vector, and the sanitizer builds see every buffer as its own allocation.
 //
 // A Workspace is single-threaded by design; this_thread_workspace() hands
 // each thread that runs DSP code (a runtime poll worker, a query worker)
@@ -39,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "dsp/window.h"
@@ -50,8 +41,7 @@ using cdouble = std::complex<double>;
 
 class Workspace {
  public:
-  Workspace();
-  ~Workspace();
+  Workspace() = default;
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
@@ -87,67 +77,22 @@ class Workspace {
   double window_energy(WindowType type, std::size_t n,
                        bool symmetric = false);
 
-  // ---------------------------------------------------------- scratch ----
-
-  // RAII scratch frame: everything allocated through it is released (and,
-  // in Debug, canary-checked + poison-filled) when the frame pops. Frames
-  // nest; pop order must match construction order (guaranteed by scoping).
-  class Frame {
-   public:
-    explicit Frame(Workspace& ws);
-    ~Frame();
-    Frame(const Frame&) = delete;
-    Frame& operator=(const Frame&) = delete;
-
-    double* doubles(std::size_t n);
-    cdouble* cdoubles(std::size_t n);
-
-   private:
-    Workspace& ws_;
-    std::size_t block_;
-    std::size_t offset_;
-  };
-  Frame frame() { return Frame(*this); }
-
-  /// Drop every plan cache and scratch block (counters are cumulative and
-  /// survive). Must not be called with a frame open. The test hook for
-  /// forcing re-warmup.
+  /// Drop every plan cache (counters are cumulative and survive). The test
+  /// hook for forcing re-warmup.
   void reset();
 
   // --------------------------------------------------------- counters ----
 
-  // Heap allocations attributable to this workspace: scratch block growth
-  // plus plan/window cache builds. Flat after warmup — the zero-allocation
-  // guarantee tests/arena_test.cc asserts.
-  std::uint64_t heap_allocations() const {
-    return scratch_block_allocs_ + plan_builds_;
-  }
-  std::uint64_t scratch_block_allocs() const { return scratch_block_allocs_; }
+  // Plan and window cache builds; flat once every shape a thread sees has
+  // been built.
   std::uint64_t plan_builds() const { return plan_builds_; }
   // Times the plan caches overflowed their byte cap and were dropped.
   std::uint64_t cache_flushes() const { return cache_flushes_; }
-  std::size_t scratch_capacity_bytes() const;
   std::size_t plan_cache_bytes() const { return plan_cache_bytes_; }
 
  private:
-  friend class Frame;
-
-  struct Block {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t capacity = 0;
-    std::size_t used = 0;  // end of the last allocation in this block
-  };
-
-  std::byte* scratch_alloc(std::size_t bytes);
   void maybe_flush_plans();
 
-  // Scratch stack state.
-  std::vector<Block> blocks_;
-  std::size_t cur_block_ = 0;
-  std::size_t cur_off_ = 0;
-  int frame_depth_ = 0;
-
-  // Plan caches.
   std::map<std::size_t, Radix2Plan> radix2_;
   std::map<std::pair<std::size_t, bool>, BluesteinPlan> bluestein_;
   std::map<std::size_t, std::vector<cdouble>> rfft_unpack_;
@@ -160,13 +105,12 @@ class Workspace {
                                   bool symmetric);
 
   std::size_t plan_cache_bytes_ = 0;
-  std::uint64_t scratch_block_allocs_ = 0;
   std::uint64_t plan_builds_ = 0;
   std::uint64_t cache_flushes_ = 0;
 };
 
 /// The calling thread's workspace (created on first use); the DSP kernels
-/// draw their plans and scratch from it.
+/// draw their plans from it.
 Workspace& this_thread_workspace();
 
 }  // namespace nyqmon::dsp

@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "query/merge.h"
 #include "query/selector.h"
+#include "util/check.h"
 #include "util/hash.h"
 #include "util/parallel.h"
 
@@ -89,22 +90,20 @@ QueryResponse QueryEngine::run(const QuerySpec& spec) {
   clock.mark("match");
 
   const std::string key = spec.canonical_key();
-  if (config_.cache_enabled) {
-    if (auto hit = cache_.lookup(key, fp.value())) {
-      NYQMON_OBS_COUNT("nyqmon_query_cache_hits_total", 1);
-      clock.mark("cache");
-      resp.result = std::move(hit);
-      resp.cache_hit = true;
-      resp.total_ns = clock.elapsed_ns();
-      return resp;
-    }
-    NYQMON_OBS_COUNT("nyqmon_query_cache_misses_total", 1);
+  if (auto hit = cache_.lookup(key, fp.value())) {
+    NYQMON_OBS_COUNT("nyqmon_query_cache_hits_total", 1);
+    clock.mark("cache");
+    resp.result = std::move(hit);
+    resp.cache_hit = true;
+    resp.total_ns = clock.elapsed_ns();
+    return resp;
   }
+  NYQMON_OBS_COUNT("nyqmon_query_cache_misses_total", 1);
   clock.mark("cache");
 
   streams_considered_.fetch_add(considered, std::memory_order_relaxed);
   auto result = execute(spec, matched_meta, clock);
-  if (config_.cache_enabled) cache_.insert(key, fp.value(), result);
+  cache_.insert(key, fp.value(), result);
   clock.mark("cache_store");
   resp.result = std::move(result);
   resp.total_ns = clock.elapsed_ns();
@@ -124,6 +123,13 @@ std::shared_ptr<const QueryResult> QueryEngine::execute(
   for (const auto& [name, m] : matched_meta) {
     result->matched.push_back(name);
     if (m.ingested_samples > 0 && m.t0 < spec.t_end && m.t_end > spec.t_begin) {
+      // The store reconstructs onto the stream's collection grid over the
+      // whole range before aligning it to the output grid.
+      NYQMON_CHECK_MSG(
+          (spec.t_end - spec.t_begin) * m.collection_rate_hz <=
+              static_cast<double>(kMaxGridPoints),
+          "query range covers more than " + std::to_string(kMaxGridPoints) +
+              " points of " + name + "'s collection grid; narrow the range");
       result->reconstructed.push_back(name);
       kept_meta.push_back(m);
     }

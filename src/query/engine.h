@@ -34,7 +34,6 @@ struct QueryEngineConfig {
   /// concurrency). Client threads are the caller's business; each run()
   /// fans out over matched streams with this many workers.
   std::size_t workers = 0;
-  bool cache_enabled = true;
 };
 
 /// Monotonic serving counters (aggregated over the engine's lifetime).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "util/check.h"
 
@@ -32,8 +33,18 @@ const char* to_string(Aggregation a) {
 
 void QuerySpec::validate() const {
   NYQMON_CHECK_MSG(!selector.empty(), "query selector is empty");
+  NYQMON_CHECK_MSG(std::isfinite(t_begin) && std::isfinite(t_end) &&
+                       std::isfinite(step_s),
+                   "query range and step must be finite");
   NYQMON_CHECK_MSG(t_begin < t_end, "query range is empty or inverted");
   NYQMON_CHECK_MSG(step_s > 0.0, "query alignment step must be > 0");
+  // In double, before grid_points() casts: the span of two finite bounds
+  // can still overflow to inf.
+  NYQMON_CHECK_MSG((t_end - t_begin) / step_s <=
+                       static_cast<double>(kMaxGridPoints),
+                   "query output grid exceeds " +
+                       std::to_string(kMaxGridPoints) +
+                       " points; narrow the range or coarsen step_s");
 }
 
 std::size_t QuerySpec::grid_points() const {

@@ -39,6 +39,12 @@ enum class Aggregation {
 const char* to_string(Transform t);
 const char* to_string(Aggregation a);
 
+/// Most points one query may place on a grid: its output grid, or a
+/// matched stream's collection grid over the range. 2^22 doubles are
+/// 32 MiB; the 16 MiB reply frame already bounds a wire answer near 2^21
+/// points.
+inline constexpr std::size_t kMaxGridPoints = std::size_t{1} << 22;
+
 struct QuerySpec {
   /// Glob over stream IDs (see query/selector.h), e.g. "rack3-*/temperature".
   std::string selector;
@@ -53,10 +59,12 @@ struct QuerySpec {
   Aggregation aggregate = Aggregation::kNone;
 
   /// Throws std::invalid_argument unless the spec is well-formed: non-empty
-  /// selector, t_begin < t_end, step_s > 0.
+  /// selector, finite t_begin < t_end, finite step_s > 0, and an output grid
+  /// of at most kMaxGridPoints points.
   void validate() const;
 
-  /// Number of output grid points: timestamps t_begin + i*step_s < t_end.
+  /// Number of output grid points of a validated spec: timestamps
+  /// t_begin + i*step_s < t_end.
   std::size_t grid_points() const;
 
   /// Stable, collision-resistant-enough text key for the result cache:

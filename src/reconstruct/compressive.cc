@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "dsp/kernels.h"
-#include "dsp/workspace.h"
 #include "util/check.h"
 
 namespace nyqmon::rec {
@@ -83,9 +82,6 @@ CompressiveModel compressive_recover(const sig::TimeSeries& samples,
     y[i] = samples[i].v;
   }
 
-  auto& ws = dsp::this_thread_workspace();
-  auto frame = ws.frame();
-
   CompressiveModel model;
   // DC first (always in the model).
   const double mean = dsp::sum(y.data(), n) / static_cast<double>(n);
@@ -103,10 +99,11 @@ CompressiveModel compressive_recover(const sig::TimeSeries& samples,
   // the design matrix columns of the joint solve. Two passes per
   // candidate: trig fills the columns, then dsp::dot computes every
   // correlation.
-  double* cand_c = frame.doubles(n);
-  double* cand_s = frame.doubles(n);
   const std::size_t max_dims = 1 + 2 * config.sparsity;
-  double* columns = frame.doubles(max_dims * n);
+  std::vector<double> scratch((2 + max_dims) * n);
+  double* cand_c = scratch.data();
+  double* cand_s = cand_c + n;
+  double* columns = cand_s + n;
 
   std::vector<double> selected;  // chosen frequencies
   for (std::size_t iter = 0; iter < config.sparsity; ++iter) {

@@ -20,13 +20,12 @@
 // Ownership: the runtime borrows the fleet and the clock (both must
 // outlive it) and owns its store, pair pipelines and optional durable
 // tier. It serves no queries itself: callers build a
-// qry::QueryEngine(runtime.store(), config) with the cache and fan-out
-// they want.
+// qry::QueryEngine(runtime.store(), config) with the fan-out they want.
 //
 // Threading: poll()/step()/run_to_completion()/checkpoint() are the
 // scheduler's and must come from one thread at a time (they serialize on an
 // internal mutex); poll() itself fans due pairs out over worker threads
-// (parallel_claim; one worker runs inline on the calling thread). store()
+// (parallel_claim; the calling thread is one of the workers). store()
 // (and any query engine over it) and stats() may be used concurrently from
 // any thread, including while a poll is in flight — that is the point.
 //

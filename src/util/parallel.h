@@ -1,11 +1,12 @@
 // Deterministic fan-out helper shared by the fleet audit, the query engine
 // and the streaming runtime's poll fan-out.
 //
-// Runs `task(i)` for every i in [0, n_tasks) on a fixed pool of worker
-// threads that claim indices from a shared atomic counter. Callers keep
-// results deterministic by pre-forking any randomness sequentially and
-// writing each task's output to its own pre-allocated slot; this helper
-// only guarantees every index runs exactly once.
+// Runs `task(i)` for every i in [0, n_tasks) on the calling thread plus
+// threads started for this call, all claiming indices from a shared atomic
+// counter. Callers keep results deterministic by pre-forking any
+// randomness sequentially and writing each task's output to its own
+// pre-allocated slot; this helper only guarantees every index runs exactly
+// once.
 #pragma once
 
 #include <algorithm>
@@ -30,12 +31,13 @@ inline std::size_t resolve_workers(std::size_t requested,
                   std::max<std::size_t>(n_tasks, 1)));
 }
 
-/// Run task(0) .. task(n_tasks-1), each exactly once, on `workers` threads
-/// (after resolve_workers clamping). workers == 1 runs inline. Returns the
-/// worker count actually used. If a task throws, remaining tasks are
-/// abandoned and one of the thrown exceptions is rethrown on the calling
-/// thread after all workers join — an escape from a bare std::thread would
-/// std::terminate the process instead.
+/// Run task(0) .. task(n_tasks-1), each exactly once, on `workers` workers
+/// (after resolve_workers clamping): the calling thread and workers - 1
+/// threads started for this call. Returns the worker count actually used.
+/// If a task throws, remaining tasks are abandoned and one of the thrown
+/// exceptions is rethrown on the calling thread after all workers join —
+/// an escape from a bare std::thread would std::terminate the process
+/// instead.
 inline std::size_t parallel_claim(
     std::size_t n_tasks, std::size_t workers,
     const std::function<void(std::size_t)>& task) {
@@ -57,14 +59,11 @@ inline std::size_t parallel_claim(
       }
     }
   };
-  if (workers == 1) {
-    worker_loop();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
-    for (auto& t : pool) t.join();
-  }
+  std::vector<std::thread> started;
+  started.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) started.emplace_back(worker_loop);
+  worker_loop();
+  for (auto& t : started) t.join();
   if (error) std::rethrow_exception(error);
   return workers;
 }

@@ -1,13 +1,10 @@
-// Scratch arena accounting: the per-thread dsp::Workspace must reach zero
-// heap allocations once shapes repeat (the steady-state guarantee fleet
-// throughput depends on), keep its counters across a reset, and — in
-// Debug builds — poison-fill popped scratch frames and canary-check every
-// allocation so buffer reuse across pairs can never leak stale samples
-// silently.
+// Plan cache accounting: the per-thread dsp::Workspace builds each plan
+// once per shape, so a thread that repeats shapes stops building after its
+// first pair, and its counters survive a reset.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <vector>
 
 #include "dsp/fft.h"
@@ -19,8 +16,7 @@ namespace {
 using namespace nyqmon;
 
 // One pair's worth of fixed-shape DSP work: a radix-2 rfft round trip, a
-// Bluestein-length transform and a batched Goertzel — together they touch
-// every workspace plan cache and the scratch stack.
+// Bluestein-length transform and a batched Goertzel.
 void process_fixed_shape_pair() {
   std::vector<double> x(256);
   for (std::size_t i = 0; i < x.size(); ++i)
@@ -40,37 +36,31 @@ void process_fixed_shape_pair() {
   ASSERT_EQ(powers.size(), 3u);
 }
 
-TEST(Workspace, ZeroHeapAllocationsAfterWarmup) {
+TEST(Workspace, PlanBuildsStopAfterWarmup) {
   // The DSP calls draw on the calling thread's workspace. A prior test on
   // this thread may have warmed it; wipe it so the first pair is a genuine
   // cold start.
   dsp::Workspace& ws = dsp::this_thread_workspace();
   ws.reset();
-  const std::uint64_t base_allocs = ws.heap_allocations();
   const std::uint64_t base_plan_builds = ws.plan_builds();
-  const std::uint64_t base_block_allocs = ws.scratch_block_allocs();
   const std::uint64_t base_flushes = ws.cache_flushes();
 
   constexpr std::size_t kPairs = 8;
-  std::uint64_t first_pair_allocs = 0;
+  std::uint64_t first_pair_builds = 0;
   for (std::size_t p = 0; p < kPairs; ++p) {
-    const std::uint64_t before = ws.heap_allocations();
+    const std::uint64_t before = ws.plan_builds();
     process_fixed_shape_pair();
-    const std::uint64_t allocs = ws.heap_allocations() - before;
+    const std::uint64_t builds = ws.plan_builds() - before;
     if (p == 0) {
-      first_pair_allocs = allocs;
-      EXPECT_GT(allocs, 0u) << "cold pair must build plans and scratch";
+      first_pair_builds = builds;
+      EXPECT_GT(builds, 0u) << "cold pair must build plans";
     } else {
-      EXPECT_EQ(allocs, 0u) << "warm pair " << p << " allocated";
+      EXPECT_EQ(builds, 0u) << "warm pair " << p << " built plans";
     }
   }
 
-  EXPECT_EQ(ws.heap_allocations() - base_allocs, first_pair_allocs);
-  EXPECT_EQ(ws.heap_allocations() - base_allocs,
-            (ws.plan_builds() - base_plan_builds) +
-                (ws.scratch_block_allocs() - base_block_allocs));
+  EXPECT_EQ(ws.plan_builds() - base_plan_builds, first_pair_builds);
   EXPECT_GT(ws.plan_cache_bytes(), 0u);
-  EXPECT_GT(ws.scratch_capacity_bytes(), 0u);
   EXPECT_EQ(ws.cache_flushes(), base_flushes);
 }
 
@@ -85,48 +75,5 @@ TEST(Workspace, CountersSurviveReset) {
   ws.radix2_plan(64);
   EXPECT_GT(ws.plan_builds(), builds);  // rebuilt after the wipe
 }
-
-TEST(Workspace, ResetWithOpenFrameIsRejected) {
-  dsp::Workspace ws;
-  auto frame = ws.frame();
-  frame.doubles(8);
-  EXPECT_THROW(ws.reset(), std::invalid_argument);
-}
-
-#ifndef NDEBUG
-TEST(Workspace, DebugPoisonFillsPoppedFrames) {
-  dsp::Workspace ws;
-  constexpr std::size_t kN = 32;
-  {
-    auto frame = ws.frame();
-    double* p = frame.doubles(kN);
-    for (std::size_t i = 0; i < kN; ++i) p[i] = 42.0;
-  }
-  // The next frame's identically-shaped allocation lands on the same
-  // bytes; they must read back as poison, not as the 42.0s of the prior
-  // "pair".
-  auto frame = ws.frame();
-  const auto* bytes =
-      reinterpret_cast<const unsigned char*>(frame.doubles(kN));
-  for (std::size_t i = 0; i < kN * sizeof(double); ++i)
-    ASSERT_EQ(bytes[i], 0xA5u) << "byte " << i << " not poisoned";
-}
-
-using WorkspaceDeathTest = ::testing::Test;
-
-TEST(WorkspaceDeathTest, DebugCanaryCatchesOverrun) {
-  // Writing one element past an allocation smashes its trailing canary;
-  // the frame pop must abort loudly (the check throws from a destructor,
-  // which terminates) instead of corrupting a neighbouring buffer.
-  EXPECT_DEATH(
-      {
-        dsp::Workspace ws;
-        auto frame = ws.frame();
-        double* p = frame.doubles(4);
-        p[4] = 1.0;  // overrun into the canary
-      },
-      "canary");
-}
-#endif  // !NDEBUG
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "monitor/striped_store.h"
 #include "query/builder.h"
@@ -78,6 +80,27 @@ TEST(Spec, ValidationAndGrid) {
   bad = spec;
   bad.step_s = 0.0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
+}
+
+TEST(Spec, NonFiniteRangeOrStepIsRejected) {
+  qry::QuerySpec spec;
+  spec.selector = "*";
+  spec.t_begin = 0.0;
+  spec.t_end = 10.0;
+  spec.step_s = 1.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {inf, -inf, nan}) {
+    qry::QuerySpec bad = spec;
+    bad.t_begin = v;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << "t_begin " << v;
+    bad = spec;
+    bad.t_end = v;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << "t_end " << v;
+    bad = spec;
+    bad.step_s = v;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << "step_s " << v;
+  }
 }
 
 TEST(Builder, ProducesCanonicalSpec) {
@@ -336,17 +359,6 @@ TEST(QueryEngine, IngestOutsideSelectorKeepsCacheWarm) {
   EXPECT_TRUE(qe.run(spec).cache_hit);
 }
 
-TEST(QueryEngine, CacheDisabled) {
-  auto store = make_constant_store({{"a/m", 1.0}});
-  qry::QueryEngineConfig cfg;
-  cfg.cache_enabled = false;
-  qry::QueryEngine qe(store, cfg);
-  const auto spec = agg_spec(qry::Aggregation::kAvg);
-  EXPECT_FALSE(qe.run(spec).cache_hit);
-  EXPECT_FALSE(qe.run(spec).cache_hit);
-  EXPECT_EQ(qe.stats().cache.hits, 0u);
-}
-
 TEST(QueryEngine, ExplainStagesSumToTotal) {
   // One clock times the whole call, so EXPLAIN's stages account for every
   // nanosecond of total_ns, on a miss and on a hit alike.
@@ -397,6 +409,34 @@ TEST(QueryEngine, UnmatchedSelectorIsEmptyNotError) {
   const auto r = qe.run(spec);
   EXPECT_TRUE(r.result->matched.empty());
   EXPECT_TRUE(r.result->series.empty());
+}
+
+TEST(QueryEngine, OversizedGridIsRefusedBeforeAllocating) {
+  // A grid past kMaxGridPoints is refused with a message naming the limit:
+  // the output grid by validate(), a matched stream's collection grid once
+  // the metadata pass has found the stream.
+  auto store = make_constant_store({{"a/m", 1.0}});
+  qry::QueryEngine qe(store);
+  const auto expect_refused = [&](const qry::QuerySpec& spec) {
+    try {
+      (void)qe.run(spec);
+      ADD_FAILURE() << "step " << spec.step_s << " was not refused";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::to_string(qry::kMaxGridPoints)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  qry::QuerySpec spec;
+  spec.selector = "a/m";
+  spec.t_begin = 0.0;
+  spec.t_end = 1e9;
+  spec.step_s = 1.0;  // 10^9 output points
+  expect_refused(spec);
+  spec.step_s = 1e3;  // 10^6 output points, 10^9 at the stream's 1 Hz
+  expect_refused(spec);
+  EXPECT_EQ(qe.stats().streams_reconstructed, 0u);
 }
 
 TEST(QueryEngine, RangePruneSkipsStreamsWithoutOverlap) {

@@ -986,6 +986,33 @@ TEST(Server, OverlongStr16ReplyFieldAnswersErrorAndServesOn) {
   server.stop();
 }
 
+// A QUERY whose output grid would hold 10^9 points is answered ERR naming
+// the grid limit before anything is allocated, and the connection keeps
+// serving.
+TEST(Server, OversizedQueryGridAnswersErrorAndServesOn) {
+  mon::StripedRetentionStore store;
+  srv::NyqmondServer server(store, nullptr);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+  client.ingest("a/m", 1.0, 0.0, wave(64, 0.0));
+
+  qry::QuerySpec spec;  // filled by hand: QueryBuilder::build() refuses it
+  spec.selector = "a/m";
+  spec.t_begin = 0.0;
+  spec.t_end = 1e9;
+  spec.step_s = 1.0;
+  try {
+    (void)client.query(spec);
+    FAIL() << "an oversized QUERY grid must be refused";
+  } catch (const srv::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(qry::kMaxGridPoints)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NE(client.stats_json().find("\"streams\":1"), std::string::npos);
+  server.stop();
+}
+
 // Counts in a QUERY reply come off the wire: one that declares more
 // entries than the payload holds makes the reply malformed (nullopt), and
 // the decoder must not reserve memory for them first.

@@ -5,8 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -210,6 +213,25 @@ TEST(ParallelClaim, RunsEveryIndexExactlyOnce) {
     for (std::size_t i = 0; i < kTasks; ++i)
       EXPECT_EQ(runs[i].load(), 1) << "index " << i << ", " << workers;
   }
+}
+
+TEST(ParallelClaim, CallingThreadClaimsAShare) {
+  // Each task holds its worker until four distinct threads have checked in,
+  // so each of the four workers claims exactly one task. The caller must be
+  // one of them rather than idling in join().
+  constexpr std::size_t kWorkers = 4;
+  std::mutex mu;
+  std::condition_variable arrived;
+  std::set<std::thread::id> ids;
+  nyqmon::parallel_claim(kWorkers, kWorkers, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+    arrived.notify_all();
+    arrived.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return ids.size() == kWorkers; });
+  });
+  EXPECT_EQ(ids.size(), kWorkers);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(ParallelClaim, TaskExceptionReachesCallerAfterWorkersJoin) {
