@@ -8,8 +8,8 @@
 // bumps) plus one structured log record (obs/log.h is always armed) and
 // one TraceContext wire round-trip (append + strip, the per-hop cost of
 // distributed-tracing propagation); `timed_window<false>` elides all of it
-// behind `if constexpr` — the same compiled-to-no-op shape a
-// -DNYQMON_OBS_NOOP build produces, without needing a second build tree.
+// behind `if constexpr`, so the baseline is the same workload with no obs
+// site compiled in, and no second build tree is needed.
 // The workload itself is a real 1024-point windowed periodogram per event,
 // matching the work-per-instrumentation ratio of the engine's window loop
 // (an adaptive window costs tens of microseconds; its obs footprint is two

@@ -72,6 +72,9 @@ int serve_cold(const std::string& dir) {
   if (rec.crc_skipped_blocks > 0)
     std::printf(" [WARNING: %zu corrupt block(s) skipped, %zu chunk(s) lost]",
                 rec.crc_skipped_blocks, rec.chunks_missing);
+  if (rec.streams_refused > 0)
+    std::printf(" [WARNING: %zu stream(s) the store refuses dropped]",
+                rec.streams_refused);
   std::printf("\n\n");
   // Gate on the store, not rec.streams: a mid-run kill leaves a WAL-only
   // directory (no segments yet), whose streams exist purely via replay.

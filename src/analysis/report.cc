@@ -1,7 +1,5 @@
 #include "analysis/report.h"
 
-#include <sstream>
-
 #include "analysis/cdf.h"
 #include "util/ascii.h"
 
@@ -18,18 +16,6 @@ std::string render_box_table(const std::vector<BoxRow>& rows) {
                AsciiTable::format_double(r.summary.max)});
   }
   return table.render();
-}
-
-std::string render_cdf_rows(
-    const std::string& label,
-    const std::vector<std::pair<double, double>>& rows) {
-  std::ostringstream os;
-  os << label << '\n';
-  AsciiTable table({"x", "CDF(x)"});
-  for (const auto& [x, f] : rows)
-    table.row({AsciiTable::format_double(x), AsciiTable::format_double(f)});
-  os << table.render();
-  return os.str();
 }
 
 std::string render_quantile_table(const std::vector<QuantileRow>& rows) {

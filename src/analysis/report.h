@@ -1,6 +1,6 @@
-// Figure/table rendering helpers shared by the bench harnesses: box-plot
-// rows (Figure 5), CDF tables (Figure 4), and bar charts (Figure 1), each
-// printed as ASCII and exportable to CSV.
+// ASCII table renderers for the bench harnesses and the fleet report:
+// box-plot rows (Figure 5) and quantile rows, the compact form of the CDF
+// panels (Figure 4).
 #pragma once
 
 #include <span>
@@ -19,11 +19,6 @@ struct BoxRow {
 
 /// Render labelled five-number summaries as a table.
 std::string render_box_table(const std::vector<BoxRow>& rows);
-
-/// Render a labelled CDF as "x  F(x)" rows.
-std::string render_cdf_rows(
-    const std::string& label,
-    const std::vector<std::pair<double, double>>& rows);
 
 /// One labelled sample view for a quantile table (the samples must outlive
 /// the row; rendering copies nothing).

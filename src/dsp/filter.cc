@@ -1,6 +1,5 @@
 #include "dsp/filter.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -71,41 +70,6 @@ std::vector<double> filter_same(std::span<const double> x,
   const std::size_t delay = (h.size() - 1) / 2;
   return std::vector<double>(full.begin() + static_cast<std::ptrdiff_t>(delay),
                              full.begin() + static_cast<std::ptrdiff_t>(delay + x.size()));
-}
-
-std::vector<double> moving_average(std::span<const double> x,
-                                   std::size_t width) {
-  NYQMON_CHECK_MSG(width % 2 == 1, "moving_average needs odd width");
-  NYQMON_CHECK(!x.empty());
-  const std::size_t half = width / 2;
-  std::vector<double> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(x.size() - 1, i + half);
-    double sum = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) sum += x[j];
-    out[i] = sum / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
-std::vector<double> median_filter(std::span<const double> x,
-                                  std::size_t width) {
-  NYQMON_CHECK_MSG(width % 2 == 1, "median_filter needs odd width");
-  NYQMON_CHECK(!x.empty());
-  const std::size_t half = width / 2;
-  std::vector<double> out(x.size());
-  std::vector<double> buf;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(x.size() - 1, i + half);
-    buf.assign(x.begin() + static_cast<std::ptrdiff_t>(lo),
-               x.begin() + static_cast<std::ptrdiff_t>(hi + 1));
-    const auto mid = buf.begin() + static_cast<std::ptrdiff_t>(buf.size() / 2);
-    std::nth_element(buf.begin(), mid, buf.end());
-    out[i] = *mid;
-  }
-  return out;
 }
 
 }  // namespace nyqmon::dsp

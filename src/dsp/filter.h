@@ -1,12 +1,10 @@
 // Filtering primitives.
 //
 // The reconstruction path of the paper (Section 4.3) low-pass filters by
-// zeroing FFT bins above the Nyquist cutoff; the noise-robustness
-// discussion of Section 4.1 calls for standard small-amplitude noise
-// filters. Both families live here:
+// zeroing FFT bins above the Nyquist cutoff. Two low-pass families live
+// here:
 //   * ideal (spectral) low-pass — exact brick wall via FFT;
-//   * windowed-sinc FIR low-pass + direct convolution;
-//   * moving-average and median smoothers.
+//   * windowed-sinc FIR low-pass + direct convolution.
 #pragma once
 
 #include <span>
@@ -36,14 +34,5 @@ std::vector<double> convolve(std::span<const double> x,
 /// output aligns with x (length preserved). h.size() must be odd.
 std::vector<double> filter_same(std::span<const double> x,
                                 std::span<const double> h);
-
-/// Centered moving average of odd width (edges use shrinking windows).
-std::vector<double> moving_average(std::span<const double> x,
-                                   std::size_t width);
-
-/// Centered median filter of odd width (edges use shrinking windows);
-/// the classic small-amplitude impulse-noise remover.
-std::vector<double> median_filter(std::span<const double> x,
-                                  std::size_t width);
 
 }  // namespace nyqmon::dsp

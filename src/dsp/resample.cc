@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dsp/fft.h"
-#include "dsp/filter.h"
 #include "util/check.h"
 
 namespace nyqmon::dsp {
@@ -16,16 +15,6 @@ std::vector<double> decimate(std::span<const double> x, std::size_t factor) {
   out.reserve(x.size() / factor + 1);
   for (std::size_t i = 0; i < x.size(); i += factor) out.push_back(x[i]);
   return out;
-}
-
-std::vector<double> decimate_antialiased(std::span<const double> x,
-                                         double sample_rate_hz,
-                                         std::size_t factor) {
-  NYQMON_CHECK(factor >= 1);
-  if (factor == 1) return std::vector<double>(x.begin(), x.end());
-  const double new_nyquist = sample_rate_hz / (2.0 * static_cast<double>(factor));
-  const auto filtered = ideal_lowpass(x, sample_rate_hz, new_nyquist);
-  return decimate(filtered, factor);
 }
 
 std::vector<double> resample_fourier(std::span<const double> x,
@@ -54,13 +43,9 @@ std::vector<double> resample_fourier(std::span<const double> x,
   return out;
 }
 
-namespace {
-
-template <typename Pick>
-std::vector<double> interp_impl(std::span<const double> x,
-                                double sample_rate_hz,
-                                std::span<const double> query_times,
-                                Pick pick) {
+std::vector<double> interp_linear(std::span<const double> x,
+                                  double sample_rate_hz,
+                                  std::span<const double> query_times) {
   NYQMON_CHECK(!x.empty());
   NYQMON_CHECK(sample_rate_hz > 0.0);
   std::vector<double> out;
@@ -68,33 +53,13 @@ std::vector<double> interp_impl(std::span<const double> x,
   const double dt = 1.0 / sample_rate_hz;
   const double t_max = static_cast<double>(x.size() - 1) * dt;
   for (double t : query_times) {
-    const double tc = std::clamp(t, 0.0, t_max);
-    out.push_back(pick(tc / dt));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<double> interp_linear(std::span<const double> x,
-                                  double sample_rate_hz,
-                                  std::span<const double> query_times) {
-  return interp_impl(x, sample_rate_hz, query_times, [&](double idx) {
+    const double idx = std::clamp(t, 0.0, t_max) / dt;
     const std::size_t i0 = static_cast<std::size_t>(std::floor(idx));
     const std::size_t i1 = std::min(i0 + 1, x.size() - 1);
     const double frac = idx - std::floor(idx);
-    return x[i0] * (1.0 - frac) + x[i1] * frac;
-  });
-}
-
-std::vector<double> interp_nearest(std::span<const double> x,
-                                   double sample_rate_hz,
-                                   std::span<const double> query_times) {
-  return interp_impl(x, sample_rate_hz, query_times, [&](double idx) {
-    const std::size_t i = std::min(
-        static_cast<std::size_t>(std::llround(idx)), x.size() - 1);
-    return x[i];
-  });
+    out.push_back(x[i0] * (1.0 - frac) + x[i1] * frac);
+  }
+  return out;
 }
 
 }  // namespace nyqmon::dsp

@@ -16,12 +16,6 @@ namespace nyqmon::dsp {
 /// this deliberately mimics a poller that simply polls less often).
 std::vector<double> decimate(std::span<const double> x, std::size_t factor);
 
-/// Decimate with an anti-aliasing ideal low-pass at the new Nyquist
-/// frequency applied first.
-std::vector<double> decimate_antialiased(std::span<const double> x,
-                                         double sample_rate_hz,
-                                         std::size_t factor);
-
 /// Band-limited (sinc) resampling to exactly n_out samples spanning the same
 /// duration: FFT, zero-pad or truncate the spectrum, IFFT, rescale.
 /// Upsampling (n_out > x.size()) is exact for signals band-limited below the
@@ -35,10 +29,5 @@ std::vector<double> resample_fourier(std::span<const double> x,
 std::vector<double> interp_linear(std::span<const double> x,
                                   double sample_rate_hz,
                                   std::span<const double> query_times);
-
-/// Nearest-neighbour interpolation with the same conventions.
-std::vector<double> interp_nearest(std::span<const double> x,
-                                   double sample_rate_hz,
-                                   std::span<const double> query_times);
 
 }  // namespace nyqmon::dsp

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "dsp/kernels.h"
 #include "dsp/workspace.h"
 #include "util/check.h"
 
@@ -56,13 +55,6 @@ std::vector<double> make_window(WindowType type, std::size_t n,
     }
   }
   return w;
-}
-
-std::vector<double> apply_window(std::span<const double> x, WindowType type) {
-  const auto& w = this_thread_workspace().window(type, x.size());
-  std::vector<double> out(x.begin(), x.end());
-  mul_inplace(out.data(), w.data(), out.size());
-  return out;
 }
 
 double window_energy(WindowType type, std::size_t n) {

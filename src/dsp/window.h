@@ -5,7 +5,6 @@
 // The NyquistEstimator defaults to Hann.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -28,9 +27,6 @@ std::string window_name(WindowType type);
 /// exactly symmetric to preserve linear phase.
 std::vector<double> make_window(WindowType type, std::size_t n,
                                 bool symmetric = false);
-
-/// Multiply x element-wise by the window of the same length.
-std::vector<double> apply_window(std::span<const double> x, WindowType type);
 
 /// Sum of squared window coefficients; used to normalize PSD energy so that
 /// windowed and unwindowed analyses are comparable.

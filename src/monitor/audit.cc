@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "signal/preclean.h"
-#include "util/check.h"
 #include "util/parallel.h"
 
 namespace nyqmon::mon {
@@ -28,18 +27,6 @@ double AuditResult::fraction_undersampled() const {
   for (const auto& p : pairs)
     if (p.sampling_class == nyq::SamplingClass::kUndersampled) ++n;
   return static_cast<double>(n) / static_cast<double>(pairs.size());
-}
-
-double AuditResult::fraction_reducible_by(double x) const {
-  NYQMON_CHECK(x > 0.0);
-  std::size_t ok = 0;
-  std::size_t reducible = 0;
-  for (const auto& p : pairs) {
-    if (!p.reduction_ratio) continue;
-    ++ok;
-    if (*p.reduction_ratio >= x) ++reducible;
-  }
-  return ok == 0 ? 0.0 : static_cast<double>(reducible) / static_cast<double>(ok);
 }
 
 Cost AuditResult::current_cost(double duration_s, const CostModel& model) const {

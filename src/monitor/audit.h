@@ -82,8 +82,6 @@ struct AuditResult {
   std::size_t total_pairs() const { return pairs.size(); }
   double fraction_oversampled() const;
   double fraction_undersampled() const;
-  /// Fraction of Ok pairs whose reduction ratio is >= x.
-  double fraction_reducible_by(double x) const;
   /// Current vs Nyquist-rate storage bill across the fleet.
   Cost current_cost(double duration_s, const CostModel& model = {}) const;
   Cost nyquist_cost(double duration_s, const CostModel& model = {}) const;

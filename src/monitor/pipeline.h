@@ -100,10 +100,10 @@ class StreamingPairPipeline {
   std::size_t step_window();
 
   /// Every finalized reconstruction value so far, on the production grid
-  /// starting at grid_t0(). Grows at the tail only; a caller that ingested
-  /// the first k values need only append the rest.
+  /// (finish() reports its origin as `reconstruction.t0()`). Grows at the
+  /// tail only; a caller that ingested the first k values need only append
+  /// the rest.
   std::span<const double> reconstruction_so_far() const { return recon_; }
-  double grid_dt() const { return dt_; }
 
   /// The adaptive run so far (steps/collected grow per window).
   const nyq::AdaptiveRun& run_so_far() const { return stepper_.run_so_far(); }

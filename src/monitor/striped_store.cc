@@ -20,9 +20,6 @@ namespace {
 /// All three instruments register together on first use, so the exposition
 /// shows zeroed contention series even on an uncontended run.
 std::unique_lock<std::mutex> lock_stripe(std::mutex& mu) {
-#if defined(NYQMON_OBS_NOOP)
-  return std::unique_lock<std::mutex>(mu);
-#else
   static obs::Counter& acquisitions = obs::Registry::instance().counter(
       "nyqmon_store_lock_acquisitions_total");
   static obs::Counter& contended =
@@ -41,7 +38,6 @@ std::unique_lock<std::mutex> lock_stripe(std::mutex& mu) {
             .count()));
   }
   return lock;
-#endif
 }
 
 /// Merge `all`, a concatenation of name-sorted per-stripe runs ending at
@@ -75,6 +71,50 @@ StreamMeta make_meta(double rate_hz, double t0, std::size_t ingested,
   return m;
 }
 
+/// The collection rates a stream may have: one value per ~32 years to one
+/// per microsecond. At the low end, t0 + ingested / rate stays within
+/// 2e28 s of a finite t0 for any 64-bit count, so no time derived from it
+/// (hot_t0, a chunk's t0, t_end) overflows. At the high end, seal_chunk's
+/// chunk_samples * rate stays finite, and the 1e-9 s slack with which
+/// reads place values on the grid stays under a thousandth of a step.
+constexpr double kMinCollectionRateHz = 1e-9;
+constexpr double kMaxCollectionRateHz = 1e6;
+
+/// Why a stream on the collection grid (`rate_hz`, `t0`) cannot be held,
+/// or nullptr. Creation and restore both ask, so the store never holds a
+/// stream that a restore of its own checkpoint would refuse.
+const char* bad_grid(double rate_hz, double t0) {
+  if (!(rate_hz >= kMinCollectionRateHz && rate_hz <= kMaxCollectionRateHz))
+    return "needs a positive rate from 1e-9 to 1e6 Hz";
+  if (!std::isfinite(t0)) return "needs a finite t0";
+  return nullptr;
+}
+
+/// Why `snap` cannot be a stream of a store that seals every
+/// `chunk_samples` values, or nullptr. seal_chunk() writes chunk_samples
+/// values on the raw grid, or fewer re-sampled ones spanning the same
+/// points, and leaves the hot tail shorter than a chunk. Reads re-sample a
+/// chunk onto every grid point it spans, so a chunk spanning more would
+/// make each query of its stream pay for that span.
+const char* unsealable(const StreamSnapshot& snap, std::size_t chunk_samples) {
+  if (const char* why = bad_grid(snap.collection_rate_hz, snap.t0))
+    return why;
+  if (!std::isfinite(snap.hot_t0)) return "needs a finite hot_t0";
+  if (snap.hot.size() >= chunk_samples)
+    return "needs a hot tail shorter than chunk_samples";
+  for (const SealedChunk& c : snap.chunks) {
+    if (!std::isfinite(c.t0) || !std::isfinite(c.dt) || c.dt <= 0.0)
+      return "needs chunks with a finite t0 and a finite dt > 0";
+    if (c.values.empty() || c.values.size() > chunk_samples)
+      return "needs chunks of 1 to chunk_samples values";
+    if (std::round(static_cast<double>(c.values.size()) * c.dt *
+                   snap.collection_rate_hz) >
+        static_cast<double>(chunk_samples))
+      return "needs chunks spanning at most chunk_samples grid points";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 StripedRetentionStore::StripedRetentionStore(StoreConfig config,
@@ -98,8 +138,9 @@ std::size_t StripedRetentionStore::stripe_index(
 StripedRetentionStore::StreamMap::iterator
 StripedRetentionStore::create_locked(Stripe& stripe, const std::string& name,
                                      double collection_rate_hz, double t0) {
-  NYQMON_CHECK_MSG(collection_rate_hz > 0.0,
-                   "stream creation needs a positive rate: " + name);
+  const char* why = bad_grid(collection_rate_hz, t0);
+  NYQMON_CHECK_MSG(why == nullptr,
+                   "stream creation refused, stream " + name + ": " + why);
   NYQMON_CHECK_MSG(stripe.streams.find(name) == stripe.streams.end(),
                    "stream already exists: " + name);
   if (stripe.sink != nullptr)
@@ -323,9 +364,11 @@ std::vector<std::string> StripedRetentionStore::restore_streams(
   // no other path holds two stripe locks at once.
   std::vector<bool> owns(stripes_.size(), false);
   for (const auto& [name, snap] : snapshots) {
-    NYQMON_CHECK(snap.collection_rate_hz > 0.0);
     NYQMON_CHECK_MSG(snap.chunks_before == 0,
                      "restore needs a full snapshot: " + name);
+    const char* why = unsealable(snap, config_.chunk_samples);
+    NYQMON_CHECK_MSG(why == nullptr,
+                     "restore refused, stream " + name + ": " + why);
     owns[stripe_index(name)] = true;
   }
   std::vector<std::unique_lock<std::mutex>> locks;

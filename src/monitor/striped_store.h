@@ -32,8 +32,11 @@ class StripedRetentionStore {
   explicit StripedRetentionStore(StoreConfig config = {},
                                  std::size_t stripes = 16);
 
-  /// Create a stream ingesting at `collection_rate_hz` (> 0) starting at
-  /// t0. Stream names must be unique.
+  /// Create a stream ingesting at `collection_rate_hz` starting at t0.
+  /// Stream names must be unique. A rate outside [1e-9, 1e6] Hz (NaN
+  /// included) or a t0 that is not finite throws std::invalid_argument and
+  /// creates nothing: restore_streams refuses the same grids, so every
+  /// stream the store holds survives its own checkpoint.
   void create_stream(const std::string& name, double collection_rate_hz,
                      double t0 = 0.0);
 
@@ -45,7 +48,7 @@ class StripedRetentionStore {
   /// t0) when it does not exist yet, all under one stripe lock — so two
   /// concurrent first writers of a stream never both try to create it.
   /// Returns the stream's ingested sample count after the append. A new
-  /// stream with collection_rate_hz <= 0 throws and creates nothing.
+  /// stream on a grid create_stream refuses throws and creates nothing.
   std::size_t create_or_append(const std::string& name,
                                double collection_rate_hz, double t0,
                                std::span<const double> values);
@@ -83,6 +86,13 @@ class StripedRetentionStore {
   /// none: every owning stripe is locked, in ascending index order, for
   /// the whole call. When any of the names already exists, nothing is
   /// restored and those names are returned; otherwise the result is empty.
+  /// Before any lock is taken, throws std::invalid_argument naming the
+  /// stream, and restores nothing, when a snapshot holds what this store's
+  /// seal_chunk could never have written: a grid create_stream refuses, a
+  /// non-finite hot_t0, a hot tail of chunk_samples values or more, or a
+  /// chunk with a non-finite t0 or dt, a dt <= 0, no values, more than
+  /// chunk_samples values, or a span of more than chunk_samples
+  /// collection-grid points.
   /// Queries against a restored stream are bit-identical to the store the
   /// snapshot was taken from, and its generation counter continues
   /// monotonically. The storage tier's recover and nyqmond's HANDOFF

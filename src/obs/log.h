@@ -18,8 +18,7 @@
 // you needed logs for. drain() is consuming and atomic, exactly like the
 // tracer's; the LOGS(8) wire verb serves export_text().
 //
-// Call sites use the NYQMON_LOG_{INFO,WARN,ERROR} macros, compiled out
-// under -DNYQMON_OBS_NOOP with the rest of the obs layer.
+// Call sites use the NYQMON_LOG_{INFO,WARN,ERROR} macros.
 #pragma once
 
 #include <atomic>
@@ -88,11 +87,6 @@ class LogRecorder {
 
 }  // namespace nyqmon::obs
 
-#if defined(NYQMON_OBS_NOOP)
-#define NYQMON_LOG_INFO(event, detail)
-#define NYQMON_LOG_WARN(event, detail)
-#define NYQMON_LOG_ERROR(event, detail)
-#else
 #define NYQMON_LOG_INFO(event, detail)                 \
   ::nyqmon::obs::LogRecorder::instance().log(          \
       ::nyqmon::obs::LogLevel::kInfo, event, (detail))
@@ -102,4 +96,3 @@ class LogRecorder {
 #define NYQMON_LOG_ERROR(event, detail)                \
   ::nyqmon::obs::LogRecorder::instance().log(          \
       ::nyqmon::obs::LogLevel::kError, event, (detail))
-#endif

@@ -30,10 +30,10 @@
 // benches that need a clean slate and must only run while writers are
 // quiesced.
 //
-// Compile-time kill switch: building with -DNYQMON_OBS_NOOP turns the
-// NYQMON_OBS_* macros below into no-ops (the types stay available).
-// bench/obs_overhead.cc holds the instrumented build to <3% overhead
-// against that baseline.
+// The layer is always compiled in. bench/obs_overhead.cc holds it to <3%
+// overhead: one binary alternates windows that record what a pipeline
+// window records with the same windows whose obs sites `if constexpr`
+// elides.
 #pragma once
 
 #include <array>
@@ -222,28 +222,12 @@ class Registry {
 // --------------------------------------------------------------- macros ----
 // The instrumentation idiom: each macro caches the Registry reference in a
 // function-local static, so steady state is the primitive's few relaxed
-// atomics. NYQMON_OBS_NOOP compiles every site away (bench/obs_overhead.cc
-// measures the difference).
+// atomics.
 
 #ifndef NYQMON_OBS_CAT
 #define NYQMON_OBS_CAT2(a, b) a##b
 #define NYQMON_OBS_CAT(a, b) NYQMON_OBS_CAT2(a, b)
 #endif
-
-#if defined(NYQMON_OBS_NOOP)
-
-#define NYQMON_OBS_COUNT(name, n) \
-  do {                            \
-  } while (0)
-#define NYQMON_OBS_GAUGE_SET(name, v) \
-  do {                                \
-  } while (0)
-#define NYQMON_OBS_RECORD(name, v) \
-  do {                             \
-  } while (0)
-#define NYQMON_OBS_TIMER(name)
-
-#else
 
 /// Add `n` to the counter `name`.
 #define NYQMON_OBS_COUNT(name, n)                              \
@@ -276,5 +260,3 @@ class Registry {
       ::nyqmon::obs::Registry::instance().histogram(name);                 \
   ::nyqmon::obs::ScopedTimer NYQMON_OBS_CAT(nyqmon_obs_timer_, __LINE__)(  \
       NYQMON_OBS_CAT(nyqmon_obs_th_, __LINE__))
-
-#endif  // NYQMON_OBS_NOOP

@@ -226,13 +226,9 @@ class ScopedThreadTraceContext {
 #define NYQMON_OBS_CAT(a, b) NYQMON_OBS_CAT2(a, b)
 #endif
 
-#if defined(NYQMON_OBS_NOOP)
-#define NYQMON_TRACE_SPAN(name, category)
-#else
 /// Trace the rest of the enclosing scope as one complete event.
 #define NYQMON_TRACE_SPAN(name, category)                      \
   ::nyqmon::obs::ScopedSpan NYQMON_OBS_CAT(nyqmon_obs_span_,   \
                                            __LINE__) {         \
     name, category                                             \
   }
-#endif

@@ -57,8 +57,6 @@ class ShardedResultCache {
   /// Aggregate counters across shards.
   CacheStats stats() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
-
  private:
   struct Entry {
     std::string key;

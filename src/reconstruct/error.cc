@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "dsp/psd.h"
 #include "util/check.h"
 
 namespace nyqmon::rec {
@@ -40,21 +39,6 @@ double max_abs_error(std::span<const double> a, std::span<const double> b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     m = std::max(m, std::abs(a[i] - b[i]));
   return m;
-}
-
-double psd_distortion(std::span<const double> a, std::span<const double> b,
-                      double sample_rate_hz) {
-  NYQMON_CHECK(a.size() == b.size());
-  const dsp::Psd pa = dsp::periodogram(a, sample_rate_hz);
-  const dsp::Psd pb = dsp::periodogram(b, sample_rate_hz);
-  const double ea = pa.total_energy();
-  const double eb = pb.total_energy();
-  if (ea == 0.0 && eb == 0.0) return 0.0;
-  if (ea == 0.0 || eb == 0.0) return 2.0;
-  double tv = 0.0;
-  for (std::size_t k = 0; k < pa.bins(); ++k)
-    tv += std::abs(pa.power[k] / ea - pb.power[k] / eb);
-  return tv;
 }
 
 }  // namespace nyqmon::rec

@@ -1,10 +1,7 @@
 // Reconstruction-quality metrics: how far a reconstructed trace is from the
 // original. Figure 6 reports the L2 distance; the benches additionally use
 // normalized RMSE so errors are comparable across metrics with different
-// value ranges, and a PSD distortion measure that captures the spectral
-// information loss aliasing causes (Section 2's "the extent of the
-// information loss depends on the difference between the PSD of the aliased
-// signal and that of the original").
+// value ranges.
 #pragma once
 
 #include <span>
@@ -23,10 +20,5 @@ double nrmse(std::span<const double> a, std::span<const double> b);
 
 /// Largest absolute pointwise difference.
 double max_abs_error(std::span<const double> a, std::span<const double> b);
-
-/// Total-variation distance between the normalized one-sided PSDs of two
-/// equal-rate sequences (in [0, 2]); the spectral information-loss measure.
-double psd_distortion(std::span<const double> a, std::span<const double> b,
-                      double sample_rate_hz);
 
 }  // namespace nyqmon::rec

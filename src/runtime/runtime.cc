@@ -181,7 +181,7 @@ std::size_t StreamingRuntime::poll() {
     // Scheduler slip: how far past its deadline (in clock-domain seconds —
     // virtual when driven by a VirtualClock) a pair is picked up. A wall
     // clock that can't keep up shows here before quality degrades.
-    [[maybe_unused]] const double slip_s = now - deadlines_.top().first;
+    const double slip_s = now - deadlines_.top().first;
     NYQMON_OBS_RECORD("nyqmon_runtime_deadline_slip_ns",
                       slip_s > 0.0 ? slip_s * 1e9 : 0.0);
     due.push_back(deadlines_.top().second);

@@ -40,7 +40,7 @@ void set_nonblocking(int fd) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
 }
 
-[[maybe_unused]] const char* verb_name(Verb verb) {
+const char* verb_name(Verb verb) {
   switch (verb) {
     case Verb::kIngest: return "INGEST";
     case Verb::kQuery: return "QUERY";
@@ -54,7 +54,6 @@ void set_nonblocking(int fd) {
   return "UNKNOWN";
 }
 
-#if !defined(NYQMON_OBS_NOOP)
 /// Per-verb request latency, dispatch-to-reply-queued. Registered eagerly
 /// per verb so every series is present in the exposition from the first
 /// frame of any kind.
@@ -87,7 +86,6 @@ obs::Histogram* verb_latency_histogram(Verb verb) {
   }
   return nullptr;  // unknown verbs answer ERR untimed
 }
-#endif  // NYQMON_OBS_NOOP
 
 }  // namespace
 
@@ -105,12 +103,10 @@ NyqmondServer::~NyqmondServer() { stop(); }
 void NyqmondServer::start() {
   NYQMON_CHECK_MSG(!running_.load(), "server already started");
 
-#if !defined(NYQMON_OBS_NOOP)
   // Touch the per-verb histograms now: the dispatch path only registers
   // them after a frame completes, which would leave the very first
   // METRICS exposition without the per-verb series.
   verb_latency_histogram(Verb::kMetrics);
-#endif
 
   // Everything before the loop thread spawns can throw; close whatever was
   // opened so a failed (or retried) start never leaks descriptors.
@@ -274,7 +270,7 @@ sto::FlushStats NyqmondServer::run_quiesced(
     const std::function<sto::FlushStats()>& fn) {
   // Must run on a reactor thread: the barrier below waits for every
   // *other* reactor to park, counting this thread as already parked.
-  [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(quiesce_mu_);
   while (quiesce_requested_) {
     // Another reactor is already quiescing: park like any reactor so its
@@ -369,19 +365,15 @@ void NyqmondServer::reactor_loop(Reactor& reactor) {
     // serve. Each reactor publishes its share, then one thread sums.
     reactor.reply_backlog.store(reply_backlog, std::memory_order_relaxed);
     reactor.reply_frames.store(reply_frames, std::memory_order_relaxed);
-#if !defined(NYQMON_OBS_NOOP)
-    {
-      std::size_t total_backlog = 0;
-      std::size_t total_frames = 0;
-      for (const auto& r : reactors_) {
-        total_backlog += r->reply_backlog.load(std::memory_order_relaxed);
-        total_frames += r->reply_frames.load(std::memory_order_relaxed);
-      }
-      NYQMON_OBS_GAUGE_SET("nyqmon_server_reply_queue_bytes", total_backlog);
-      NYQMON_OBS_GAUGE_SET("nyqmon_server_reply_queue_frames_depth",
-                           total_frames);
+    std::size_t total_backlog = 0;
+    std::size_t total_frames = 0;
+    for (const auto& r : reactors_) {
+      total_backlog += r->reply_backlog.load(std::memory_order_relaxed);
+      total_frames += r->reply_frames.load(std::memory_order_relaxed);
     }
-#endif
+    NYQMON_OBS_GAUGE_SET("nyqmon_server_reply_queue_bytes", total_backlog);
+    NYQMON_OBS_GAUGE_SET("nyqmon_server_reply_queue_frames_depth",
+                         total_frames);
 
     // A stalled connection makes no socket events until the client drains,
     // so its drop deadline must be enforced on a timeout tick.
@@ -608,7 +600,7 @@ void NyqmondServer::dispatch(Connection& conn,
   sto::ByteReader reader(body);
   const auto verb = static_cast<Verb>(reader.get_u8());
   NYQMON_TRACE_SPAN(verb_name(verb), "server");
-  [[maybe_unused]] const auto t_dispatch = std::chrono::steady_clock::now();
+  const auto t_dispatch = std::chrono::steady_clock::now();
 
   std::vector<std::uint8_t> reply;
   bool intercepted = false;
@@ -669,13 +661,11 @@ void NyqmondServer::dispatch(Connection& conn,
                          " what=" + e.what());
     reply = error_frame(e.what());
   }
-#if !defined(NYQMON_OBS_NOOP)
   if (obs::Histogram* h = verb_latency_histogram(verb))
     h->record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t_dispatch)
             .count()));
-#endif
   conn.out.insert(conn.out.end(), reply.begin(), reply.end());
   ++conn.out_frames;
 }
@@ -685,8 +675,9 @@ std::vector<std::uint8_t> NyqmondServer::handle_ingest(
   const auto req = decode_ingest(reader);
   if (!req.has_value()) return error_frame("malformed INGEST payload");
   // One stripe-locked step: connections on different reactors may race to
-  // create the same new stream. A new stream with rate_hz <= 0 throws
-  // (ERR via dispatch) and creates nothing.
+  // create the same new stream. A new stream whose rate lies outside
+  // [1e-9, 1e6] Hz, or whose t0 is not finite, throws (ERR via dispatch)
+  // and creates nothing.
   const std::size_t total = store_.create_or_append(
       req->stream, req->rate_hz, req->t0, req->values);
   samples_ingested_.fetch_add(req->values.size());

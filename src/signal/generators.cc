@@ -36,12 +36,6 @@ std::vector<double> make_tones(double fs_hz, std::size_t n,
   return x;
 }
 
-std::vector<double> make_white_noise(std::size_t n, double stddev, Rng& rng) {
-  std::vector<double> x(n);
-  for (auto& v : x) v = rng.normal(0.0, stddev);
-  return x;
-}
-
 std::shared_ptr<SumOfSines> make_bandlimited_process(double bandwidth_hz,
                                                      double rms,
                                                      std::size_t n_tones,

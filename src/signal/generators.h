@@ -21,9 +21,6 @@ std::vector<double> make_sine(double fs_hz, std::size_t n, double freq_hz,
 std::vector<double> make_tones(double fs_hz, std::size_t n,
                                const std::vector<Tone>& tones);
 
-/// Zero-mean white Gaussian noise.
-std::vector<double> make_white_noise(std::size_t n, double stddev, Rng& rng);
-
 /// Amplitude shaping of the random band-limited process.
 enum class SpectralShape {
   kRed,   ///< amplitudes ~ 1/sqrt(f): utilization/temperature-like spectra

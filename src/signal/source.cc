@@ -144,24 +144,17 @@ PiecewiseSignal::PiecewiseSignal(
   for (const auto& s : segments_) NYQMON_CHECK(s != nullptr);
 }
 
-std::size_t PiecewiseSignal::segment_index(double t) const {
+double PiecewiseSignal::value(double t) const {
   const auto it =
       std::upper_bound(switch_times_.begin(), switch_times_.end(), t);
-  return static_cast<std::size_t>(it - switch_times_.begin());
-}
-
-double PiecewiseSignal::value(double t) const {
-  return segments_[segment_index(t)]->value(t);
+  return segments_[static_cast<std::size_t>(it - switch_times_.begin())]
+      ->value(t);
 }
 
 double PiecewiseSignal::bandwidth_hz() const {
   double b = 0.0;
   for (const auto& s : segments_) b = std::max(b, s->bandwidth_hz());
   return b;
-}
-
-double PiecewiseSignal::bandwidth_at(double t) const {
-  return segments_[segment_index(t)]->bandwidth_hz();
 }
 
 }  // namespace nyqmon::sig

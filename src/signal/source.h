@@ -140,11 +140,8 @@ class PiecewiseSignal final : public ContinuousSignal {
   double value(double t) const override;
   /// Overall band limit (max over segments).
   double bandwidth_hz() const override;
-  /// Band limit of the segment active at time t.
-  double bandwidth_at(double t) const;
 
  private:
-  std::size_t segment_index(double t) const;
   std::vector<std::shared_ptr<const ContinuousSignal>> segments_;
   std::vector<double> switch_times_;
 };

@@ -24,16 +24,6 @@ double variance(std::span<const double> x) {
 
 double stddev(std::span<const double> x) { return std::sqrt(variance(x)); }
 
-double min_value(std::span<const double> x) {
-  NYQMON_CHECK(!x.empty());
-  return *std::min_element(x.begin(), x.end());
-}
-
-double max_value(std::span<const double> x) {
-  NYQMON_CHECK(!x.empty());
-  return *std::max_element(x.begin(), x.end());
-}
-
 double quantile(std::span<const double> x, double q) {
   NYQMON_CHECK(!x.empty());
   NYQMON_CHECK(q >= 0.0 && q <= 1.0);

@@ -10,8 +10,6 @@ namespace nyqmon::sig {
 double mean(std::span<const double> x);
 double variance(std::span<const double> x);   ///< population variance
 double stddev(std::span<const double> x);
-double min_value(std::span<const double> x);
-double max_value(std::span<const double> x);
 
 /// Linear-interpolated quantile, q in [0, 1]. q=0.5 is the median.
 double quantile(std::span<const double> x, double q);

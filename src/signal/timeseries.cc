@@ -1,7 +1,6 @@
 #include "signal/timeseries.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -49,11 +48,6 @@ double TimeSeries::median_interval() const {
   return *mid;
 }
 
-double TimeSeries::mean_interval() const {
-  NYQMON_CHECK(size() >= 2);
-  return duration() / static_cast<double>(size() - 1);
-}
-
 std::vector<double> TimeSeries::values() const {
   std::vector<double> out;
   out.reserve(size());
@@ -84,14 +78,6 @@ RegularSeries RegularSeries::slice(std::size_t first, std::size_t count) const {
       time_at(first), dt_,
       std::vector<double>(values_.begin() + static_cast<std::ptrdiff_t>(first),
                           values_.begin() + static_cast<std::ptrdiff_t>(first + count)));
-}
-
-TimeSeries RegularSeries::to_timeseries() const {
-  std::vector<Sample> samples;
-  samples.reserve(values_.size());
-  for (std::size_t i = 0; i < values_.size(); ++i)
-    samples.push_back({time_at(i), values_[i]});
-  return TimeSeries(std::move(samples));
 }
 
 }  // namespace nyqmon::sig

@@ -42,9 +42,6 @@ class TimeSeries {
   /// intended polling interval of a jittery trace. Requires size() >= 2.
   double median_interval() const;
 
-  /// Mean spacing between consecutive samples. Requires size() >= 2.
-  double mean_interval() const;
-
   std::vector<double> values() const;
   std::vector<double> times() const;
 
@@ -73,9 +70,6 @@ class RegularSeries {
 
   /// Sub-range [first, first+count) as a RegularSeries on the same grid.
   RegularSeries slice(std::size_t first, std::size_t count) const;
-
-  /// Convert to an irregular series (exact grid timestamps).
-  TimeSeries to_timeseries() const;
 
  private:
   double t0_ = 0.0;

@@ -292,7 +292,6 @@ FlushStats StorageManager::flush(const mon::StripedRetentionStore& store) {
   for (const auto& [name, count] : new_counts) flushed_chunks_[name] = count;
   segment_bytes_ += writer.bytes().size();
   ++counters_.flushes;
-  counters_.bytes_raw_flushed += sizeof(double) * writer.stats().samples;
 
   out.streams = writer.stats().streams;
   out.chunks = writer.stats().chunks;
@@ -355,15 +354,28 @@ RecoveryStats StorageManager::recover(mon::StripedRetentionStore& store) {
   }
   out.stale_streams = stale.size();
 
-  out.streams = streams.size();
-  for (const auto& [name, snap] : streams) {
-    if (snap.chunks.size() < snap.stats.chunks)
-      out.chunks_missing += snap.stats.chunks - snap.chunks.size();
-    out.chunks += snap.chunks.size();
-    flushed_chunks_[name] = snap.chunks.size();
+  // One stream at a time: the store was checked empty above, so no name
+  // can collide, and a stream the store refuses (one its seal_chunk could
+  // not have written: crafted bytes, or an earlier build's files) is
+  // dropped and counted, like a corrupt block, instead of failing the
+  // whole directory. WAL appends to it are dropped below.
+  for (auto& [name, snap] : streams) {
+    const std::size_t chunks = snap.chunks.size();
+    const std::size_t missing =
+        snap.stats.chunks > chunks ? snap.stats.chunks - chunks : 0;
+    std::map<std::string, mon::StreamSnapshot> one;
+    one.emplace(name, std::move(snap));
+    try {
+      NYQMON_ENSURE(store.restore_streams(std::move(one)).empty());
+    } catch (const std::invalid_argument&) {
+      ++out.streams_refused;
+      continue;
+    }
+    ++out.streams;
+    out.chunks += chunks;
+    out.chunks_missing += missing;
+    flushed_chunks_[name] = chunks;
   }
-  // The store was checked empty above, so no restored name can collide.
-  NYQMON_ENSURE(store.restore_streams(std::move(streams)).empty());
 
   // WAL replay through the normal ingest path: re-sealing is deterministic,
   // so the store converges to exactly the pre-crash state (minus any torn
@@ -371,8 +383,12 @@ RecoveryStats StorageManager::recover(mon::StripedRetentionStore& store) {
   const WalReplayStats wal_stats = WriteAheadLog::replay(
       path_of(manifest_.wal), [&](const WalRecord& rec) {
         if (rec.type == WalRecord::Type::kCreate) {
-          if (!store.find_meta(rec.stream))
+          if (store.find_meta(rec.stream)) return;
+          try {
             store.create_stream(rec.stream, rec.collection_rate_hz, rec.t0);
+          } catch (const std::invalid_argument&) {
+            ++out.streams_refused;  // a grid the store does not take
+          }
         } else if (stale.count(rec.stream) != 0 ||
                    !store.find_meta(rec.stream)) {
           // Appends to stale or lost streams are dropped (counted), never

@@ -105,7 +105,12 @@ struct RecoveryStats {
   /// (bad magic, I/O error). Recovery degrades past them — streams whose
   /// newest state lived there surface via stale_streams/chunks_missing.
   std::size_t segments_unreadable = 0;
-  std::size_t streams = 0;
+  std::size_t streams = 0;  ///< streams restored from segments
+  /// Streams the store refused and recovery dropped: a segment stream its
+  /// seal_chunk could not have written, or a WAL create on a grid
+  /// create_stream refuses (crafted bytes, or an earlier build's files).
+  /// Their WAL appends count in wal_records_dropped.
+  std::size_t streams_refused = 0;
   std::size_t chunks = 0;
   /// Corrupt segment blocks skipped (the counted warning).
   std::size_t crc_skipped_blocks = 0;
@@ -133,17 +138,8 @@ struct StorageStats {
   std::uint64_t wal_syncs = 0;
   std::uint64_t flushes = 0;
   std::uint64_t compactions = 0;
-  /// Raw bytes (8 × samples) represented by everything flushed so far vs
-  /// the segment bytes holding them — the durable tier's compression view.
-  std::uint64_t bytes_raw_flushed = 0;
   std::uint64_t crc_skipped_blocks = 0;     ///< seen by recover()/compact()
   std::uint64_t wal_records_truncated = 0;  ///< seen by recover()
-
-  double disk_compression_ratio() const {
-    return segment_bytes == 0 ? 1.0
-                              : static_cast<double>(bytes_raw_flushed) /
-                                    static_cast<double>(segment_bytes);
-  }
 };
 
 class StorageManager final : public mon::IngestSink {

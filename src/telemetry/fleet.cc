@@ -92,11 +92,4 @@ Fleet::Fleet(Topology topology, std::vector<FleetPair> pairs)
   }
 }
 
-std::vector<const FleetPair*> Fleet::pairs_of(MetricKind kind) const {
-  std::vector<const FleetPair*> out;
-  for (const auto& p : pairs_)
-    if (p.metric.kind == kind) out.push_back(&p);
-  return out;
-}
-
 }  // namespace nyqmon::tel

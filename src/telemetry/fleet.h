@@ -63,9 +63,6 @@ class Fleet {
   std::size_t size() const { return pairs_.size(); }
   const Topology& topology() const { return topology_; }
 
-  /// All pairs carrying a given metric.
-  std::vector<const FleetPair*> pairs_of(MetricKind kind) const;
-
   /// Metrics a device of this tier plausibly exports.
   static std::vector<MetricKind> metrics_for(DeviceKind kind);
 

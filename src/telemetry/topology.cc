@@ -56,11 +56,4 @@ Topology::Topology(const TopologyConfig& config) : config_(config) {
   }
 }
 
-std::vector<Device> Topology::devices_of_kind(DeviceKind kind) const {
-  std::vector<Device> out;
-  for (const auto& d : devices_)
-    if (d.kind == kind) out.push_back(d);
-  return out;
-}
-
 }  // namespace nyqmon::tel

@@ -47,7 +47,6 @@ class Topology {
   explicit Topology(const TopologyConfig& config);
 
   const std::vector<Device>& devices() const { return devices_; }
-  std::vector<Device> devices_of_kind(DeviceKind kind) const;
   std::size_t size() const { return devices_.size(); }
   const TopologyConfig& config() const { return config_; }
 

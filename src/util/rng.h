@@ -61,13 +61,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  std::size_t poisson(double mean) {
-    NYQMON_CHECK(mean >= 0.0);
-    if (mean == 0.0) return 0;
-    return static_cast<std::size_t>(
-        std::poisson_distribution<long>(mean)(engine_));
-  }
-
   /// Pick a uniformly random element index from a container of size n.
   std::size_t index(std::size_t n) {
     NYQMON_CHECK(n > 0);

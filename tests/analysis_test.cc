@@ -1,5 +1,5 @@
 // Analysis helpers: empirical CDFs (Figure 4 machinery) and the box-plot /
-// table renderers (Figures 1 and 5).
+// table renderers (Figure 5).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@ namespace {
 using nyqmon::ana::BoxRow;
 using nyqmon::ana::Cdf;
 using nyqmon::ana::render_box_table;
-using nyqmon::ana::render_cdf_rows;
 
 TEST(Cdf, FractionAtBasics) {
   const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
@@ -87,12 +86,6 @@ TEST(Report, BoxTableContainsLabelsAndNumbers) {
   EXPECT_NE(text.find("Temperature"), std::string::npos);
   EXPECT_NE(text.find("min"), std::string::npos);
   EXPECT_NE(text.find("3"), std::string::npos);
-}
-
-TEST(Report, CdfRowsRendered) {
-  const auto text = render_cdf_rows("Link util", {{1.0, 0.2}, {10.0, 0.9}});
-  EXPECT_NE(text.find("Link util"), std::string::npos);
-  EXPECT_NE(text.find("0.9"), std::string::npos);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Filters: ideal (spectral) low-pass, windowed-sinc FIR design, convolution,
-// moving-average and median smoothing, detrending and Goertzel.
+// detrending and Goertzel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,8 +20,6 @@ using nyqmon::dsp::filter_same;
 using nyqmon::dsp::fit_line;
 using nyqmon::dsp::goertzel_power;
 using nyqmon::dsp::ideal_lowpass;
-using nyqmon::dsp::median_filter;
-using nyqmon::dsp::moving_average;
 using nyqmon::dsp::remove_linear_trend;
 using nyqmon::dsp::remove_mean;
 using nyqmon::sig::make_sine;
@@ -122,47 +120,6 @@ TEST(FilterSame, PreservesLengthAndAlignment) {
   ASSERT_EQ(y.size(), x.size());
   // In-band tone passes with ~unit gain and no phase shift in the middle.
   for (std::size_t i = 100; i < 400; ++i) EXPECT_NEAR(y[i], x[i], 0.01);
-}
-
-TEST(MovingAverage, FlattensConstant) {
-  std::vector<double> x(20, 7.0);
-  for (double v : moving_average(x, 5)) EXPECT_DOUBLE_EQ(v, 7.0);
-}
-
-TEST(MovingAverage, WidthOneIsIdentity) {
-  const std::vector<double> x{1.0, -2.0, 3.0};
-  EXPECT_EQ(moving_average(x, 1), x);
-}
-
-TEST(MovingAverage, CentredOnRamp) {
-  // On a linear ramp the centred mean equals the sample (away from edges).
-  std::vector<double> x(30);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i);
-  const auto y = moving_average(x, 7);
-  for (std::size_t i = 3; i + 3 < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-12);
-}
-
-TEST(MedianFilter, RemovesImpulses) {
-  std::vector<double> x(50, 1.0);
-  x[10] = 100.0;  // impulse
-  x[30] = -50.0;
-  const auto y = median_filter(x, 5);
-  for (double v : y) EXPECT_DOUBLE_EQ(v, 1.0);
-}
-
-TEST(MedianFilter, PreservesStepEdge) {
-  std::vector<double> x(40, 0.0);
-  for (std::size_t i = 20; i < 40; ++i) x[i] = 10.0;
-  const auto y = median_filter(x, 5);
-  EXPECT_DOUBLE_EQ(y[10], 0.0);
-  EXPECT_DOUBLE_EQ(y[30], 10.0);
-  EXPECT_DOUBLE_EQ(y[19], 0.0);
-  EXPECT_DOUBLE_EQ(y[20], 10.0);
-}
-
-TEST(MedianFilter, EvenWidthThrows) {
-  const std::vector<double> x{1.0, 2.0};
-  EXPECT_THROW((void)median_filter(x, 4), std::invalid_argument);
 }
 
 TEST(Detrend, RemoveMeanZeroes) {

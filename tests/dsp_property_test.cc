@@ -13,6 +13,7 @@
 #include "dsp/quantize.h"
 #include "dsp/resample.h"
 #include "dsp/window.h"
+#include "dsp/workspace.h"
 #include "signal/generators.h"
 #include "util/rng.h"
 
@@ -42,14 +43,11 @@ TEST_P(WindowSweep, EnergyPositiveAndAtMostN) {
   }
 }
 
-TEST_P(WindowSweep, ApplyWindowScalesSamples) {
-  Rng rng(1);
-  std::vector<double> x(64);
-  for (auto& v : x) v = rng.normal(0.0, 1.0);
-  const auto w = make_window(GetParam(), x.size());
-  const auto y = apply_window(x, GetParam());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_DOUBLE_EQ(y[i], x[i] * w[i]);
+// The periodogram multiplies each block by the thread's cached window; the
+// cache must hand out make_window's coefficients exactly.
+TEST_P(WindowSweep, WorkspaceWindowCacheMatchesMakeWindow) {
+  const auto& cached = this_thread_workspace().window(GetParam(), 64);
+  EXPECT_EQ(cached, make_window(GetParam(), 64)) << window_name(GetParam());
 }
 
 TEST_P(WindowSweep, PeriodogramTotalEnergyWithinWindowTolerance) {

@@ -1,5 +1,5 @@
-// Rate conversion: decimation, Fourier (band-limited) resampling, and the
-// interpolators. The key property is the paper's reconstruction guarantee:
+// Rate conversion: decimation, Fourier (band-limited) resampling, and linear
+// interpolation. The key property is the paper's reconstruction guarantee:
 // a signal sampled above its Nyquist rate survives downsample -> Fourier
 // upsample exactly.
 #include <gtest/gtest.h>
@@ -15,9 +15,7 @@ namespace {
 
 using nyqmon::Rng;
 using nyqmon::dsp::decimate;
-using nyqmon::dsp::decimate_antialiased;
 using nyqmon::dsp::interp_linear;
-using nyqmon::dsp::interp_nearest;
 using nyqmon::dsp::resample_fourier;
 using nyqmon::sig::make_sine;
 using nyqmon::sig::make_tones;
@@ -36,22 +34,6 @@ TEST(Decimate, FactorOneIsIdentity) {
 TEST(Decimate, FactorLargerThanSizeKeepsFirst) {
   const std::vector<double> x{5, 6, 7};
   EXPECT_EQ(decimate(x, 10), (std::vector<double>{5}));
-}
-
-TEST(DecimateAntialiased, SuppressesFoldedTone) {
-  // 400 Hz tone at fs=1000; decimating by 4 (fs'=250, nyq=125) would fold
-  // it to 100 Hz. Anti-aliased decimation should remove it instead.
-  const double fs = 1000.0;
-  const auto x = make_sine(fs, 2000, 400.0);
-  const auto plain = decimate(x, 4);
-  const auto filtered = decimate_antialiased(x, fs, 4);
-  auto rms = [](const std::vector<double>& v) {
-    double acc = 0.0;
-    for (double q : v) acc += q * q;
-    return std::sqrt(acc / static_cast<double>(v.size()));
-  };
-  EXPECT_GT(rms(plain), 0.5);      // folded energy still there
-  EXPECT_LT(rms(filtered), 0.01);  // removed before decimation
 }
 
 TEST(ResampleFourier, UpsampleRecoversBandlimitedTone) {
@@ -136,16 +118,6 @@ TEST(InterpLinear, ClampsOutsideSupport) {
   const auto y = interp_linear(x, 1.0, q);
   EXPECT_DOUBLE_EQ(y[0], 1.0);
   EXPECT_DOUBLE_EQ(y[1], 2.0);
-}
-
-TEST(InterpNearest, PicksCloserNeighbour) {
-  const std::vector<double> x{0.0, 10.0, 20.0};
-  const std::vector<double> q{0.4, 0.6, 1.49, 1.51};
-  const auto y = interp_nearest(x, 1.0, q);
-  EXPECT_DOUBLE_EQ(y[0], 0.0);
-  EXPECT_DOUBLE_EQ(y[1], 10.0);
-  EXPECT_DOUBLE_EQ(y[2], 10.0);
-  EXPECT_DOUBLE_EQ(y[3], 20.0);
 }
 
 }  // namespace

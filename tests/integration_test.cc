@@ -179,7 +179,16 @@ TEST(Integration, AuditHeadlineShapeOnMediumFleet) {
 
   EXPECT_GT(audit.fraction_oversampled(), 0.7);
   EXPECT_LT(audit.fraction_undersampled(), 0.3);
-  EXPECT_GT(audit.fraction_reducible_by(10.0), 0.2);
+  // Over 20% of the pairs with an estimate could poll 10x less often.
+  std::size_t estimated = 0;
+  std::size_t reducible = 0;
+  for (const auto& p : audit.pairs) {
+    if (!p.reduction_ratio) continue;
+    ++estimated;
+    if (*p.reduction_ratio >= 10.0) ++reducible;
+  }
+  EXPECT_GT(static_cast<double>(reducible),
+            0.2 * static_cast<double>(estimated));
   // Every metric present and aggregated.
   EXPECT_EQ(audit.by_metric.size(), tel::kMetricCount);
 }

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -559,6 +561,130 @@ TEST(Snapshot, ExportAccountsForTrimmedChunks) {
   EXPECT_EQ(snap.export_stream("s", 2).chunks.size(), 2u);
   EXPECT_EQ(snap.export_stream("s", 3).chunks.size(), 1u);
   EXPECT_THROW((void)snap.export_stream("s", 1), std::invalid_argument);
+}
+
+// restore_streams (HANDOFF import and recovery) takes only what this
+// store's seal_chunk could have written. Each edit below makes one field of
+// an exported snapshot impossible; the image holds it beside an intact
+// stream, and the whole restore is refused, naming the edited stream.
+TEST(Restore, RefusesWhatSealChunkCouldNotHaveWritten) {
+  StoreConfig cfg;
+  cfg.chunk_samples = 32;
+  StripedRetentionStore src(cfg);
+  src.create_stream("s", 2.0, 10.0);
+  src.append_series("s", ramp(40));  // one sealed chunk, 8 hot values
+  const mon::StreamSnapshot good = src.acquire_snapshot().export_stream("s");
+  ASSERT_EQ(good.chunks.size(), 1u);
+  ASSERT_EQ(good.hot.size(), 8u);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  using Edit = void (*)(mon::StreamSnapshot&);
+  const std::vector<std::pair<const char*, Edit>> edits = {
+      {"rate inf", [](mon::StreamSnapshot& s) { s.collection_rate_hz = kInf; }},
+      {"rate nan", [](mon::StreamSnapshot& s) { s.collection_rate_hz = kNan; }},
+      {"rate 0", [](mon::StreamSnapshot& s) { s.collection_rate_hz = 0.0; }},
+      {"t0 nan", [](mon::StreamSnapshot& s) { s.t0 = kNan; }},
+      {"hot_t0 inf", [](mon::StreamSnapshot& s) { s.hot_t0 = kInf; }},
+      {"hot tail of a whole chunk",
+       [](mon::StreamSnapshot& s) { s.hot.assign(32, 1.0); }},
+      {"chunk t0 inf", [](mon::StreamSnapshot& s) { s.chunks[0].t0 = kInf; }},
+      {"chunk dt inf", [](mon::StreamSnapshot& s) { s.chunks[0].dt = kInf; }},
+      {"chunk dt nan", [](mon::StreamSnapshot& s) { s.chunks[0].dt = kNan; }},
+      {"chunk dt 0", [](mon::StreamSnapshot& s) { s.chunks[0].dt = 0.0; }},
+      {"chunk dt < 0", [](mon::StreamSnapshot& s) { s.chunks[0].dt = -0.5; }},
+      {"empty chunk", [](mon::StreamSnapshot& s) { s.chunks[0].values = {}; }},
+      {"chunk of 33 values spanning 17 points",
+       [](mon::StreamSnapshot& s) {
+         s.chunks[0].values.assign(33, 1.0);
+         s.chunks[0].dt = 0.25;
+       }},
+      {"chunk spanning 64x its points",
+       [](mon::StreamSnapshot& s) { s.chunks[0].dt *= 64.0; }},
+      {"chunk of 16 values spanning 48 points",
+       [](mon::StreamSnapshot& s) {
+         s.chunks[0].values.assign(16, 1.0);
+         s.chunks[0].dt = 1.5;
+       }},
+  };
+  for (const auto& [what, edit] : edits) {
+    mon::StreamSnapshot bad = good;
+    edit(bad);
+    std::map<std::string, mon::StreamSnapshot> image{{"a/intact", good},
+                                                     {"b/edited", bad}};
+    StripedRetentionStore dst(cfg);
+    try {
+      dst.restore_streams(std::move(image));
+      ADD_FAILURE() << what << ": restored";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("stream b/edited"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+    EXPECT_EQ(dst.streams(), 0u) << what;
+  }
+
+  // A chunk sealed by a store with larger chunks holds too many values.
+  StoreConfig big_cfg = cfg;
+  big_cfg.chunk_samples = 64;
+  StripedRetentionStore big(big_cfg);
+  big.create_stream("s", 2.0, 10.0);
+  big.append_series("s", ramp(70));
+  StripedRetentionStore dst(cfg);
+  EXPECT_THROW(dst.restore_streams({{"s", big.acquire_snapshot().export_stream(
+                                              "s")}}),
+               std::invalid_argument);
+  EXPECT_EQ(dst.streams(), 0u);
+
+  // The intact image restores and reads back bit for bit.
+  EXPECT_TRUE(dst.restore_streams({{"s", good}}).empty());
+  const auto want = src.acquire_snapshot().query("s", 10.0, 30.0);
+  const auto got = dst.acquire_snapshot().query("s", 10.0, 30.0);
+  EXPECT_EQ(got.values(), want.values());
+}
+
+// Creation refuses every grid restore refuses, so whatever the store holds
+// survives a restore of its own snapshot. A rate of +inf, one so low that
+// sealing pushes hot_t0 to inf (1e-306 Hz), or one so high that sealing
+// overflows (DBL_MAX) would otherwise make the store's own checkpoint
+// unrestorable, or its first seal throw.
+TEST(Restore, CreationRefusesWhatRestoreRefuses) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  StoreConfig cfg;
+  cfg.chunk_samples = 32;
+  StripedRetentionStore store(cfg);
+  const std::vector<std::pair<double, double>> refused = {
+      {kInf, 0.0},   {kNan, 0.0},  {0.0, 0.0},  {-1.0, 0.0},
+      {1e-306, 0.0}, {1e-10, 0.0}, {2e6, 0.0},  {kMax, 0.0},
+      {1.0, kNan},   {1.0, kInf},  {1.0, -kInf},
+  };
+  for (const auto& [rate, t0] : refused) {
+    EXPECT_THROW(store.create_stream("s", rate, t0), std::invalid_argument)
+        << "rate " << rate << " t0 " << t0;
+    EXPECT_THROW((void)store.create_or_append("s", rate, t0, ramp(40)),
+                 std::invalid_argument)
+        << "rate " << rate << " t0 " << t0;
+  }
+  EXPECT_EQ(store.streams(), 0u);
+
+  // The extremes creation takes seal six chunks that restore takes.
+  const std::vector<std::pair<double, double>> extremes = {
+      {1e-9, 0.0}, {1e-9, -1e300}, {1e6, 0.0}, {1.0, kMax}};
+  for (const auto& [rate, t0] : extremes) {
+    StripedRetentionStore src(cfg);
+    src.create_stream("s", rate, t0);
+    src.append_series("s", ramp(200));
+    const mon::StreamMeta meta = src.find_meta("s").value();
+    EXPECT_TRUE(std::isfinite(meta.t_end)) << "rate " << rate << " t0 " << t0;
+    StripedRetentionStore dst(cfg);
+    EXPECT_TRUE(
+        dst.restore_streams({{"s", src.acquire_snapshot().export_stream("s")}})
+            .empty())
+        << "rate " << rate << " t0 " << t0;
+    EXPECT_EQ(dst.stats("s").chunks, 6u) << "rate " << rate << " t0 " << t0;
+  }
 }
 
 // Writer vs. snapshot readers under TSan: concurrent seal/evict must never

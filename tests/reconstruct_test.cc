@@ -18,7 +18,6 @@ using nyqmon::dsp::Quantizer;
 using nyqmon::rec::l2_distance;
 using nyqmon::rec::max_abs_error;
 using nyqmon::rec::nrmse;
-using nyqmon::rec::psd_distortion;
 using nyqmon::rec::reconstruct;
 using nyqmon::rec::ReconstructionConfig;
 using nyqmon::rec::rmse;
@@ -156,20 +155,6 @@ TEST(Errors, SizeMismatchThrows) {
   const std::vector<double> a{1.0};
   const std::vector<double> b{1.0, 2.0};
   EXPECT_THROW((void)l2_distance(a, b), std::invalid_argument);
-}
-
-TEST(Errors, PsdDistortionZeroForIdenticalSpectra) {
-  const SumOfSines tone({{0.1, 1.0, 0.0}});
-  const auto x = tone.sample(0.0, 1.0, 512);
-  EXPECT_NEAR(psd_distortion(x.span(), x.span(), 1.0), 0.0, 1e-12);
-}
-
-TEST(Errors, PsdDistortionLargeForDifferentBands) {
-  const SumOfSines lo({{0.05, 1.0, 0.0}});
-  const SumOfSines hi({{0.4, 1.0, 0.0}});
-  const auto a = lo.sample(0.0, 1.0, 512);
-  const auto b = hi.sample(0.0, 1.0, 512);
-  EXPECT_GT(psd_distortion(a.span(), b.span(), 1.0), 1.5);
 }
 
 // Property: round trip is exact (no quantization) for any decimation factor

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -136,15 +137,35 @@ TEST(Server, IngestThenQueryRoundTrip) {
   server.stop();
 }
 
+// A first INGEST needs a grid the store can restore from its own
+// checkpoint: a rate of 0, of +inf or so low that sealing overflows hot_t0
+// (1e-306 Hz), or a t0 of NaN, answers ERR naming the stream and creates
+// nothing.
 TEST(Server, IngestIntoUnknownStreamNeedsRate) {
   mon::StripedRetentionStore store;
   srv::NyqmondServer server(store, nullptr);
   server.start();
   srv::NyqmonClient client("127.0.0.1", server.port());
-  const auto values = wave(8, 0.0);
-  EXPECT_THROW(client.ingest("x/y", 0.0, 0.0, values), std::runtime_error);
+  const auto values = wave(600, 0.0);  // seals one 512-value chunk
+  const std::vector<std::pair<double, double>> grids = {
+      {0.0, 0.0},
+      {std::numeric_limits<double>::infinity(), 0.0},
+      {1e-306, 0.0},
+      {1.0, std::numeric_limits<double>::quiet_NaN()},
+  };
+  for (const auto& [rate, t0] : grids) {
+    try {
+      client.ingest("x/y", rate, t0, values);
+      ADD_FAILURE() << "rate " << rate << " t0 " << t0 << ": answered OK";
+    } catch (const srv::ServerError& e) {
+      EXPECT_NE(std::string(e.what()).find("x/y"), std::string::npos)
+          << e.what();
+    }
+  }
+  const std::string json = client.stats_json();
+  EXPECT_NE(json.find("\"streams\":0"), std::string::npos) << json;
   // The connection survives an application-level error.
-  EXPECT_EQ(client.ingest("x/y", 2.0, 0.0, values), 8u);
+  EXPECT_EQ(client.ingest("x/y", 2.0, 0.0, values), 600u);
   server.stop();
 }
 
@@ -606,6 +627,37 @@ TEST(Server, HandoffImportRefusalCapsDetailsAndStatesTotal) {
     EXPECT_EQ(e.details().size(), 255u);
   }
   EXPECT_EQ(store.streams(), 300u);
+  server.stop();
+}
+
+// A sealed chunk spans exactly chunk_samples points of its stream's
+// collection grid, and a read re-samples a chunk onto every point it
+// spans. An image whose one chunk of 512 values spans 8192 s of a 1 Hz
+// stream would make every query of that stream pay for 4 M points, so the
+// import is refused, naming the stream, and the node stays empty.
+TEST(Server, HandoffImportRefusesChunkSealChunkCouldNotHaveWritten) {
+  mon::StripedRetentionStore store;  // chunk_samples 512
+  srv::NyqmondServer server(store, nullptr);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+
+  mon::StreamSnapshot crafted;
+  crafted.name = "crafted/cpu";
+  crafted.collection_rate_hz = 1.0;
+  crafted.hot_t0 = 512.0 * 8192.0;
+  crafted.chunks.push_back({0.0, 8192.0, wave(512, 0.0)});
+  sto::SegmentWriter writer;
+  writer.add_stream(crafted);
+  try {
+    client.handoff_import(writer.bytes());
+    FAIL() << "an image with a chunk seal_chunk cannot write must be refused";
+  } catch (const srv::ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("crafted/cpu"), std::string::npos)
+        << e.what();
+  }
+  const std::string json = client.stats_json();
+  EXPECT_NE(json.find("\"streams\":0"), std::string::npos) << json;
+  EXPECT_EQ(store.streams(), 0u);
   server.stop();
 }
 

@@ -268,11 +268,10 @@ TEST(Piecewise, SwitchesSegmentsAtBoundaries) {
   auto calm = std::make_shared<SumOfSines>(std::vector<Tone>{{0.1, 1.0, 0.0}});
   auto busy = std::make_shared<SumOfSines>(std::vector<Tone>{{5.0, 1.0, 0.0}});
   const PiecewiseSignal pw({calm, busy, calm}, {100.0, 200.0});
-  EXPECT_DOUBLE_EQ(pw.bandwidth_at(50.0), 0.1);
-  EXPECT_DOUBLE_EQ(pw.bandwidth_at(150.0), 5.0);
-  EXPECT_DOUBLE_EQ(pw.bandwidth_at(250.0), 0.1);
   EXPECT_DOUBLE_EQ(pw.bandwidth_hz(), 5.0);
+  EXPECT_DOUBLE_EQ(pw.value(50.5), calm->value(50.5));
   EXPECT_DOUBLE_EQ(pw.value(150.0), busy->value(150.0));
+  EXPECT_DOUBLE_EQ(pw.value(250.5), calm->value(250.5));
 }
 
 TEST(Piecewise, MismatchedSwitchTimesThrow) {

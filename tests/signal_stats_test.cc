@@ -14,12 +14,6 @@ TEST(Stats, MeanVarianceStddev) {
   EXPECT_DOUBLE_EQ(stddev(x), 2.0);
 }
 
-TEST(Stats, MinMax) {
-  const std::vector<double> x{3.0, -1.0, 7.0};
-  EXPECT_DOUBLE_EQ(min_value(x), -1.0);
-  EXPECT_DOUBLE_EQ(max_value(x), 7.0);
-}
-
 TEST(Stats, QuantileEndpoints) {
   const std::vector<double> x{5.0, 1.0, 3.0};
   EXPECT_DOUBLE_EQ(quantile(x, 0.0), 1.0);

@@ -59,7 +59,6 @@ TEST(TimeSeries, MedianIntervalRobustToJitterAndGaps) {
   // Nominal 10 s cadence with one big gap.
   for (double t : {0.0, 10.0, 20.1, 29.9, 40.0, 200.0, 210.0}) ts.push(t, 0.0);
   EXPECT_NEAR(ts.median_interval(), 10.0, 0.2);
-  EXPECT_GT(ts.mean_interval(), 30.0);  // the mean is skewed by the gap
 }
 
 TEST(TimeSeries, ValuesAndTimesExtract) {
@@ -103,15 +102,6 @@ TEST(RegularSeries, SliceSharesGrid) {
 TEST(RegularSeries, SliceOutOfRangeThrows) {
   const RegularSeries rs(0.0, 1.0, {1.0, 2.0});
   EXPECT_THROW((void)rs.slice(1, 2), std::invalid_argument);
-}
-
-TEST(RegularSeries, ToTimeSeriesRoundTrip) {
-  const RegularSeries rs(10.0, 2.0, {7.0, 8.0, 9.0});
-  const auto ts = rs.to_timeseries();
-  ASSERT_EQ(ts.size(), 3u);
-  EXPECT_DOUBLE_EQ(ts[0].t, 10.0);
-  EXPECT_DOUBLE_EQ(ts[2].t, 14.0);
-  EXPECT_DOUBLE_EQ(ts[2].v, 9.0);
 }
 
 TEST(RegularSeries, EmptyDuration) {

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -724,6 +725,80 @@ TEST(StorageManager, UnreadableSegmentDegradesRecoveryAndBlocksCompaction) {
                 .query("dev0/temp", meta.t0, meta.t_end)
                 .size(),
             0u);
+}
+
+// The store refuses at creation every grid a restore refuses, so a
+// checkpointed store recovers whole; the refused creates below reach
+// neither the store nor the WAL. A refused stream that reached disk some
+// other way (crafted bytes, or files an earlier build wrote) is dropped
+// and counted, and the rest of the directory recovers: here one in the
+// segment and one created in the WAL.
+TEST(StorageManager, CheckpointRecoversWholeAndRefusedStreamsAreDropped) {
+  TempDir dir("refused_streams");
+  sto::StorageConfig cfg;
+  cfg.dir = dir.path;
+  cfg.truncate_existing = true;
+  cfg.compact_min_segments = 100;
+  const std::vector<std::string> names = {"dev0/temp", "dev1/drops",
+                                          "edge/slow"};
+  mon::StripedRetentionStore live(small_chunks(), kStripes);
+  {
+    sto::StorageManager manager(cfg);
+    live.set_ingest_sink(&manager);
+    create_workload_streams(live);
+    live.create_stream("edge/slow", 1e-9);  // the lowest rate taken
+    live.append_series("edge/slow", std::vector<double>(200, 3.0));
+    for (const double rate : {std::numeric_limits<double>::infinity(), 1e-306})
+      EXPECT_THROW(live.create_stream("bad/rate", rate), std::invalid_argument);
+    EXPECT_THROW(live.create_stream("bad/t0", 1.0,
+                                    std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    ingest_workload(live, 10, 31);
+    manager.flush(live);
+    ingest_workload(live, 3, 32);  // replayed from the WAL
+    live.set_ingest_sink(nullptr);
+    manager.on_create_stream("wal/slow", 1e-306, 0.0);
+    manager.on_append("wal/slow", std::vector<double>(8, 1.0));
+  }
+
+  // Rewrite the one segment with a +inf-rate stream beside the others.
+  std::vector<std::string> segs;
+  for (const auto& entry : fs::directory_iterator(dir.path))
+    if (entry.path().filename().string().rfind("seg-", 0) == 0)
+      segs.push_back(entry.path().string());
+  ASSERT_EQ(segs.size(), 1u);
+  std::map<std::string, mon::StreamSnapshot> flushed;
+  sto::read_segment(segs.front(), flushed);
+  ASSERT_EQ(flushed.size(), names.size());
+  mon::StreamSnapshot bad = flushed.at("dev0/temp");
+  bad.name = "seg/inf";
+  bad.collection_rate_hz = std::numeric_limits<double>::infinity();
+  sto::SegmentWriter writer;
+  for (const auto& [name, snap] : flushed) writer.add_stream(snap);
+  writer.add_stream(bad);
+  {
+    std::ofstream out(segs.front(), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
+              static_cast<std::streamsize>(writer.bytes().size()));
+  }
+
+  sto::StorageConfig attach_cfg;
+  attach_cfg.dir = dir.path;
+  sto::StorageManager attach(attach_cfg);
+  mon::StripedRetentionStore cold(small_chunks(), kStripes);
+  const auto rec = attach.recover(cold);
+  EXPECT_EQ(rec.streams, names.size());
+  EXPECT_EQ(rec.streams_refused, 2u);     // seg/inf and wal/slow
+  EXPECT_EQ(rec.wal_records_dropped, 1u);  // the append to wal/slow
+  EXPECT_EQ(cold.stream_names(), names);
+  for (const std::string& name : names) {
+    const auto meta = live.find_meta(name).value();
+    EXPECT_EQ(cold.find_meta(name).value().generation, meta.generation);
+    const auto a = live.acquire_snapshot().query(name, meta.t0, meta.t_end);
+    const auto b = cold.acquire_snapshot().query(name, meta.t0, meta.t_end);
+    EXPECT_GT(a.size(), 0u) << name;
+    EXPECT_TRUE(same_bits(a.values(), b.values())) << name;
+  }
 }
 
 TEST(XorCodec, CorruptWindowThrowsInsteadOfUndefinedShift) {

@@ -2,6 +2,7 @@
 // paper's metrics), fleet assembly, and the imperfect production poller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -24,10 +25,14 @@ TEST(Topology, DeviceCountsMatchConfig) {
   cfg.agg_per_pod = 2;
   cfg.core_switches = 5;
   const Topology topo(cfg);
-  EXPECT_EQ(topo.devices_of_kind(DeviceKind::kTorSwitch).size(), 6u);
-  EXPECT_EQ(topo.devices_of_kind(DeviceKind::kServer).size(), 24u);
-  EXPECT_EQ(topo.devices_of_kind(DeviceKind::kAggSwitch).size(), 4u);
-  EXPECT_EQ(topo.devices_of_kind(DeviceKind::kCoreSwitch).size(), 5u);
+  const auto count = [&](DeviceKind kind) {
+    return std::count_if(topo.devices().begin(), topo.devices().end(),
+                         [&](const Device& d) { return d.kind == kind; });
+  };
+  EXPECT_EQ(count(DeviceKind::kTorSwitch), 6);
+  EXPECT_EQ(count(DeviceKind::kServer), 24);
+  EXPECT_EQ(count(DeviceKind::kAggSwitch), 4);
+  EXPECT_EQ(count(DeviceKind::kCoreSwitch), 5);
   EXPECT_EQ(topo.size(), 6u + 24u + 4u + 5u);
 }
 
