@@ -8,6 +8,16 @@
 
 namespace nyqmon::mon {
 
+namespace {
+
+/// How close, in grid steps, a grid point just before a chunk bound must be
+/// to count as on it. It absorbs the rounding of chunk origins: at an
+/// origin of 1.7e9 s one ULP is 2.4e-7 s, 2.4e-3 steps at 10 kHz. An offset
+/// this small is rounding, not a query start between two samples.
+constexpr double kSlackSteps = 1e-2;
+
+}  // namespace
+
 sig::RegularSeries reconstruct_range(double collection_rate_hz,
                                      std::span<const SealedChunkRef> chunks,
                                      std::span<const double> hot,
@@ -29,6 +39,13 @@ sig::RegularSeries reconstruct_range(double collection_rate_hz,
   std::vector<double> grid(n, 0.0);
   std::vector<bool> filled(n, false);
 
+  // First grid index at or after `steps` grid steps from t_begin, within a
+  // slack of kSlackSteps, clamped to [0, n].
+  const auto grid_index = [n](double steps) {
+    return static_cast<std::size_t>(std::clamp(
+        std::ceil(steps - kSlackSteps), 0.0, static_cast<double>(n)));
+  };
+
   auto fill_from = [&](double c_t0, double c_dt,
                        std::span<const double> values) {
     if (values.empty()) return;
@@ -40,9 +57,15 @@ sig::RegularSeries reconstruct_range(double collection_rate_hz,
         values.size() == dense_n
             ? std::vector<double>(values.begin(), values.end())
             : dsp::resample_fourier(values, dense_n);
-    for (std::size_t i = 0; i < n; ++i) {
+    // The grid points the chunk covers, from its bounds in steps from
+    // t_begin, once per chunk: the times t_begin + i * dt round to one ULP
+    // of the origin (2.4e-7 s at 1.7e9), far more than a fixed slack in
+    // seconds allows for.
+    const double first = (c_t0 - t_begin) * collection_rate_hz;
+    const double last = (c_end - t_begin) * collection_rate_hz;
+    const std::size_t i_end = grid_index(last);
+    for (std::size_t i = grid_index(first); i < i_end; ++i) {
       const double t = t_begin + static_cast<double>(i) * dt;
-      if (t < c_t0 - 1e-9 || t >= c_end - 1e-9) continue;
       const auto j = static_cast<std::size_t>(
           std::min(static_cast<double>(dense.size() - 1),
                    std::max(0.0, std::round((t - c_t0) / dt))));

@@ -27,10 +27,11 @@ std::vector<QuerySeries> reduce_streams(const QuerySpec& spec,
   const std::size_t n_out = spec.grid_points();
   std::vector<double> reduced(n_out, 0.0);
   std::vector<double> column(streams.size());
+  std::vector<double> scratch;
   for (std::size_t t = 0; t < n_out; ++t) {
     for (std::size_t i = 0; i < streams.size(); ++i)
       column[i] = streams[i].series[t];
-    reduced[t] = aggregate_column(spec.aggregate, column);
+    reduced[t] = aggregate_column(spec.aggregate, column, &scratch);
   }
   std::vector<QuerySeries> out;
   out.push_back(

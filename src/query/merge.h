@@ -17,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -57,13 +58,46 @@ inline void apply_transform(Transform transform, double step_s,
   }
 }
 
+/// Quantile `q` of a non-empty `column`, with the bits of
+/// ana::Cdf(column).quantile(q) but found by selection, not a sort.
+/// nth_element puts order statistic lo in place in `scratch`, statistic
+/// lo + 1 is the smallest value after it, and Cdf::quantile's expression
+/// interpolates the two. A nonzero double has one bit pattern, so a
+/// selection and a sort pick the same bits at any rank whose value is
+/// nonzero. Which of +0 and -0 lands at a rank, and where NaN lands, is up
+/// to the algorithm: a column holding NaN, or a selected value of zero,
+/// gets the Cdf's answer.
+inline double column_quantile(double q, const std::vector<double>& column,
+                              std::vector<double>& scratch) {
+  const std::size_t n = column.size();
+  if (n == 1) return column[0];
+  if (n == 0 || std::any_of(column.begin(), column.end(),
+                            [](double x) { return std::isnan(x); }))
+    return ana::Cdf(column).quantile(q);
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  scratch.assign(column.begin(), column.end());
+  const auto at_lo = scratch.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(scratch.begin(), at_lo, scratch.end());
+  const double a = *at_lo;
+  const double b = lo + 1 < n ? *std::min_element(at_lo + 1, scratch.end()) : a;
+  if (a == 0.0 || b == 0.0) return ana::Cdf(column).quantile(q);
+  const double frac = pos - std::floor(pos);
+  return a * (1.0 - frac) + b * frac;
+}
+
 /// One cross-stream reduction over the per-stream values at a single
 /// output timestamp. `column` holds one value per stream, in
 /// lexicographic stream-ID order — FP accumulation order is part of the
-/// determinism contract. kNone is not a reduction and returns 0. Inline:
-/// called once per output grid point.
+/// determinism contract. kNone is not a reduction and returns 0.
+/// `scratch` is the work column a reduction reuses from one timestamp to
+/// the next; without one, a quantile allocates its own. Inline: called
+/// once per output grid point.
 inline double aggregate_column(Aggregation agg,
-                               const std::vector<double>& column) {
+                               const std::vector<double>& column,
+                               std::vector<double>* scratch = nullptr) {
+  std::vector<double> own;
+  std::vector<double>& work = scratch != nullptr ? *scratch : own;
   switch (agg) {
     case Aggregation::kNone:
       break;  // unreachable: kNone never reduces
@@ -80,11 +114,11 @@ inline double aggregate_column(Aggregation agg,
     case Aggregation::kMax:
       return *std::max_element(column.begin(), column.end());
     case Aggregation::kP50:
-      return ana::Cdf(column).quantile(0.50);
+      return column_quantile(0.50, column, work);
     case Aggregation::kP95:
-      return ana::Cdf(column).quantile(0.95);
+      return column_quantile(0.95, column, work);
     case Aggregation::kP99:
-      return ana::Cdf(column).quantile(0.99);
+      return column_quantile(0.99, column, work);
   }
   return 0.0;
 }

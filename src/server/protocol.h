@@ -337,11 +337,12 @@ inline std::vector<ErrorDetail> decode_error_detail(sto::ByteReader& r) {
 
 inline std::vector<std::uint8_t> encode_ingest(const IngestRequest& req) {
   std::vector<std::uint8_t> p;
+  p.reserve(2 + req.stream.size() + 20 + 8 * req.values.size());
   sto::put_string(p, req.stream);
   sto::put_f64(p, req.rate_hz);
   sto::put_f64(p, req.t0);
   sto::put_u32(p, static_cast<std::uint32_t>(req.values.size()));
-  for (const double v : req.values) sto::put_f64(p, v);
+  sto::put_f64s(p, req.values);
   return p;
 }
 
@@ -352,11 +353,9 @@ inline std::optional<IngestRequest> decode_ingest(sto::ByteReader& r) {
   req.t0 = r.get_f64();
   const std::uint32_t count = r.get_u32();
   if (!r.ok() || req.stream.empty()) return std::nullopt;
-  // 64-bit multiply: a 32-bit product would wrap for huge declared counts
-  // and let a tiny frame drive a multi-gigabyte reserve below.
+  // 64-bit multiply: a 32-bit product would wrap for huge declared counts.
   if (r.remaining() != 8ull * count) return std::nullopt;  // truncated values
-  req.values.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) req.values.push_back(r.get_f64());
+  req.values = r.get_f64s(count);
   if (!r.ok()) return std::nullopt;
   return req;
 }
@@ -399,7 +398,15 @@ inline std::vector<std::uint8_t> encode_query_reply(
     const qry::QueryResult& result, bool cache_hit,
     bool with_matched_labels = false,
     const QueryExplainBlock* explain = nullptr) {
+  std::size_t bytes = 13;
+  for (const auto& s : result.series)
+    bytes += 22 + s.label.size() + 8 * s.series.size();
+  if (with_matched_labels) {
+    bytes += 4;
+    for (const auto& name : result.matched) bytes += 2 + name.size();
+  }
   std::vector<std::uint8_t> p;
+  p.reserve(bytes);
   sto::put_u8(p, cache_hit ? 1 : 0);
   sto::put_u32(p, static_cast<std::uint32_t>(result.matched.size()));
   sto::put_u32(p, static_cast<std::uint32_t>(result.reconstructed.size()));
@@ -409,7 +416,7 @@ inline std::vector<std::uint8_t> encode_query_reply(
     sto::put_f64(p, s.series.t0());
     sto::put_f64(p, s.series.dt());
     sto::put_u32(p, static_cast<std::uint32_t>(s.series.size()));
-    for (const double v : s.series.values()) sto::put_f64(p, v);
+    sto::put_f64s(p, s.series.values());
   }
   if (with_matched_labels) {
     sto::put_u32(p, static_cast<std::uint32_t>(result.matched.size()));
@@ -450,11 +457,8 @@ inline std::optional<QueryReply> decode_query_reply(sto::ByteReader& r,
     s.label = r.get_string();
     const double t0 = r.get_f64();
     const double dt = r.get_f64();
-    const std::uint32_t n = r.get_u32();
-    if (!r.ok() || r.remaining() < 8ull * n) return std::nullopt;
-    std::vector<double> values;
-    values.reserve(n);
-    for (std::uint32_t j = 0; j < n; ++j) values.push_back(r.get_f64());
+    std::vector<double> values = r.get_f64s(r.get_u32());
+    if (!r.ok()) return std::nullopt;
     s.series = sig::RegularSeries(t0, dt, std::move(values));
     reply.series.push_back(std::move(s));
   }

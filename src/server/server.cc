@@ -656,9 +656,13 @@ void NyqmondServer::dispatch(Connection& conn,
   } catch (const std::exception& e) {
     protocol_errors_.fetch_add(1);
     NYQMON_OBS_COUNT("nyqmon_server_protocol_errors_total", 1);
+    // A failed check's source location goes to the log, never to the
+    // client: what() leaves it out.
+    const auto* check = dynamic_cast<const CheckLocation*>(&e);
     NYQMON_LOG_ERROR("server.dispatch_error",
                      std::string("verb=") + verb_name(verb) +
-                         " what=" + e.what());
+                         " what=" + e.what() +
+                         (check != nullptr ? " at=" + check->where() : ""));
     reply = error_frame(e.what());
   }
   if (obs::Histogram* h = verb_latency_histogram(verb))

@@ -3,6 +3,7 @@
 // fsync barriers, which iostreams cannot provide).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -16,6 +17,12 @@ namespace nyqmon::sto {
 
 // ------------------------------------------------------- payload building --
 // All multi-byte fields in the segment/WAL formats are little-endian.
+
+// A count × f64 run is copied whole between a double array and its bytes
+// (put_f64s / ByteReader::get_f64s), which is the little-endian layout only
+// on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "storage/io.h copies f64 runs whole: little-endian hosts only");
 
 inline void put_u8(std::vector<std::uint8_t>& b, std::uint8_t v) {
   b.push_back(v);
@@ -45,6 +52,14 @@ inline void put_f64(std::vector<std::uint8_t>& b, double v) {
 inline void put_bytes(std::vector<std::uint8_t>& b,
                       std::span<const std::uint8_t> bytes) {
   b.insert(b.end(), bytes.begin(), bytes.end());
+}
+
+/// Append `values` as a run of f64 bits: the bytes put_f64 writes value by
+/// value, in one copy.
+inline void put_f64s(std::vector<std::uint8_t>& b,
+                     std::span<const double> values) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(values.data());
+  b.insert(b.end(), p, p + values.size_bytes());
 }
 
 /// Longest string a str16 field (u16 length prefix) can carry.
@@ -98,6 +113,19 @@ class ByteReader {
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
+  }
+
+  /// `count` f64 values in one copy. A count the remaining bytes cannot
+  /// hold latches ok() false and allocates nothing.
+  std::vector<double> get_f64s(std::size_t count) {
+    if (count > remaining() / 8 || !take(8 * count)) {
+      ok_ = false;
+      return {};
+    }
+    std::vector<double> values(count);
+    if (count > 0)
+      std::memcpy(values.data(), &bytes_[pos_ - 8 * count], 8 * count);
+    return values;
   }
 
   std::string get_string() {

@@ -1,6 +1,5 @@
 #include "storage/wal.h"
 
-#include <algorithm>
 #include <filesystem>
 
 #include "obs/log.h"
@@ -57,7 +56,7 @@ void WriteAheadLog::append_batch(const std::string& stream,
   payload.reserve(2 + stream.size() + 4 + 8 * values.size());
   put_string(payload, stream);
   put_u32(payload, static_cast<std::uint32_t>(values.size()));
-  for (const double v : values) put_f64(payload, v);
+  put_f64s(payload, values);
   append_record(WalRecord::Type::kAppend, payload);
 }
 
@@ -131,16 +130,10 @@ WalReplayStats WriteAheadLog::replay(
       rec.collection_rate_hz = r.get_f64();
       rec.t0 = r.get_f64();
     } else {
-      const std::uint32_t count = r.get_u32();
       // A CRC-valid record can still declare more values than it holds:
-      // reserve only what the payload can carry.
-      rec.values.reserve(std::min<std::size_t>(count, r.remaining() / 8));
-      for (std::uint32_t i = 0; i < count && r.ok(); ++i)
-        rec.values.push_back(r.get_f64());
-      if (rec.values.size() != count) {
-        tail_bad = true;  // CRC collided with a short payload; stop here
-        break;
-      }
+      // get_f64s refuses the count (a CRC collision with a short payload)
+      // before it allocates, and the check below stops the replay there.
+      rec.values = r.get_f64s(r.get_u32());
     }
     if (!r.ok()) {
       tail_bad = true;

@@ -263,6 +263,31 @@ TEST(Store, QueryBeforeDataHoldsFirstValue) {
   for (const double v : brushing.values()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
+TEST(Store, EpochScaleOriginReadsBackEveryValue) {
+  // A stream stamped with Unix time, as an INGEST client would stamp it:
+  // at t0 = 1.7e9 s one ULP is 2.4e-7 s, yet every raw value must read back
+  // at its own grid point, exactly as from t0 = 0.
+  for (const double rate : {1.0, 10.0, 1e3, 1e4}) {
+    for (const double t0 : {0.0, 1.7e9}) {
+      Rng rng(29);
+      const auto values =
+          readings(100, [&](int) { return rng.normal(0.0, 1.0); });
+      StoreConfig cfg;
+      cfg.chunk_samples = 32;  // three sealed chunks and a hot tail
+      StripedRetentionStore store(cfg);
+      store.create_stream("s", rate, t0);
+      store.append_series("s", values);
+      ASSERT_EQ(store.stats("s").chunks_reduced, 0u);  // kept raw
+      const auto series =
+          store.acquire_snapshot().query("s", t0, t0 + 100.0 / rate);
+      ASSERT_EQ(series.size(), values.size());
+      for (std::size_t i = 0; i < values.size(); ++i)
+        EXPECT_EQ(series[i], values[i])
+            << "rate " << rate << " Hz, t0 " << t0 << ", value " << i;
+    }
+  }
+}
+
 TEST(Store, MetaTracksSpanAndGeneration) {
   StripedRetentionStore store;
   store.create_stream("s", 2.0, /*t0=*/100.0);

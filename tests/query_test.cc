@@ -6,20 +6,29 @@
 // paper-scale engine run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "analysis/cdf.h"
 #include "monitor/striped_store.h"
 #include "query/builder.h"
 #include "query/cache.h"
 #include "query/engine.h"
+#include "query/merge.h"
 #include "query/selector.h"
 #include "query/spec.h"
 #include "runtime/clock.h"
 #include "runtime/runtime.h"
 #include "telemetry/fleet.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -317,6 +326,86 @@ TEST(QueryEngine, ZScoreTransform) {
                              .build());
   for (const double x : rf.result->series[0].series.values())
     EXPECT_DOUBLE_EQ(x, 0.0);
+}
+
+// ------------------------------------------------- quantile reductions --
+
+constexpr std::pair<qry::Aggregation, double> kQuantiles[] = {
+    {qry::Aggregation::kP50, 0.50},
+    {qry::Aggregation::kP95, 0.95},
+    {qry::Aggregation::kP99, 0.99}};
+
+/// Every quantile reduction of `column` carries the reference Cdf's bits.
+/// `scratch` is reused across calls, as one reduction reuses it across
+/// grid points.
+void expect_cdf_bits(const std::vector<double>& column,
+                     std::vector<double>& scratch, const char* what) {
+  for (const auto& [agg, q] : kQuantiles) {
+    const double got = qry::aggregate_column(agg, column, &scratch);
+    const double want = ana::Cdf(column).quantile(q);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << what << ": q " << q << ", " << column.size() << " values";
+  }
+}
+
+TEST(Aggregate, QuantilesKeepTheCdfsBits) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan_payload =
+      std::bit_cast<double>(std::uint64_t{0x7ff800000000beefull});
+  Rng rng(2029);
+  std::mt19937_64 order(2029);
+  std::vector<double> scratch;
+  std::vector<double> column;
+  const auto zero = [&] { return rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0; };
+  for (std::size_t n = 1; n <= 200; ++n) {
+    column.assign(n, 0.0);
+    for (double& x : column) x = rng.normal(0.0, 1.0);
+    expect_cdf_bits(column, scratch, "normal");
+
+    // Long runs of ties, zeros among them.
+    for (double& x : column) x = std::floor(rng.uniform(-2.0, 3.0));
+    expect_cdf_bits(column, scratch, "ties");
+
+    // All zeros, of either sign.
+    for (double& x : column) x = zero();
+    expect_cdf_bits(column, scratch, "zeros");
+
+    // ±0 at and around each quantile's selected ranks, below and above
+    // them negative and positive values, in shuffled order.
+    for (const auto& [agg, q] : kQuantiles) {
+      const auto lo = static_cast<std::size_t>(
+          std::floor(q * static_cast<double>(n - 1)));
+      for (std::size_t k = 0; k < n; ++k)
+        column[k] = k + 2 >= lo && k <= lo + 3 ? zero()
+                    : k < lo                   ? -rng.uniform(0.5, 2.0)
+                                               : rng.uniform(0.5, 2.0);
+      std::shuffle(column.begin(), column.end(), order);
+      expect_cdf_bits(column, scratch, "signed zeros around the ranks");
+      // One zero, at rank lo or at rank lo + 1 alone.
+      for (std::size_t at = lo; at <= lo + 1 && at < n; ++at) {
+        for (std::size_t k = 0; k < n; ++k)
+          column[k] = k < at ? -1.0 : k == at ? zero() : 1.0;
+        std::shuffle(column.begin(), column.end(), order);
+        expect_cdf_bits(column, scratch, "one zero at a rank");
+      }
+    }
+
+    // NaN (a fallback to the Cdf) and ±inf (selected as they are).
+    for (const double special : {std::nan(""), nan_payload, kInf, -kInf}) {
+      for (double& x : column) x = rng.normal(0.0, 1.0);
+      for (std::size_t k = 0; k < 1 + n / 8; ++k)
+        column[rng.index(n)] = special;
+      expect_cdf_bits(column, scratch, "nan or inf");
+    }
+    for (double& x : column) x = rng.uniform(0.0, 1.0) < 0.5 ? -kInf : kInf;
+    expect_cdf_bits(column, scratch, "+inf and -inf");
+  }
+  // Without a caller's scratch the reduction allocates its own.
+  column = {3.0, -1.0, 2.0, 0.5};
+  for (const auto& [agg, q] : kQuantiles)
+    EXPECT_EQ(qry::aggregate_column(agg, column),
+              ana::Cdf(column).quantile(q));
 }
 
 // ------------------------------------------------------- cache semantics --

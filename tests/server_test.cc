@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -1065,6 +1066,43 @@ TEST(Server, OversizedQueryGridAnswersErrorAndServesOn) {
   server.stop();
 }
 
+// A failed check answers its expression and message. Its source location
+// goes to the server's log, never to a client: no file, line or directory
+// of the server's build.
+TEST(Server, CheckRefusalNamesNoSourceLocation) {
+  mon::StripedRetentionStore store;
+  srv::NyqmondServer server(store, nullptr);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+  client.ingest("a/m", 1.0, 0.0, wave(64, 0.0));
+  (void)client.logs_text();  // discard records earlier tests left behind
+
+  qry::QuerySpec spec;  // filled by hand: QueryBuilder::build() refuses it
+  spec.selector = "a/m";
+  spec.t_begin = 0.0;
+  spec.t_end = 1e9;
+  spec.step_s = 1.0;
+  const std::string source_dir =
+      fs::path(__FILE__).parent_path().parent_path().string();
+  try {
+    (void)client.query(spec);
+    FAIL() << "an oversized QUERY grid must be refused";
+  } catch (const srv::ServerError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("precondition failed: "), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cc:"), std::string::npos) << what;
+    EXPECT_EQ(what.find("src/"), std::string::npos) << what;
+    if (!source_dir.empty()) {
+      EXPECT_EQ(what.find(source_dir), std::string::npos) << what;
+    }
+  }
+  const std::string logs = client.logs_text();
+  EXPECT_NE(logs.find("event=server.dispatch_error"), std::string::npos)
+      << logs;
+  EXPECT_NE(logs.find("spec.cc:"), std::string::npos) << logs;
+  server.stop();
+}
+
 // Counts in a QUERY reply come off the wire: one that declares more
 // entries than the payload holds makes the reply malformed (nullopt), and
 // the decoder must not reserve memory for them first.
@@ -1089,6 +1127,159 @@ TEST(Protocol, QueryReplyCountsBeyondThePayloadAreMalformed) {
   EXPECT_FALSE(
       srv::decode_query_reply(matched_reader, srv::kQueryWantMatched)
           .has_value());
+}
+
+// -------------------------------------------------------------- f64 runs --
+
+/// Values whose bits a codec can get wrong: −0.0, a NaN with a payload, a
+/// denormal and ±inf, among ordinary ones.
+std::vector<double> odd_values() {
+  return {1.5,
+          -0.0,
+          std::bit_cast<double>(std::uint64_t{0x7ff80000deadbeefull}),
+          std::numeric_limits<double>::denorm_min(),
+          4.9e-310,
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          -1e300};
+}
+
+/// The encoding every f64 on the wire keeps, one value at a time: its
+/// IEEE-754 bits, least significant byte first.
+void put_f64_reference(std::vector<std::uint8_t>& b, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  for (int shift = 0; shift < 64; shift += 8)
+    b.push_back(static_cast<std::uint8_t>(bits >> shift));
+}
+
+/// Overwrite the little-endian u32 at `at`.
+void set_u32(std::vector<std::uint8_t>& b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Decode from a heap buffer of exactly the payload's size, so that a read
+/// past its end is a heap overflow under ASan.
+template <typename Decode>
+auto decode_exact(const std::vector<std::uint8_t>& bytes, Decode decode) {
+  const std::unique_ptr<std::uint8_t[]> exact(new std::uint8_t[bytes.size()]);
+  std::copy(bytes.begin(), bytes.end(), exact.get());
+  sto::ByteReader r(std::span<const std::uint8_t>(exact.get(), bytes.size()));
+  return decode(r);
+}
+
+TEST(Protocol, IngestKeepsPerValueBytes) {
+  const srv::IngestRequest req{"lab/odd", 2.5, -0.0, odd_values()};
+  std::vector<std::uint8_t> want;
+  sto::put_string(want, req.stream);
+  put_f64_reference(want, req.rate_hz);
+  put_f64_reference(want, req.t0);
+  sto::put_u32(want, static_cast<std::uint32_t>(req.values.size()));
+  for (const double v : req.values) put_f64_reference(want, v);
+  const std::vector<std::uint8_t> bytes = srv::encode_ingest(req);
+  EXPECT_EQ(bytes, want);
+
+  const auto back = decode_exact(bytes, srv::decode_ingest);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->stream, req.stream);
+  EXPECT_EQ(back->rate_hz, req.rate_hz);
+  EXPECT_TRUE(std::signbit(back->t0));
+  EXPECT_TRUE(same_values(back->values, req.values));
+
+  // A count declaring more values than the payload holds is refused.
+  const std::size_t count_at = 2 + req.stream.size() + 16;
+  for (const std::uint32_t count :
+       {static_cast<std::uint32_t>(req.values.size() + 1), 0xffffffffu}) {
+    std::vector<std::uint8_t> over = bytes;
+    set_u32(over, count_at, count);
+    EXPECT_FALSE(decode_exact(over, srv::decode_ingest).has_value()) << count;
+  }
+}
+
+TEST(Protocol, QueryReplyKeepsPerValueBytes) {
+  qry::QueryResult result;
+  result.matched = {"a/odd", "b/pruned", "c/two"};
+  result.reconstructed = {"a/odd", "c/two"};
+  result.series.push_back(
+      {"a/odd", sig::RegularSeries(
+                    -0.0, std::numeric_limits<double>::denorm_min(),
+                    odd_values())});
+  result.series.push_back(
+      {"c/two", sig::RegularSeries(1.7e9, 0.5, {2.0, -0.0})});
+  const srv::QueryExplainBlock explain{1234, {{"match", 5}, {"merge", 7}}};
+
+  for (const bool with_matched : {false, true}) {
+    for (const bool with_explain : {false, true}) {
+      const std::uint8_t flags =
+          (with_matched ? srv::kQueryWantMatched : 0) |
+          (with_explain ? srv::kQueryWantExplain : 0);
+      std::vector<std::uint8_t> want;
+      sto::put_u8(want, 1);
+      sto::put_u32(want, 3);
+      sto::put_u32(want, 2);
+      sto::put_u32(want, 2);
+      for (const qry::QuerySeries& s : result.series) {
+        sto::put_string(want, s.label);
+        put_f64_reference(want, s.series.t0());
+        put_f64_reference(want, s.series.dt());
+        sto::put_u32(want, static_cast<std::uint32_t>(s.series.size()));
+        for (const double v : s.series.values()) put_f64_reference(want, v);
+      }
+      if (with_matched) {
+        sto::put_u32(want, 3);
+        for (const std::string& name : result.matched)
+          sto::put_string(want, name);
+      }
+      if (with_explain) {
+        sto::put_u64(want, explain.total_ns);
+        sto::put_u8(want, 2);
+        for (const srv::ExplainEntry& e : explain.stages) {
+          sto::put_string(want, e.stage);
+          sto::put_u64(want, e.ns);
+        }
+      }
+      const std::vector<std::uint8_t> bytes = srv::encode_query_reply(
+          result, true, with_matched, with_explain ? &explain : nullptr);
+      EXPECT_EQ(bytes, want) << "flags " << int(flags);
+
+      const auto back = decode_exact(bytes, [&](sto::ByteReader& r) {
+        return srv::decode_query_reply(r, flags);
+      });
+      ASSERT_TRUE(back.has_value()) << "flags " << int(flags);
+      ASSERT_EQ(back->series.size(), 2u);
+      for (std::size_t i = 0; i < 2; ++i) {
+        const sig::RegularSeries& got = back->series[i].series;
+        const sig::RegularSeries& sent = result.series[i].series;
+        EXPECT_EQ(back->series[i].label, result.series[i].label);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t0()),
+                  std::bit_cast<std::uint64_t>(sent.t0()));
+        EXPECT_EQ(got.dt(), sent.dt());
+        EXPECT_TRUE(same_values(got.values(), sent.values()));
+      }
+      EXPECT_EQ(back->matched_labels,
+                with_matched ? result.matched : std::vector<std::string>{});
+      EXPECT_EQ(back->explain.has_value(), with_explain);
+    }
+  }
+
+  // The last series declaring more values than the payload holds is
+  // refused, with or without a block after it.
+  for (const bool with_matched : {false, true}) {
+    const std::vector<std::uint8_t> bytes =
+        srv::encode_query_reply(result, false, with_matched);
+    // The second series' count: past the 13-byte header, the first series
+    // (label, t0, dt, count, 8 values) and the second's label, t0 and dt.
+    const std::size_t count_at = 13 + (2 + 5 + 20 + 8 * 8) + (2 + 5 + 16);
+    for (const std::uint32_t count : {3u, 0xffffffffu}) {
+      std::vector<std::uint8_t> over = bytes;
+      set_u32(over, count_at, count);
+      EXPECT_FALSE(decode_exact(over, [&](sto::ByteReader& r) {
+                     return srv::decode_query_reply(
+                         r, with_matched ? srv::kQueryWantMatched : 0);
+                   }).has_value())
+          << count;
+    }
+  }
 }
 
 // ------------------------------------------------------------- call_ok ---

@@ -205,6 +205,70 @@ TEST(Wal, TruncatedTailDropsOnlyLastRecordAndStaysAppendable) {
   EXPECT_EQ(seen[1].values, (std::vector<double>{5.0}));
 }
 
+// An append record copies its f64 run whole; its bytes stay the per-value
+// little-endian encoding kept here, and replay returns every value's bits,
+// −0.0, a NaN payload, denormals and ±inf included.
+TEST(Wal, AppendRecordKeepsPerValueBytes) {
+  TempDir dir("wal_bytes");
+  fs::create_directories(dir.path);
+  const std::string path = dir.path + "/wal-000001.log";
+  const std::vector<double> values = {
+      1.5,
+      -0.0,
+      std::bit_cast<double>(std::uint64_t{0x7ff80000deadbeefull}),
+      std::numeric_limits<double>::denorm_min(),
+      4.9e-310,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -1e300};
+  sto::WriteAheadLog::create(path);
+  {
+    sto::WriteAheadLog wal(path, 1);
+    wal.append_batch("s/odd", values);
+  }
+
+  std::vector<std::uint8_t> payload;
+  sto::put_string(payload, "s/odd");
+  sto::put_u32(payload, static_cast<std::uint32_t>(values.size()));
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int shift = 0; shift < 64; shift += 8)
+      payload.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::vector<std::uint8_t> want(std::begin(sto::kWalMagic),
+                                 std::end(sto::kWalMagic));
+  sto::put_u8(want, 2);  // append record
+  sto::put_u32(want, static_cast<std::uint32_t>(payload.size()));
+  sto::put_u32(want, sto::crc32(payload));
+  sto::put_bytes(want, payload);
+  EXPECT_EQ(sto::read_file(path), want);
+
+  std::vector<sto::WalRecord> seen;
+  auto stats = sto::WriteAheadLog::replay(
+      path, [&](const sto::WalRecord& r) { seen.push_back(r); });
+  EXPECT_EQ(stats.records_truncated, 0u);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_TRUE(same_bits(seen[0].values, values));
+
+  // The same record, CRC-valid, declaring one value more than it holds:
+  // replay keeps the first record and stops at this one.
+  std::vector<std::uint8_t> over = payload;
+  over[2 + 5] += 1;  // the u32 count after the str16 name
+  std::vector<std::uint8_t> frame;
+  sto::put_u8(frame, 2);
+  sto::put_u32(frame, static_cast<std::uint32_t>(over.size()));
+  sto::put_u32(frame, sto::crc32(over));
+  sto::put_bytes(frame, over);
+  sto::File::append(path).write(frame);
+  seen.clear();
+  stats = sto::WriteAheadLog::replay(
+      path, [&](const sto::WalRecord& r) { seen.push_back(r); });
+  EXPECT_EQ(stats.records_replayed, 1u);
+  EXPECT_EQ(stats.records_truncated, 1u);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_TRUE(same_bits(seen[0].values, values));
+}
+
 // A CRC-valid append record that declares more values than it carries is
 // a torn tail: replay stops before it, without reserving for the count.
 TEST(Wal, RecordDeclaringMoreValuesThanItHoldsIsATornTail) {
