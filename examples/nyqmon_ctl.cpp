@@ -16,8 +16,11 @@
 // <dst_host>:<dst_port>: a HANDOFF EXPORT on the source ships a segment
 // image of the matched streams, a HANDOFF IMPORT restores them on the
 // destination and checkpoints them durable there. The source keeps its
-// copy (queries through a router dedupe mid-handoff duplicates); retire
-// the source node once the import reports persisted.
+// copy; retire the source node once the import reports persisted.
+// Meanwhile a router reads a duplicated stream from its ring owner's copy,
+// the one later INGEST reaches (an exact query asks the owner alone), so
+// hand a stream to the node that owns it in the router's ring: a copy
+// anywhere else is read only for a range its owner holds no data in.
 //
 // `metrics` prints the server's Prometheus text exposition (metric catalog:
 // docs/OBSERVABILITY.md). `trace` drains the server's trace ring to

@@ -5,10 +5,11 @@
 //
 // The first form fronts already-running nyqmond backends: clients speak
 // the ordinary nyqmond protocol to <port> (0 = ephemeral) and the router
-// routes INGEST to each stream's consistent-hash owner while scattering
-// QUERY/STATS/CHECKPOINT across every backend, merging per-stream results
-// with the query engine's own reduction so the fleet answers bit-identically
-// to one big nyqmond. A failed or timed-out backend turns the reply into
+// routes INGEST, and QUERY for one named stream, to each stream's
+// consistent-hash owner while scattering glob QUERY/STATS/CHECKPOINT across
+// every backend, merging per-stream results with the query engine's own
+// reduction so the fleet answers bit-identically to one big nyqmond. A
+// failed or timed-out backend that a request asked turns the reply into
 // ERR-with-detail (which nodes failed and why) instead of a silent partial
 // answer.
 //
@@ -125,11 +126,14 @@ int main(int argc, char** argv) {
     }
     router.stop();
     const clu::RouterStats s = router.stats();
-    std::printf("routed %llu frames (%llu ingests, %llu queries, "
-                "%llu partial failures)\n",
+    std::printf("routed %llu frames (%llu ingests, %llu queries, %llu of "
+                "them to the owner first, %llu owner fallbacks, %llu partial "
+                "failures)\n",
                 static_cast<unsigned long long>(s.frames),
                 static_cast<unsigned long long>(s.ingests_routed),
                 static_cast<unsigned long long>(s.queries_scattered),
+                static_cast<unsigned long long>(s.owner_queries),
+                static_cast<unsigned long long>(s.owner_fallbacks),
                 static_cast<unsigned long long>(s.partial_failures));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "nyqmon_router: %s\n", e.what());

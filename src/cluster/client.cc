@@ -6,12 +6,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/selector.h"
 
 namespace nyqmon::clu {
 
@@ -30,7 +32,9 @@ std::uint64_t elapsed_ns(Clock::time_point t0) {
 ClusterClient::ClusterClient(ClusterConfig config)
     : config_(std::move(config)),
       ring_(config_.nodes, config_.vnodes),
-      conns_(config_.nodes.size()) {
+      conns_(config_.nodes.size()),
+      every_node_(config_.nodes.size()) {
+  std::iota(every_node_.begin(), every_node_.end(), std::size_t{0});
   // Keyspace ownership as a per-backend gauge (per-mille of the hash
   // space; documented as nyqmon_cluster_backend<i>_share_permille).
   for (std::size_t i = 0; i < config_.nodes.size(); ++i)
@@ -100,13 +104,14 @@ std::uint64_t ClusterClient::ingest(const std::string& stream, double rate_hz,
 }
 
 ScatterOutcome ClusterClient::scatter(srv::Verb verb,
-                                      std::span<const std::uint8_t> payload) {
+                                      std::span<const std::uint8_t> payload,
+                                      std::span<const std::size_t> nodes) {
   const std::size_t n = config_.nodes.size();
 
-  // With an active thread trace context each backend gets its own frame
-  // carrying a TraceContext trailer whose parent is a per-backend fan-out
-  // span (recorded below at settle time); otherwise one shared frame is
-  // byte-identical to the untraced wire.
+  // With an active thread trace context each backend asked gets its own
+  // frame carrying a TraceContext trailer whose parent is a per-backend
+  // fan-out span (recorded below at settle time); otherwise one shared
+  // frame is byte-identical to the untraced wire.
   obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
   const obs::ThreadTraceContext& tctx = obs::thread_trace_context();
   const bool tracing = recorder.enabled() && tctx.trace_id != 0;
@@ -116,7 +121,7 @@ ScatterOutcome ClusterClient::scatter(srv::Verb verb,
   std::vector<std::uint8_t> shared_request;
   if (tracing) {
     traced_requests.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (const std::size_t i : nodes) {
       fanout_span[i] = obs::next_span_id();
       std::vector<std::uint8_t> body(payload.begin(), payload.end());
       srv::append_trace_context(
@@ -130,7 +135,9 @@ ScatterOutcome ClusterClient::scatter(srv::Verb verb,
   ScatterOutcome out;
   out.payloads.resize(n);
   out.gather_ns.assign(n, 0);
-  std::vector<bool> settled(n, false);  // answered, failed, or timed out
+  // Answered, failed, timed out, or not asked.
+  std::vector<bool> settled(n, true);
+  for (const std::size_t i : nodes) settled[i] = false;
 
   // One fan-out span per backend, closed when that backend settles (for
   // failures the span covers send → failure detection).
@@ -150,10 +157,10 @@ ScatterOutcome ClusterClient::scatter(srv::Verb verb,
     record_fanout(i);
   };
 
-  // Send phase: every backend gets the request before any reply is read,
-  // so the backends work concurrently while we gather.
+  // Send phase: every backend asked gets the request before any reply is
+  // read, so the backends work concurrently while we gather.
   const auto t_send = Clock::now();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const std::size_t i : nodes) {
     try {
       node(i).send_raw(tracing ? traced_requests[i] : shared_request);
     } catch (const std::exception& e) {
@@ -162,8 +169,8 @@ ScatterOutcome ClusterClient::scatter(srv::Verb verb,
   }
 
   // Gather phase: poll the outstanding sockets, assembling each backend's
-  // length-prefixed reply from non-blocking reads, until every backend has
-  // answered or its deadline passed.
+  // length-prefixed reply from non-blocking reads, until every backend
+  // asked has answered or its deadline passed.
   const bool bounded = config_.io_timeout_ms > 0;
   const auto deadline =
       t_send + std::chrono::milliseconds(config_.io_timeout_ms);
@@ -266,41 +273,71 @@ FleetQuery ClusterClient::query(const qry::QuerySpec& spec) {
   // matches a single node's exactly.
   qry::QuerySpec shard_spec = spec;
   shard_spec.aggregate = qry::Aggregation::kNone;
-  const auto t_scatter = Clock::now();
-  ScatterOutcome scattered =
-      scatter(srv::Verb::kQuery,
-              srv::encode_query(shard_spec, srv::kQueryWantMatched));
+  const std::vector<std::uint8_t> request =
+      srv::encode_query(shard_spec, srv::kQueryWantMatched);
 
   FleetQuery fleet;
-  fleet.scatter_ns = elapsed_ns(t_scatter);
-  fleet.gather_ns = std::move(scattered.gather_ns);
-  fleet.failures = std::move(scattered.failures);
-  const auto t_merge = Clock::now();
+  fleet.gather_ns.assign(config_.nodes.size(), 0);
   std::vector<qry::ShardSlice> slices;
   bool all_cached = true;
-  for (std::size_t i = 0; i < scattered.payloads.size(); ++i) {
-    if (!scattered.payloads[i].has_value()) continue;
-    sto::ByteReader reader(*scattered.payloads[i]);
-    auto reply = srv::decode_query_reply(reader, srv::kQueryWantMatched);
-    if (!reply.has_value()) {
-      fleet.failures.push_back(
-          {config_.nodes[i].id, "malformed QUERY response"});
-      reset(i);
-      continue;
+  // One scatter round to `nodes`; each OK reply decodes into a slice. The
+  // decode counts toward merge_ns, the round toward scatter_ns.
+  auto ask = [&](std::span<const std::size_t> nodes) {
+    const auto t_scatter = Clock::now();
+    ScatterOutcome scattered = scatter(srv::Verb::kQuery, request, nodes);
+    fleet.scatter_ns += elapsed_ns(t_scatter);
+    const auto t_decode = Clock::now();
+    fleet.failures.insert(fleet.failures.end(), scattered.failures.begin(),
+                          scattered.failures.end());
+    for (const std::size_t i : nodes) {
+      fleet.gather_ns[i] = scattered.gather_ns[i];
+      if (!scattered.payloads[i].has_value()) continue;
+      sto::ByteReader reader(*scattered.payloads[i]);
+      auto reply = srv::decode_query_reply(reader, srv::kQueryWantMatched);
+      if (!reply.has_value()) {
+        fleet.failures.push_back(
+            {config_.nodes[i].id, "malformed QUERY response"});
+        reset(i);
+        continue;
+      }
+      all_cached &= reply->cache_hit;
+      slices.push_back({std::move(reply->matched_labels),
+                        std::move(reply->series), i});
     }
-    all_cached &= reply->cache_hit;
-    slices.push_back({std::move(reply->matched_labels),
-                      std::move(reply->series)});
+    fleet.merge_ns += elapsed_ns(t_decode);
+  };
+
+  if (qry::is_exact(spec.selector)) {
+    // One stream, written only to its ring owner: ask the owner alone, and
+    // the others only when it answers with no series (a handoff may have
+    // left the stream's data elsewhere). A failed owner is reported, not
+    // routed around.
+    const std::size_t owner = ring_.owner(spec.selector);
+    fleet.owner_first = true;
+    ask({&owner, 1});
+    if (fleet.failures.empty() && slices.front().series.empty()) {
+      fleet.owner_fallback = true;
+      std::vector<std::size_t> others;
+      others.reserve(every_node_.size() - 1);
+      for (const std::size_t i : every_node_)
+        if (i != owner) others.push_back(i);
+      ask(others);
+    }
+  } else {
+    ask(every_node_);
   }
-  fleet.cache_hit =
-      all_cached && fleet.failures.empty() && !scattered.payloads.empty();
-  fleet.merged = qry::merge_shard_slices(spec, std::move(slices));
-  fleet.merge_ns = elapsed_ns(t_merge);  // shard decode + central merge
+
+  const auto t_merge = Clock::now();
+  fleet.cache_hit = all_cached && fleet.failures.empty() && !slices.empty();
+  fleet.merged = qry::merge_shard_slices(
+      spec, std::move(slices),
+      [this](std::string_view stream) { return ring_.owner(stream); });
+  fleet.merge_ns += elapsed_ns(t_merge);  // shard decode + central merge
   return fleet;
 }
 
 std::vector<NodeText> ClusterClient::fleet_text(srv::Verb verb) {
-  ScatterOutcome scattered = scatter(verb, {});
+  ScatterOutcome scattered = scatter(verb, {}, every_node_);
   std::vector<NodeText> out(config_.nodes.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i].node = config_.nodes[i].id;
@@ -316,7 +353,8 @@ std::vector<NodeText> ClusterClient::fleet_text(srv::Verb verb) {
 
 std::vector<std::optional<srv::CheckpointReply>> ClusterClient::checkpoint_all(
     std::vector<srv::ErrorDetail>& failures) {
-  ScatterOutcome scattered = scatter(srv::Verb::kCheckpoint, {});
+  ScatterOutcome scattered =
+      scatter(srv::Verb::kCheckpoint, {}, every_node_);
   std::vector<std::optional<srv::CheckpointReply>> out(config_.nodes.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (!scattered.payloads[i].has_value()) continue;

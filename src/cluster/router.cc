@@ -173,6 +173,14 @@ std::vector<std::uint8_t> NyqmonRouter::scatter_query(
 
   const auto t0 = std::chrono::steady_clock::now();
   FleetQuery fleet = lease()->query(*spec);  // validate() throws -> ERR
+  if (fleet.owner_first) {
+    owner_queries_.fetch_add(1);
+    NYQMON_OBS_COUNT("nyqmon_router_owner_queries_total", 1);
+  }
+  if (fleet.owner_fallback) {
+    owner_fallbacks_.fetch_add(1);
+    NYQMON_OBS_COUNT("nyqmon_router_owner_fallbacks_total", 1);
+  }
   if (!fleet.failures.empty()) {
     count_failures(fleet.failures);
     return srv::error_frame_with_detail(
@@ -209,16 +217,19 @@ std::vector<std::uint8_t> NyqmonRouter::scatter_query(
 std::vector<std::uint8_t> NyqmonRouter::fleet_stats_json() {
   const std::vector<NodeText> backends =
       lease()->fleet_text(srv::Verb::kStats);
-  char head[320];
+  char head[400];
   std::snprintf(
       head, sizeof(head),
       "{\"router\":{\"nodes\":%zu,\"reactors\":%zu,\"frames\":%llu,"
       "\"ingests_routed\":%llu,\"queries_scattered\":%llu,"
+      "\"owner_queries\":%llu,\"owner_fallbacks\":%llu,"
       "\"partial_failures\":%llu,\"backend_errors\":%llu},\"backends\":[",
       ring_.size(), reactors(),
       static_cast<unsigned long long>(frames_.load()),
       static_cast<unsigned long long>(ingests_routed_.load()),
       static_cast<unsigned long long>(queries_scattered_.load()),
+      static_cast<unsigned long long>(owner_queries_.load()),
+      static_cast<unsigned long long>(owner_fallbacks_.load()),
       static_cast<unsigned long long>(partial_failures_.load()),
       static_cast<unsigned long long>(backend_errors_.load()));
   std::string json(head);
@@ -263,7 +274,9 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_trace_json() {
   // before the router drains its own ring, so they make the stitch too.
   // Stitching is best-effort — an unreachable backend just contributes no
   // spans (its failure is still counted) rather than failing the drain.
-  ScatterOutcome scattered = lease()->scatter(srv::Verb::kTrace, {});
+  const Lease client = lease();
+  ScatterOutcome scattered =
+      client->scatter(srv::Verb::kTrace, {}, client->every_node());
   count_failures(scattered.failures);
   std::vector<std::string> parts;
   parts.reserve(scattered.payloads.size() + 1);
@@ -297,6 +310,8 @@ RouterStats NyqmonRouter::stats() const {
   s.frames = frames_.load();
   s.ingests_routed = ingests_routed_.load();
   s.queries_scattered = queries_scattered_.load();
+  s.owner_queries = owner_queries_.load();
+  s.owner_fallbacks = owner_fallbacks_.load();
   s.partial_failures = partial_failures_.load();
   s.backend_errors = backend_errors_.load();
   return s;

@@ -5,11 +5,14 @@
 // ClusterClients:
 //
 //   INGEST      → routed to the stream's consistent-hash ring owner
-//   QUERY       → scattered to every backend (aggregation stripped),
-//                 gathered within the per-backend deadline, merged with
-//                 the query engine's own reduction (query/merge.h) so the
-//                 answer is bit-identical to a single node holding all
-//                 streams. Any backend failure answers ERR-with-detail —
+//   QUERY       → a glob scattered to every backend (aggregation
+//                 stripped), gathered within the per-backend deadline,
+//                 merged with the query engine's own reduction
+//                 (query/merge.h) so the answer is bit-identical to a
+//                 single node holding all streams. A wildcard-free
+//                 selector asks its stream's ring owner alone, and every
+//                 other backend only when the owner has no series for it.
+//                 Any failure of a backend asked answers ERR-with-detail —
 //                 which backends failed and why — rather than silently
 //                 serving a partial fleet.
 //   STATS       → router counters + every backend's STATS JSON, one object
@@ -28,9 +31,9 @@
 //
 // With the kQueryWantExplain flag, the scattered QUERY's reply carries the
 // router's own stage breakdown — scatter, merge (decode + central
-// reduction), plus informational per-backend `backend/<node>` gather rows
-// that overlap the scatter stage — appended to whatever the wire already
-// carried.
+// reduction), plus informational `backend/<node>` gather rows, one per
+// backend asked, that overlap the scatter stage — appended to whatever the
+// wire already carried.
 //
 // Implementation: a NyqmondServer over an empty store with the intercept
 // hook — the router inherits the event loop, framing robustness, and
@@ -75,6 +78,11 @@ struct RouterStats {
   std::uint64_t frames = 0;
   std::uint64_t ingests_routed = 0;
   std::uint64_t queries_scattered = 0;
+  /// Exact-selector queries sent to the stream's ring owner alone.
+  std::uint64_t owner_queries = 0;
+  /// Of those, the ones whose owner answered with no series and that then
+  /// asked every other node.
+  std::uint64_t owner_fallbacks = 0;
   /// Scatter rounds where at least one backend failed (ERR-with-detail).
   std::uint64_t partial_failures = 0;
   /// Individual backend failures across all scatter rounds.
@@ -146,6 +154,8 @@ class NyqmonRouter {
   std::atomic<std::uint64_t> frames_{0};
   std::atomic<std::uint64_t> ingests_routed_{0};
   std::atomic<std::uint64_t> queries_scattered_{0};
+  std::atomic<std::uint64_t> owner_queries_{0};
+  std::atomic<std::uint64_t> owner_fallbacks_{0};
   std::atomic<std::uint64_t> partial_failures_{0};
   std::atomic<std::uint64_t> backend_errors_{0};
 };

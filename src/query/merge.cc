@@ -41,25 +41,26 @@ std::vector<QuerySeries> reduce_streams(const QuerySpec& spec,
 }
 
 MergedQuery merge_shard_slices(const QuerySpec& spec,
-                               std::vector<ShardSlice> slices) {
+                               std::vector<ShardSlice> slices,
+                               const ShardOwner& owner) {
   MergedQuery merged;
   sorted_union(slices, &ShardSlice::matched, merged.matched);
 
-  // Per-stream series: first copy in slice order wins (see header), then
-  // lexicographic by label — the order QueryEngine::execute emits.
+  // Per-stream series: the owner's copy of a duplicate wins, else the
+  // first in slice order (see header), then lexicographic by label — the
+  // order QueryEngine::execute emits.
   std::vector<QuerySeries> streams;
   for (ShardSlice& s : slices) {
     for (QuerySeries& qs : s.series) {
-      const bool seen =
-          std::any_of(streams.begin(), streams.end(),
-                      [&](const QuerySeries& have) {
-                        return have.label == qs.label;
-                      });
-      if (seen) {
-        ++merged.duplicate_streams;
+      const auto have = std::find_if(
+          streams.begin(), streams.end(),
+          [&](const QuerySeries& kept) { return kept.label == qs.label; });
+      if (have == streams.end()) {
+        streams.push_back(std::move(qs));
         continue;
       }
-      streams.push_back(std::move(qs));
+      ++merged.duplicate_streams;
+      if (owner && owner(qs.label) == s.shard) *have = std::move(qs);
     }
   }
   std::stable_sort(streams.begin(), streams.end(),

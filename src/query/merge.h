@@ -1,16 +1,16 @@
 // Cross-shard query merging — the entry point that lets a sharded
 // nyqmond fleet answer exactly like one process.
 //
-// The cluster router scatters a QUERY to every node with the aggregation
-// stripped (Aggregation::kNone), so each shard returns its own streams'
-// aligned, transformed per-stream series. This module gathers those
+// The cluster router sends a QUERY to the nodes it asks with the
+// aggregation stripped (Aggregation::kNone), so each shard returns its own
+// streams' aligned, transformed per-stream series. This module gathers those
 // slices back into the single-node answer: per-stream series are merged
 // in lexicographic stream-ID order (the same order QueryEngine::execute
 // processes them), duplicates from a segment handoff are dropped
-// deterministically, and the cross-stream aggregation runs through
-// reduce_streams(), the function the engine answers with too — so a
-// 1-node and an N-node fleet produce bit-identical QueryResult bytes,
-// whatever the sharding.
+// deterministically (the owning shard's copy wins), and the cross-stream
+// aggregation runs through reduce_streams(), the function the engine
+// answers with too — so a 1-node and an N-node fleet produce
+// bit-identical QueryResult bytes, whatever the sharding.
 //
 // The transform/aggregation primitives live here (not in engine.cc) for
 // exactly that reason: one definition, two call sites, no drift.
@@ -19,7 +19,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/cdf.h"
@@ -136,7 +138,13 @@ std::vector<QuerySeries> reduce_streams(const QuerySpec& spec,
 struct ShardSlice {
   std::vector<std::string> matched;
   std::vector<QuerySeries> series;
+  /// The shard that answered (the cluster's node index), matched against
+  /// ShardOwner when two slices hold the same stream.
+  std::size_t shard = 0;
 };
+
+/// The shard that owns a stream ID: the one further writes reach.
+using ShardOwner = std::function<std::size_t(std::string_view)>;
 
 /// The fleet-level answer assembled from shard slices.
 struct MergedQuery {
@@ -146,18 +154,21 @@ struct MergedQuery {
   /// aggregate series otherwise (empty when nothing was reconstructed —
   /// matching QueryEngine::execute).
   std::vector<QuerySeries> series;
-  /// Streams contributed by more than one shard (a handoff in progress:
-  /// source and destination both still serve the copy). The first copy in
-  /// slice order wins; copies are bit-identical reconstructions of the
-  /// same data, so the choice never changes the answer.
+  /// Streams contributed by more than one shard (a handoff left a copy
+  /// away from the owner). The owner's copy wins when a slice from the
+  /// owning shard holds it, else the first copy in slice order: ingest
+  /// after a handoff reaches only the owner, so another copy may be stale.
   std::size_t duplicate_streams = 0;
 };
 
 /// Merge shard slices into the single-node answer for `spec` (the
-/// *original* client spec, with its aggregation). Slices must all be
+/// *original* client spec, with its aggregation). `owner` names each
+/// stream's owning shard; it is asked only about duplicated streams, and
+/// without it the first copy in slice order wins. Slices must all be
 /// grids of the same spec: series of differing lengths throw
 /// std::runtime_error (a shard answered a different query).
 MergedQuery merge_shard_slices(const QuerySpec& spec,
-                               std::vector<ShardSlice> slices);
+                               std::vector<ShardSlice> slices,
+                               const ShardOwner& owner = {});
 
 }  // namespace nyqmon::qry

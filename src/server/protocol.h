@@ -458,7 +458,9 @@ inline std::optional<QueryReply> decode_query_reply(sto::ByteReader& r,
     const double t0 = r.get_f64();
     const double dt = r.get_f64();
     std::vector<double> values = r.get_f64s(r.get_u32());
-    if (!r.ok()) return std::nullopt;
+    // A grid step that is 0, negative or NaN is no grid: refuse the reply
+    // rather than let RegularSeries throw a caller's bad-argument error.
+    if (!r.ok() || !(dt > 0.0)) return std::nullopt;
     s.series = sig::RegularSeries(t0, dt, std::move(values));
     reply.series.push_back(std::move(s));
   }

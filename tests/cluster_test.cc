@@ -3,8 +3,9 @@
 // data behind a 1-node and a 4-node router answers every selector
 // bit-identically (including after a segment handoff duplicated streams
 // across nodes, and with several connections querying at once beside an
-// ingesting one), and a killed backend turns into a prompt ERR-with-detail
-// partial-failure report instead of a hang.
+// ingesting one), an exact selector asks its ring owner alone yet answers
+// like a glob over the same stream, and a killed backend turns into a
+// prompt ERR-with-detail partial-failure report instead of a hang.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,6 +26,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -223,6 +225,37 @@ TEST(ShardMerge, RejectsMismatchedGrids) {
   EXPECT_THROW(qry::merge_shard_slices(spec, slices), std::runtime_error);
 }
 
+TEST(ShardMerge, OwnersCopyWinsADuplicate) {
+  const auto spec = merge_spec(qry::Aggregation::kNone);
+  const std::size_t n = spec.grid_points();
+  // Shard 1 owns s/c; shard 0 holds a copy a handoff left behind, which
+  // missed the owner's later ingest.
+  std::vector<qry::ShardSlice> slices(2);
+  slices[0] = {{"s/a", "s/c"},
+               {series_of("s/a", 0.1, n), series_of("s/c", 0.3, n)},
+               0};
+  slices[1] = {{"s/c"}, {series_of("s/c", 0.7, n)}, 1};
+  std::vector<std::string> asked;
+  const qry::ShardOwner owner = [&asked](std::string_view stream) {
+    asked.emplace_back(stream);
+    return stream == "s/c" ? std::size_t{1} : std::size_t{0};
+  };
+  const std::vector<double> fresh(series_of("s/c", 0.7, n).series.values());
+
+  for (int order = 0; order < 2; ++order) {
+    SCOPED_TRACE(order == 0 ? "stale copy first" : "owner's copy first");
+    const qry::MergedQuery merged =
+        qry::merge_shard_slices(spec, slices, owner);
+    EXPECT_EQ(merged.duplicate_streams, 1u);
+    ASSERT_EQ(merged.series.size(), 2u);
+    EXPECT_EQ(merged.series[1].label, "s/c");
+    EXPECT_TRUE(same_values(merged.series[1].series.span(), fresh));
+    std::swap(slices[0], slices[1]);
+  }
+  // Only the duplicated stream's owner was looked up, once per merge.
+  EXPECT_EQ(asked, (std::vector<std::string>{"s/c", "s/c"}));
+}
+
 // ------------------------------------------------- fleet (router) fixtures --
 
 /// N empty in-process nyqmond backends behind one router.
@@ -405,6 +438,199 @@ TEST(Fleet, HandoffKeepsAnswersBitIdentical) {
   }
 }
 
+// After a handoff onto a lower-indexed node, ingest through the router
+// reaches only the ring owner, so the copy the handoff left goes stale.
+// Exact and glob queries both answer from the owner's copy, like one node.
+TEST(Fleet, PostHandoffIngestAnswersLikeOneNode) {
+  MiniFleet one(1);
+  MiniFleet four(4);
+  srv::NyqmonClient c1("127.0.0.1", one.router->port());
+  srv::NyqmonClient c4("127.0.0.1", four.router->port());
+  ingest_fixture(c1);
+  ingest_fixture(c4);
+
+  // A */cpu stream not owned by node0, copied onto node0, whose replies
+  // come first in backend order.
+  std::string moved;
+  for (const char* name : kStreams)
+    if (four.router->ring().owner(name) != 0 &&
+        qry::match_glob("*/cpu", name)) {
+      moved = name;
+      break;
+    }
+  ASSERT_FALSE(moved.empty());
+  const std::size_t owner = four.router->ring().owner(moved);
+  srv::NyqmonClient source("127.0.0.1", four.backends[owner]->port());
+  srv::NyqmonClient copy("127.0.0.1", four.backends[0]->port());
+  EXPECT_EQ(copy.handoff_import(source.handoff_export(moved).segment).streams,
+            1u);
+
+  // 256 more values through each router; the 4-node fleet's reach only
+  // the owner.
+  const auto more = wave(256, 9.1);
+  EXPECT_EQ(c1.ingest(moved, 1.0, 0.0, more), 512u);
+  EXPECT_EQ(c4.ingest(moved, 1.0, 0.0, more), 512u);
+  ASSERT_TRUE(four.stores[0]->find_meta(moved).has_value());
+  EXPECT_EQ(four.stores[0]->find_meta(moved)->ingested_samples, 256u);
+
+  for (const std::string& selector :
+       {moved, std::string("*/cpu"), std::string("*")}) {
+    for (const auto agg : {qry::Aggregation::kNone, qry::Aggregation::kAvg,
+                           qry::Aggregation::kP95}) {
+      const qry::QuerySpec spec = qry::QueryBuilder()
+                                      .select(selector)
+                                      .range(100.0, 400.0)
+                                      .align(4.0)
+                                      .aggregate(agg)
+                                      .build();
+      SCOPED_TRACE(describe(spec));
+      expect_same_reply(c1.query(spec, true), c4.query(spec, true));
+    }
+  }
+}
+
+/// `spec` (an exact selector) answers like its glob twin, the selector
+/// with its last character replaced by `?`: the twin matches the same one
+/// stream but asks every node. An aggregate's label names the selector,
+/// so labels are compared only for per-stream (kNone) answers.
+void expect_exact_like_glob(srv::NyqmonClient& client,
+                            const qry::QuerySpec& spec, const char* when) {
+  qry::QuerySpec glob = spec;
+  glob.selector.back() = '?';
+  const srv::QueryReply exact = client.query(spec, true);
+  const srv::QueryReply twin = client.query(glob, true);
+  SCOPED_TRACE(testing::Message() << when << ": " << describe(spec) << " ["
+                                  << spec.t_begin << ", " << spec.t_end
+                                  << ")");
+  EXPECT_EQ(exact.matched, twin.matched);
+  EXPECT_EQ(exact.reconstructed, twin.reconstructed);
+  EXPECT_EQ(exact.matched_labels, twin.matched_labels);
+  ASSERT_EQ(exact.series.size(), twin.series.size());
+  for (std::size_t i = 0; i < exact.series.size(); ++i) {
+    if (spec.aggregate == qry::Aggregation::kNone) {
+      EXPECT_EQ(exact.series[i].label, twin.series[i].label);
+    }
+    EXPECT_EQ(exact.series[i].series.t0(), twin.series[i].series.t0());
+    EXPECT_EQ(exact.series[i].series.dt(), twin.series[i].series.dt());
+    EXPECT_TRUE(same_values(exact.series[i].series.span(),
+                            twin.series[i].series.span()));
+  }
+}
+
+TEST(Fleet, ExactQueriesAnswerLikeTheirGlob) {
+  MiniFleet four(4);
+  srv::NyqmonClient c4("127.0.0.1", four.router->port());
+  ingest_fixture(c4);
+  const clu::HashRing& ring = four.router->ring();
+
+  // The suite's exact specs, each also over [100, 400), which runs past
+  // the fixture's 256 values into what later ingest adds.
+  std::vector<qry::QuerySpec> specs;
+  for (const qry::QuerySpec& spec : selector_suite()) {
+    if (!qry::is_exact(spec.selector)) continue;
+    specs.push_back(spec);
+    specs.push_back(spec);
+    specs.back().t_begin = 100.0;
+    specs.back().t_end = 400.0;
+  }
+  ASSERT_EQ(specs.size(), 48u);
+  const auto check = [&](const char* when,
+                         const std::vector<qry::QuerySpec>& extra) {
+    for (const qry::QuerySpec& spec : specs)
+      expect_exact_like_glob(c4, spec, when);
+    for (const qry::QuerySpec& spec : extra)
+      expect_exact_like_glob(c4, spec, when);
+  };
+  // QUERY frames each backend serves for one query through the router.
+  const auto exchanges = [&](const qry::QuerySpec& spec) {
+    std::vector<std::uint64_t> frames;
+    for (const auto& backend : four.backends)
+      frames.push_back(backend->stats().query_frames);
+    (void)c4.query(spec, true);
+    for (std::size_t i = 0; i < frames.size(); ++i)
+      frames[i] = four.backends[i]->stats().query_frames - frames[i];
+    return frames;
+  };
+  const qry::QuerySpec& hit = specs.front();   // podA/cpu
+  const qry::QuerySpec& absent = specs.back();  // none/such
+  ASSERT_EQ(hit.selector, "podA/cpu");
+  ASSERT_EQ(absent.selector, "none/such");
+  const std::vector<std::uint64_t> every_node(4, 1);
+
+  // 1. Freshly sharded. An exact hit is one exchange, with the owner; an
+  // absent stream asks the owner, then every other node.
+  check("sharded", {});
+  const std::size_t owner = ring.owner(hit.selector);
+  std::vector<std::uint64_t> owner_only(4, 0);
+  owner_only[owner] = 1;
+  const clu::RouterStats s0 = four.router->stats();
+  EXPECT_EQ(exchanges(hit), owner_only);
+  const clu::RouterStats s1 = four.router->stats();
+  EXPECT_EQ(exchanges(absent), every_node);
+  const clu::RouterStats s2 = four.router->stats();
+  EXPECT_EQ(s1.owner_queries - s0.owner_queries, 1u);
+  EXPECT_EQ(s1.owner_fallbacks - s0.owner_fallbacks, 0u);
+  EXPECT_EQ(s2.owner_queries - s1.owner_queries, 1u);
+  EXPECT_EQ(s2.owner_fallbacks - s1.owner_fallbacks, 1u);
+
+  // 2. A mid-handoff duplicate, onto a lower-indexed node where there is
+  // one, so the copy comes first in backend order.
+  const std::size_t away = owner == 0 ? 1 : 0;
+  {
+    srv::NyqmonClient source("127.0.0.1", four.backends[owner]->port());
+    srv::NyqmonClient destination("127.0.0.1", four.backends[away]->port());
+    EXPECT_EQ(destination
+                  .handoff_import(source.handoff_export(hit.selector).segment)
+                  .streams,
+              1u);
+  }
+  check("mid-handoff duplicate", {});
+
+  // 3. More ingest after the handoff reaches only the owner, so the copy
+  // on `away` goes stale.
+  EXPECT_EQ(c4.ingest(hit.selector, 1.0, 0.0, wave(256, 5.0)), 512u);
+  check("ingest after handoff", {});
+  EXPECT_EQ(exchanges(hit), owner_only);
+
+  // 4. A stream ingested only into a node that does not own it: its owner
+  // has no series, so the exact query asks every node.
+  {
+    const std::size_t stray = (ring.owner(absent.selector) + 1) % 4;
+    srv::NyqmonClient direct("127.0.0.1", four.backends[stray]->port());
+    EXPECT_EQ(direct.ingest(absent.selector, 1.0, 0.0, wave(256, 6.0)),
+              256u);
+  }
+  check("non-owner only", {});
+  EXPECT_EQ(exchanges(absent), every_node);
+  EXPECT_EQ(c4.query(absent, true).reconstructed, 1u);
+
+  // 5. The owner holds late/cpu over [0, 256) only, while a non-owner copy
+  // holds [1000, 1256): a query over [1000, 1200) finds nothing on the
+  // owner and falls back; one over [100, 1200) finds both copies.
+  const std::string late = "late/cpu";
+  EXPECT_EQ(c4.ingest(late, 1.0, 0.0, wave(256, 7.0)), 256u);
+  {
+    const std::size_t elsewhere = (ring.owner(late) + 1) % 4;
+    srv::NyqmonClient direct("127.0.0.1", four.backends[elsewhere]->port());
+    EXPECT_EQ(direct.ingest(late, 1.0, 1000.0, wave(256, 8.0)), 256u);
+  }
+  std::vector<qry::QuerySpec> late_specs;
+  for (const double t_begin : {1000.0, 100.0})
+    for (const auto agg : {qry::Aggregation::kNone, qry::Aggregation::kSum,
+                           qry::Aggregation::kP95})
+      late_specs.push_back(qry::QueryBuilder()
+                               .select(late)
+                               .range(t_begin, 1200.0)
+                               .align(4.0)
+                               .aggregate(agg)
+                               .build());
+  check("owner lacks the range", late_specs);
+  EXPECT_EQ(exchanges(late_specs.front()), every_node);
+  EXPECT_EQ(c4.query(late_specs.front(), true).reconstructed, 1u);
+
+  EXPECT_EQ(four.router->stats().partial_failures, 0u);
+}
+
 // The router refuses a reply that would not fit its front's frame cap
 // with an ERR naming the cap, and the connection keeps serving.
 TEST(Fleet, RouterRefusesOverCapRepliesAndServesOn) {
@@ -578,6 +804,54 @@ TEST(Fleet, KilledBackendAnswersErrWithDetailPromptly) {
     EXPECT_EQ(client.ingest(name, 1.0, 0.0, values), 256u + 16u) << name;
     break;
   }
+}
+
+// An exact query asks only its stream's owner: a stopped owner fails it
+// with a detail naming the owner alone, and any other stopped node does
+// not fail it at all.
+TEST(Fleet, ExactQueryFailsOnlyWithItsOwner) {
+  MiniFleet fleet(3, /*io_timeout_ms=*/500);
+  srv::NyqmonClient client("127.0.0.1", fleet.router->port());
+  ingest_fixture(client);
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("podA/cpu")
+                                  .range(8.0, 200.0)
+                                  .align(4.0)
+                                  .build();
+  const std::size_t owner = fleet.router->ring().owner(spec.selector);
+  const srv::QueryReply before = client.query(spec, true);
+  ASSERT_EQ(before.series.size(), 1u);
+
+  fleet.backends[(owner + 1) % 3]->stop();
+  expect_same_reply(before, client.query(spec, true));
+  EXPECT_EQ(fleet.router->stats().partial_failures, 0u);
+
+  fleet.backends[owner]->stop();
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    (void)client.query(spec);
+    FAIL() << "a stopped owner must fail its exact query";
+  } catch (const srv::ServerError& e) {
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    EXPECT_LT(elapsed, 5.0);
+    EXPECT_NE(std::string(e.what()).find("partial failure"),
+              std::string::npos)
+        << e.what();
+    ASSERT_EQ(e.details().size(), 1u);
+    EXPECT_EQ(e.details()[0].node, fleet.router->ring().nodes()[owner].id);
+  }
+
+  const clu::RouterStats stats = fleet.router->stats();
+  EXPECT_EQ(stats.queries_scattered, 3u);
+  EXPECT_EQ(stats.owner_queries, 3u);
+  EXPECT_EQ(stats.owner_fallbacks, 0u);
+  EXPECT_EQ(stats.partial_failures, 1u);
+  EXPECT_EQ(stats.backend_errors, 1u);
+  EXPECT_NE(client.stats_json().find(
+                "\"owner_queries\":3,\"owner_fallbacks\":0,"),
+            std::string::npos);
 }
 
 TEST(Fleet, RefusedIngestNamesTheOwnerAndIsNotRetried) {
@@ -848,6 +1122,65 @@ TEST(Fleet, FleetTraceStitchesOneQueryTimeline) {
   EXPECT_EQ(backend_parents.size(), 4u);
   EXPECT_EQ(backend_lanes,
             (std::set<std::string>{"node0", "node1", "node2", "node3"}));
+}
+
+TEST(Fleet, ExactQueryExplainsAndTracesOnlyItsOwner) {
+  obs::TraceRecorder& rec = obs::TraceRecorder::instance();
+  MiniFleet fleet(4);
+  srv::NyqmonClient client("127.0.0.1", fleet.router->port());
+  ingest_fixture(client);
+  const qry::QuerySpec spec = qry::QueryBuilder()
+                                  .select("podA/cpu")
+                                  .range(8.0, 200.0)
+                                  .align(2.0)
+                                  .build();
+  const std::string owner = fleet.router->ring().owner_node(spec.selector).id;
+
+  // EXPLAIN: one gather row, the owner's.
+  const srv::QueryReply reply =
+      client.query(spec, /*want_matched=*/true, /*want_explain=*/true);
+  ASSERT_TRUE(reply.explain.has_value());
+  std::vector<std::string> backend_rows;
+  for (const srv::ExplainEntry& e : reply.explain->stages)
+    if (e.stage.rfind("backend/", 0) == 0) backend_rows.push_back(e.stage);
+  EXPECT_EQ(backend_rows, (std::vector<std::string>{"backend/" + owner}));
+
+  // Trace: the router's QUERY span parents one fan-out span, which parents
+  // the owner's QUERY span.
+  rec.drain();
+  rec.set_enabled(true);
+  (void)client.query(spec, /*want_matched=*/true);
+  const std::string json = client.trace_json(/*fleet=*/true);
+  rec.set_enabled(false);
+  rec.drain();
+
+  const std::vector<ChromeEvent> events = parse_chrome_events(json);
+  std::map<std::uint32_t, std::string> lanes;
+  for (const ChromeEvent& ev : events)
+    if (ev.name == "process_name") lanes[ev.pid] = process_label(ev.text);
+  std::vector<ChromeEvent> query_spans;
+  for (const ChromeEvent& ev : events)
+    if (ev.name == "QUERY") query_spans.push_back(ev);
+  ASSERT_EQ(query_spans.size(), 2u) << json;
+  const std::uint64_t trace_id = query_spans[0].trace_id;
+  EXPECT_NE(trace_id, 0u);
+  EXPECT_EQ(query_spans[1].trace_id, trace_id);
+
+  std::vector<ChromeEvent> fanout;
+  for (const ChromeEvent& ev : events)
+    if (ev.trace_id == trace_id && ev.name.rfind("fanout/", 0) == 0)
+      fanout.push_back(ev);
+  ASSERT_EQ(fanout.size(), 1u) << json;
+  EXPECT_EQ(fanout[0].name, "fanout/" + owner);
+  for (const ChromeEvent& ev : query_spans) {
+    if (ev.span_id == fanout[0].parent_span_id) {
+      EXPECT_EQ(ev.parent_span_id, 0u) << ev.text;
+      EXPECT_EQ(lanes[ev.pid], "router");
+    } else {
+      EXPECT_EQ(ev.parent_span_id, fanout[0].span_id) << ev.text;
+      EXPECT_EQ(lanes[ev.pid], owner);
+    }
+  }
 }
 
 // ------------------------------------------------------- client timeouts --

@@ -1282,6 +1282,29 @@ TEST(Protocol, QueryReplyKeepsPerValueBytes) {
   }
 }
 
+// A series whose grid step is 0, negative or NaN is a malformed reply,
+// refused like any other, not a bad argument thrown from RegularSeries.
+TEST(Protocol, QueryReplyRefusesANonPositiveStep) {
+  for (const double dt :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<std::uint8_t> bytes;
+    sto::put_u8(bytes, 0);
+    sto::put_u32(bytes, 1);
+    sto::put_u32(bytes, 1);
+    sto::put_u32(bytes, 1);
+    sto::put_string(bytes, "a/odd");
+    put_f64_reference(bytes, 0.0);
+    put_f64_reference(bytes, dt);
+    sto::put_u32(bytes, 2);
+    put_f64_reference(bytes, 1.0);
+    put_f64_reference(bytes, 2.0);
+    EXPECT_FALSE(decode_exact(bytes, [](sto::ByteReader& r) {
+                   return srv::decode_query_reply(r, 0);
+                 }).has_value())
+        << dt;
+  }
+}
+
 // ------------------------------------------------------------- call_ok ---
 
 TEST(Server, CallOkRoundTripsOkAndErr) {
