@@ -11,9 +11,17 @@
 // stream population is ingested through the router (so the consistent-hash
 // ring does the sharding). One client connection then drives a mixed
 // selector workload (exact streams, device globs, metric globs, fleet-wide)
-// across transforms and aggregations; every query scatters to all N
-// backends and merges centrally, so the row-to-row comparison isolates the
-// fan-out cost. Latencies are measured per query at the client.
+// across transforms and aggregations; a glob scatters to all N backends and
+// merges centrally, and an exact stream asks its ring owner alone, so the
+// row-to-row comparison isolates the fan-out cost. Latencies are measured
+// per query at the client.
+//
+// The same connection then sends as many exact queries for names that no
+// backend holds. The owner answers with no series and the router then asks
+// every other node, so above one backend each costs two scatter rounds in
+// series. Their p50/p99 are printed beside the mix's (absent_p50_ms,
+// absent_p99_ms) and stay out of router_qps, the figure the regression
+// gate compares.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -79,6 +87,37 @@ std::vector<qry::QuerySpec> build_workload(
   return workload;
 }
 
+/// Exact selectors for streams no backend holds, spread over the ring.
+std::vector<qry::QuerySpec> build_absent_workload() {
+  std::vector<qry::QuerySpec> workload;
+  for (std::size_t i = 0; i < 8; ++i)
+    workload.push_back(qry::QueryBuilder()
+                           .select(std::string("absent")
+                                       .append(std::to_string(i))
+                                       .append("/cpu_util"))
+                           .range(0.0, 120.0)
+                           .align(2.0)
+                           .build());
+  return workload;
+}
+
+/// Sends `n` queries cycling through `specs`, one at a time, and returns
+/// their latencies in ms.
+std::vector<double> time_queries(srv::NyqmonClient& client,
+                                 const std::vector<qry::QuerySpec>& specs,
+                                 std::size_t n) {
+  std::vector<double> latencies_ms;
+  latencies_ms.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto q0 = std::chrono::steady_clock::now();
+    (void)client.query(specs[i % specs.size()]);
+    latencies_ms.push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - q0)
+                               .count());
+  }
+  return latencies_ms;
+}
+
 double quantile_ms(std::vector<double>& sorted_ms, double q) {
   if (sorted_ms.empty()) return 0.0;
   const std::size_t i = static_cast<std::size_t>(
@@ -102,14 +141,15 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> names = make_stream_names(streams);
   const std::vector<qry::QuerySpec> workload = build_workload(names);
+  const std::vector<qry::QuerySpec> absent = build_absent_workload();
   std::printf("fleet_scatter: %zu streams, %zu queries, %zu distinct specs\n\n",
               streams, queries, workload.size());
 
   AsciiTable table({"backends", "streams", "queries", "wall_s", "router_qps",
-                    "p50_ms", "p99_ms"});
+                    "p50_ms", "p99_ms", "absent_p50_ms", "absent_p99_ms"});
   CsvWriter csv(bench::csv_path("fleet_scatter"),
                 {"backends", "streams", "queries", "wall_s", "router_qps",
-                 "p50_ms", "p99_ms"});
+                 "p50_ms", "p99_ms", "absent_p50_ms", "absent_p99_ms"});
   std::string json_backends, json_qps, json_p99;
 
   for (const std::size_t backends : {1, 2, 4}) {
@@ -138,34 +178,32 @@ int main(int argc, char** argv) {
       client.ingest(names[s], 2.0, 0.0, values);
     }
 
-    std::vector<double> latencies_ms;
-    latencies_ms.reserve(queries);
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < queries; ++i) {
-      const auto q0 = std::chrono::steady_clock::now();
-      (void)client.query(workload[i % workload.size()]);
-      latencies_ms.push_back(
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - q0)
-              .count());
-    }
+    std::vector<double> latencies_ms = time_queries(client, workload, queries);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    std::vector<double> absent_ms = time_queries(client, absent, queries);
     router.stop();
     for (auto& server : servers) server->stop();
 
     std::sort(latencies_ms.begin(), latencies_ms.end());
+    std::sort(absent_ms.begin(), absent_ms.end());
     const double qps = static_cast<double>(queries) / wall;
     const double p50 = quantile_ms(latencies_ms, 0.50);
     const double p99 = quantile_ms(latencies_ms, 0.99);
+    const double absent_p50 = quantile_ms(absent_ms, 0.50);
+    const double absent_p99 = quantile_ms(absent_ms, 0.99);
     table.row({std::to_string(backends), std::to_string(streams),
                std::to_string(queries), AsciiTable::format_double(wall),
                AsciiTable::format_double(qps), AsciiTable::format_double(p50),
-               AsciiTable::format_double(p99)});
+               AsciiTable::format_double(p99),
+               AsciiTable::format_double(absent_p50),
+               AsciiTable::format_double(absent_p99)});
     csv.row_numeric({static_cast<double>(backends),
                      static_cast<double>(streams),
-                     static_cast<double>(queries), wall, qps, p50, p99});
+                     static_cast<double>(queries), wall, qps, p50, p99,
+                     absent_p50, absent_p99});
     bench::json_append(json_backends, "%zu", backends);
     bench::json_append(json_qps, "%.1f", qps);
     bench::json_append(json_p99, "%.3f", p99);

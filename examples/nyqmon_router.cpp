@@ -13,9 +13,10 @@
 // ERR-with-detail (which nodes failed and why) instead of a silent partial
 // answer.
 //
-// The router runs one front reactor per online core, so it handles that
-// many requests at once; the startup line prints the count, and
-// `nyqmon_ctl stats` reports it as router.reactors.
+// The router runs one front reactor per online core, the server default
+// that every backend takes too, so it handles that many requests at once;
+// the startup line prints the count, and `nyqmon_ctl stats` reports it as
+// router.reactors and each backend's as its `reactors`.
 //
 // The second form is a self-contained demo: it spawns <n_backends> empty
 // in-process nyqmond servers on ephemeral ports, fronts them, prints the

@@ -15,7 +15,10 @@
 // reopen the directory with `fleet_query <dir>` for the cold-start view.
 // Once the fleet's timeline completes, the server keeps serving for
 // [serve_seconds] (default 0 — print the run summary and exit; use e.g.
-// 3600 to keep a long-lived service for nyqmon_ctl sessions).
+// 3600 to keep a long-lived service for nyqmon_ctl sessions). [reactors]
+// sets the server's event-loop count (default 0: one per online core, the
+// server's own default); the startup line and `nyqmon_ctl stats` report
+// the count in use.
 //
 // Self-telemetry is live the whole time: `nyqmon_ctl <host> <port> metrics`
 // returns the Prometheus exposition of every internal counter/histogram,
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
   const std::string persist_dir = argc > 3 ? argv[3] : "";
   const double serve_seconds = argc > 4 ? std::atof(argv[4]) : 0.0;
   const std::size_t reactors =
-      argc > 5 ? static_cast<std::size_t>(std::atol(argv[5])) : 4;
+      argc > 5 ? static_cast<std::size_t>(std::atol(argv[5])) : 0;
 
   char* end = nullptr;
   const std::size_t pairs =

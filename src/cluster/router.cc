@@ -1,10 +1,8 @@
 #include "cluster/router.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -59,11 +57,9 @@ NyqmonRouter::Lease NyqmonRouter::lease() {
 }
 
 void NyqmonRouter::start() {
+  // The server's default reactor count, one per online core: each reactor
+  // runs one scatter-gather at a time on its own leased backend connections.
   srv::ServerConfig front;
-  // One reactor per online core: each runs one scatter-gather at a time on
-  // its own leased backend connections.
-  front.reactors =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
   front.bind_address = config_.bind_address;
   front.port = config_.port;
   front.max_frame_bytes = config_.max_frame_bytes;

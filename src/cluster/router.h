@@ -39,14 +39,15 @@
 // hook — the router inherits the event loop, framing robustness, and
 // bounded reply queues, and replaces the data path.
 //
-// Concurrency: the front runs one reactor per online core, so up to that
-// many requests are handled at once, each on its connection's reactor.
-// Every intercepted request leases a ClusterClient (one socket per backend)
-// from a pool for its duration, so concurrent scatters never share a
-// backend connection. A reactor handles one request at a time, so the pool
-// never holds more clients than there are reactors, and backend sockets
-// stay bounded by reactors x backends. Requests on one front connection
-// are still handled in order by that connection's reactor.
+// Concurrency: the front runs the server's default of one reactor per
+// online core, so up to that many requests are handled at once, each on
+// its connection's reactor. Every intercepted request leases a
+// ClusterClient (one socket per backend) from a pool for its duration, so
+// concurrent scatters never share a backend connection. A reactor handles
+// one request at a time, so the pool never holds more clients than there
+// are reactors, and backend sockets stay bounded by reactors x backends.
+// Requests on one front connection are still handled in order by that
+// connection's reactor.
 #pragma once
 
 #include <atomic>

@@ -96,6 +96,9 @@ NyqmondServer::NyqmondServer(mon::StripedRetentionStore& store,
       config_(std::move(config)),
       query_(store, config_.query) {
   NYQMON_CHECK(config_.max_frame_bytes >= 64);
+  if (config_.reactors == 0)
+    config_.reactors =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 NyqmondServer::~NyqmondServer() { stop(); }
@@ -138,9 +141,8 @@ void NyqmondServer::start() {
     set_nonblocking(wake_pipe_[0]);
     set_nonblocking(listen_fd_);
 
-    const std::size_t n_reactors = std::max<std::size_t>(1, config_.reactors);
-    reactors_.reserve(n_reactors);
-    for (std::size_t i = 0; i < n_reactors; ++i) {
+    reactors_.reserve(config_.reactors);
+    for (std::size_t i = 0; i < config_.reactors; ++i) {
       auto reactor = std::make_unique<Reactor>();
       reactor->index = i;
       if (::pipe(reactor->wake_pipe) < 0) throw_errno("pipe");
@@ -409,7 +411,7 @@ void NyqmondServer::reactor_loop(Reactor& reactor) {
       const short revents = fds[i + 1].revents;
       bool alive = true;
       if (revents & (POLLERR | POLLHUP | POLLNVAL)) alive = false;
-      if (alive && (revents & POLLIN)) alive = read_client(conn);
+      if (alive && (revents & POLLIN)) alive = read_client(conn, now);
       if (alive && conn.out_sent < conn.out.size()) alive = write_client(conn);
       // Requests buffered past an earlier backpressure break generate no
       // further socket events — re-dispatch them as the reply queue
@@ -417,7 +419,7 @@ void NyqmondServer::reactor_loop(Reactor& reactor) {
       // consumes nothing (partial frame, or the queue refilled) is done.
       while (alive && !conn.in.empty() && !reply_queue_full(conn)) {
         const std::size_t before = conn.in.size();
-        alive = drain_frames(conn);
+        alive = drain_frames(conn, now);
         if (conn.in.size() == before) break;
       }
       if (alive && conn.close_after_flush && conn.out_sent == conn.out.size())
@@ -489,7 +491,8 @@ void NyqmondServer::accept_clients() {
   }
 }
 
-bool NyqmondServer::read_client(Connection& conn) {
+bool NyqmondServer::read_client(
+    Connection& conn, std::chrono::steady_clock::time_point polled_at) {
   std::uint8_t buf[16384];
   while (true) {
     // Backpressure inside the read burst too: once this client's reply
@@ -503,7 +506,7 @@ bool NyqmondServer::read_client(Connection& conn) {
         // Drain complete frames first — a burst of legally pipelined
         // frames may exceed one frame's cap; only an *undrainable* buffer
         // this large means a single over-cap frame.
-        if (!drain_frames(conn)) return false;
+        if (!drain_frames(conn, polled_at)) return false;
         if (conn.in.size() > config_.max_frame_bytes + 5) {
           protocol_errors_.fetch_add(1);
           NYQMON_OBS_COUNT("nyqmon_server_protocol_errors_total", 1);
@@ -520,7 +523,7 @@ bool NyqmondServer::read_client(Connection& conn) {
     if (errno == EINTR) continue;
     return false;
   }
-  return drain_frames(conn);
+  return drain_frames(conn, polled_at);
 }
 
 bool NyqmondServer::write_client(Connection& conn) {
@@ -543,7 +546,8 @@ bool NyqmondServer::write_client(Connection& conn) {
   return true;
 }
 
-bool NyqmondServer::drain_frames(Connection& conn) {
+bool NyqmondServer::drain_frames(
+    Connection& conn, std::chrono::steady_clock::time_point polled_at) {
   // Past a corrupt length prefix the byte stream has no trustworthy frame
   // boundaries — never parse again on this connection, just flush the ERR.
   if (conn.close_after_flush) return write_client(conn);
@@ -571,8 +575,10 @@ bool NyqmondServer::drain_frames(Connection& conn) {
       break;
     }
     if (conn.in.size() - consumed < 4u + body_len) break;  // partial frame
-    dispatch(conn, std::span<const std::uint8_t>(conn.in)
-                       .subspan(consumed + 4, body_len));
+    dispatch(conn,
+             std::span<const std::uint8_t>(conn.in).subspan(consumed + 4,
+                                                            body_len),
+             polled_at);
     consumed += 4u + body_len;
   }
   if (consumed > 0)
@@ -583,7 +589,8 @@ bool NyqmondServer::drain_frames(Connection& conn) {
 }
 
 void NyqmondServer::dispatch(Connection& conn,
-                             std::span<const std::uint8_t> body) {
+                             std::span<const std::uint8_t> body,
+                             std::chrono::steady_clock::time_point polled_at) {
   frames_.fetch_add(1);
   NYQMON_OBS_COUNT("nyqmon_server_frames_total", 1);
   // Distributed tracing: peel the optional TraceContext trailer off the
@@ -601,6 +608,14 @@ void NyqmondServer::dispatch(Connection& conn,
   const auto verb = static_cast<Verb>(reader.get_u8());
   NYQMON_TRACE_SPAN(verb_name(verb), "server");
   const auto t_dispatch = std::chrono::steady_clock::now();
+  // Queueing behind this reactor: the frames of other connections read and
+  // dispatched earlier in the same poll(2) round. A lower bound — a frame
+  // that arrived during an earlier dispatch is only seen at this round's
+  // poll return.
+  NYQMON_OBS_RECORD("nyqmon_reactor_dispatch_wait_ns",
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        t_dispatch - polled_at)
+                        .count());
 
   std::vector<std::uint8_t> reply;
   bool intercepted = false;
@@ -724,7 +739,7 @@ std::vector<std::uint8_t> NyqmondServer::handle_stats() {
       "\"queries\":%llu,\"cache_hits\":%llu,\"cache_misses\":%llu,"
       "\"frames\":%llu,\"ingest_frames\":%llu,\"query_frames\":%llu,"
       "\"protocol_errors\":%llu,\"samples_ingested\":%llu,"
-      "\"connections_accepted\":%llu}",
+      "\"connections_accepted\":%llu,\"reactors\":%zu}",
       rollup.streams, rollup.ingested_samples, rollup.stored_samples,
       static_cast<unsigned long long>(rollup.bytes_raw),
       static_cast<unsigned long long>(rollup.bytes_stored),
@@ -736,7 +751,8 @@ std::vector<std::uint8_t> NyqmondServer::handle_stats() {
       static_cast<unsigned long long>(query_frames_.load()),
       static_cast<unsigned long long>(protocol_errors_.load()),
       static_cast<unsigned long long>(samples_ingested_.load()),
-      static_cast<unsigned long long>(connections_accepted_.load()));
+      static_cast<unsigned long long>(connections_accepted_.load()),
+      config_.reactors);
   return ok_frame(text_bytes(json));
 }
 

@@ -10,14 +10,17 @@
 //
 // Threading model (multi-reactor): one accept thread owns the listening
 // socket and deals accepted connections round-robin across N reactor
-// threads (ServerConfig::reactors, default 1). Each reactor runs its own
-// poll(2) loop over the connections it exclusively owns — per-connection
-// state (buffers, bounded reply queues, backpressure) is single-threaded
-// by ownership, while the store, query engine, and wire counters are
-// shared and thread-safe. Commands execute inline on the owning reactor,
-// so per-connection behavior stays sequential and deterministic, and with
-// the default single reactor the wire-visible ordering across connections
-// matches the original single-loop server. The *store* stays safely
+// threads (ServerConfig::reactors, default one per online core — the same
+// rule for a backend, a router front and the nyqmond daemon). Each reactor
+// runs its own poll(2) loop over the connections it exclusively owns —
+// per-connection state (buffers, bounded reply queues, backpressure) is
+// single-threaded by ownership, while the store, query engine, and wire
+// counters are shared and thread-safe. Commands execute inline on the
+// owning reactor, so each connection's requests are answered in the order
+// sent, and a request sent after another connection's reply arrived sees
+// that request's effects. Requests in flight on different connections at
+// the same time are served in parallel, in no fixed order; with
+// `reactors = 1` they are served one at a time. The *store* stays safely
 // shared with a concurrently running StreamingRuntime — serving during
 // ingest is the normal mode — and reads reconstruct from snapshot handles
 // (monitor/store.h ReadSnapshot), never holding stripe locks.
@@ -75,9 +78,11 @@ struct ServerConfig {
   /// connections the accept thread deals to it (round-robin) and runs the
   /// full read/dispatch/reply loop for them, so concurrent clients are
   /// served in parallel instead of head-of-line blocking behind one slow
-  /// request. 1 (the default) serves every connection from a single
-  /// reactor, preserving the original cross-connection ordering.
-  std::size_t reactors = 1;
+  /// request. 0 (the default) resolves in the constructor to one reactor
+  /// per online core, max(1, std::thread::hardware_concurrency());
+  /// config().reactors reports the resolved count. 1 serves every
+  /// connection from a single reactor, one request at a time.
+  std::size_t reactors = 0;
   /// Fleet identity: tags every trace span and log record produced on the
   /// event-loop threads, and names this node in stitched fleet timelines.
   /// Empty = unnamed (standalone nyqmond).
@@ -149,6 +154,7 @@ class NyqmondServer {
 
   ServerStats stats() const;
 
+  /// The configuration as served: `reactors` holds the resolved count.
   const ServerConfig& config() const { return config_; }
 
  private:
@@ -195,12 +201,17 @@ class NyqmondServer {
   /// The CHECKPOINT body shared by handle_checkpoint, HANDOFF import's
   /// persist step, and stop()'s final flush.
   sto::FlushStats checkpoint_now();
-  /// Returns false when the connection must be dropped.
-  bool read_client(Connection& conn);
+  /// Returns false when the connection must be dropped. `polled_at` is
+  /// when the reactor's poll(2) round returned; each frame dispatched in
+  /// the round records its wait since then.
+  bool read_client(Connection& conn,
+                   std::chrono::steady_clock::time_point polled_at);
   bool write_client(Connection& conn);
   /// Consume every complete frame in conn.in.
-  bool drain_frames(Connection& conn);
-  void dispatch(Connection& conn, std::span<const std::uint8_t> body);
+  bool drain_frames(Connection& conn,
+                    std::chrono::steady_clock::time_point polled_at);
+  void dispatch(Connection& conn, std::span<const std::uint8_t> body,
+                std::chrono::steady_clock::time_point polled_at);
   std::vector<std::uint8_t> handle_ingest(sto::ByteReader& reader);
   std::vector<std::uint8_t> handle_query(sto::ByteReader& reader);
   std::vector<std::uint8_t> handle_stats();

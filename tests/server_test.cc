@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/router.h"
 #include "monitor/striped_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -1376,6 +1377,112 @@ TEST(Server, ClientRequestsCarryFlagBytesOnlyWhenSet) {
 }
 
 // ----------------------------------------------------- multi-reactor ------
+
+// One rule sets the reactor count of a backend and of a router front: a
+// server left at the default resolves it to one per online core, and
+// config().reactors reports the resolved count from construction on.
+TEST(Server, DefaultRunsOneReactorPerOnlineCore) {
+  const std::size_t cores =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  mon::StripedRetentionStore store;
+  srv::NyqmondServer backend(store, nullptr);
+  EXPECT_EQ(backend.config().reactors, cores);
+  backend.start();
+  EXPECT_EQ(backend.config().reactors, cores);
+
+  clu::RouterConfig router_cfg;
+  router_cfg.cluster.nodes.push_back({"node0", "127.0.0.1", backend.port()});
+  clu::NyqmonRouter router(router_cfg);
+  router.start();
+  EXPECT_EQ(router.reactors(), cores);
+  router.stop();
+  backend.stop();
+}
+
+// STATS names the resolved reactor count, so `nyqmon_ctl stats` shows what
+// the default became on a live node.
+TEST(Server, StatsReportsTheResolvedReactorCount) {
+  const std::size_t cores =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const std::size_t asked : {std::size_t{0}, std::size_t{4}}) {
+    mon::StripedRetentionStore store;
+    srv::ServerConfig cfg;
+    cfg.reactors = asked;
+    srv::NyqmondServer server(store, nullptr, cfg);
+    server.start();
+    srv::NyqmonClient client("127.0.0.1", server.port());
+    const std::string json = client.stats_json();
+    const std::string field = std::string("\"reactors\":")
+                                  .append(std::to_string(asked == 0 ? cores
+                                                                    : asked))
+                                  .append("}");
+    EXPECT_NE(json.find(field), std::string::npos) << json;
+    server.stop();
+  }
+}
+
+// Every dispatched frame records how long it waited behind its reactor's
+// earlier work in the same poll(2) round: one sample per frame.
+TEST(Server, EachDispatchedFrameRecordsOneDispatchWait) {
+  const obs::Histogram& wait =
+      obs::Registry::instance().histogram("nyqmon_reactor_dispatch_wait_ns");
+  mon::StripedRetentionStore store;
+  srv::NyqmondServer server(store, nullptr);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+  const std::uint64_t before = wait.snapshot().count;
+  client.stats_json();
+  EXPECT_EQ(wait.snapshot().count, before + 1);
+  client.ingest("wait/metric", 1.0, 0.0, wave(8, 0.0));
+  EXPECT_EQ(wait.snapshot().count, before + 2);
+  server.stop();
+}
+
+// A request sent after another connection's reply arrived sees that
+// request's effects, whichever reactors own the two connections. Four
+// connections, which round-robin dealing puts on different reactors when
+// the host has the cores, take turns: INGEST on one, then, after its OK,
+// QUERY on the next. Each query asks the same spec, so a result cached
+// before the INGEST must not answer it, and must return every acknowledged
+// value.
+TEST(Server, DefaultReactorsKeepCausalOrderAcrossConnections) {
+  constexpr std::size_t kConns = 4;
+  constexpr std::size_t kRounds = 300;
+  constexpr std::size_t kBatch = 4;
+  // One chunk holds every round's values: they stay raw in the hot buffer,
+  // so the reply is the ingested values bit for bit.
+  mon::StoreConfig store_cfg;
+  store_cfg.chunk_samples = 2 * kRounds * kBatch;
+  mon::StripedRetentionStore store(store_cfg);
+  srv::NyqmondServer server(store, nullptr);
+  server.start();
+  std::vector<std::unique_ptr<srv::NyqmonClient>> conns;
+  for (std::size_t c = 0; c < kConns; ++c)
+    conns.push_back(
+        std::make_unique<srv::NyqmonClient>("127.0.0.1", server.port()));
+  const qry::QuerySpec spec =
+      qry::QueryBuilder()
+          .select("causal/metric")
+          .range(0.0, static_cast<double>(kRounds * kBatch))
+          .align(1.0)
+          .build();
+
+  std::vector<double> acknowledged;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const std::vector<double> batch(kBatch, static_cast<double>(round));
+    const std::uint64_t total =
+        conns[round % kConns]->ingest("causal/metric", 1.0, 0.0, batch);
+    acknowledged.insert(acknowledged.end(), batch.begin(), batch.end());
+    ASSERT_EQ(total, acknowledged.size());
+    const srv::QueryReply reply = conns[(round + 1) % kConns]->query(spec);
+    ASSERT_EQ(reply.series.size(), 1u) << "round " << round;
+    const std::span<const double> got = reply.series[0].series.span();
+    ASSERT_EQ(got.size(), kRounds * kBatch) << "round " << round;
+    ASSERT_TRUE(same_values(got.first(acknowledged.size()), acknowledged))
+        << "round " << round;
+  }
+  server.stop();
+}
 
 // The same concurrent ingest+query workload as the four-client test, but
 // served by four reactor shards: per-connection ordering must hold on
